@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 from typing import Sequence
 
@@ -21,31 +20,14 @@ import numpy as np
 
 from . import __version__
 from .dense import avg_linear_ose, avg_linear_sre, circuit_unitary, stabilizer_nullity
-from .heisenberg import Circuit, doped_circuit, evolve_heisenberg
+from .heisenberg import Circuit, doped_circuit, evolve_heisenberg, parse_angle
 from .measures import ose
 from .paulis import SparseOperator, expectation_error_bound, parse_pauli_text, truncate_top
 from .xxz import XxzParams, alpha1_ose, closed_form_ose, simulate_vs_closed
 
-_ANGLE_RE = re.compile(r"^([+-]?)(?:(\d+(?:\.\d+)?)\s*\*?\s*)?pi(?:\s*/\s*(\d+(?:\.\d+)?))?$")
-
 
 class CliError(ValueError):
     """Invalid input reported with exit code 1."""
-
-
-def parse_angle(text: str) -> float:
-    """Radians, either a float literal or a pi fraction like 'pi/8' or '3*pi/4'."""
-    text = text.strip().lower()
-    m = _ANGLE_RE.match(text)
-    if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        mult = float(m.group(2)) if m.group(2) else 1.0
-        div = float(m.group(3)) if m.group(3) else 1.0
-        return sign * mult * math.pi / div
-    try:
-        return float(text)
-    except ValueError:
-        raise CliError(f"cannot parse angle {text!r}") from None
 
 
 def parse_alpha(text: str) -> float:
@@ -53,9 +35,12 @@ def parse_alpha(text: str) -> float:
     if text in ("inf", "infinity"):
         return math.inf
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise CliError(f"cannot parse alpha {text!r}") from None
+    if math.isnan(value):
+        raise CliError("alpha must not be nan")
+    return value
 
 
 def parse_alphas(text: str) -> list[float]:
@@ -198,11 +183,10 @@ def _cmd_haar_avg(args) -> None:
     dim = 1 << args.n
     for alpha in parse_alphas(args.alpha):
         est = mc_average_purity(args.n, alpha, args.samples, seed=args.seed, workers=args.workers)
-        closed = ""
-        if alpha in (2, 3, 4, 5):
+        closed = asym = ""
+        if math.isfinite(alpha) and alpha in (2, 3, 4, 5):
             closed = closed_form_avg_purity(dim, int(alpha))
-        asym = ""
-        if alpha >= 1 and int(alpha) == alpha:
+        if math.isfinite(alpha) and alpha >= 1 and int(alpha) == alpha:
             asym = asymptotic_avg_purity(dim, int(alpha))
         rows.append([args.n, _fmt_alpha(alpha), args.samples, est.mean, est.stderr, closed, asym])
     _emit(

@@ -5,7 +5,9 @@ have closed rational forms in D for alpha up to 5; those are transcribed
 here as reference functions and verified by seeded Monte Carlo rather than
 re-deriving the Weingarten sums. Sampling splits into per-worker RNG
 streams spawned from the master seed, so estimates are reproducible for a
-fixed (seed, worker count) and the merge is order independent.
+fixed (seed, worker count) and the merge is order independent. `workers`
+only partitions the RNG streams: the streams run one after another in the
+calling process.
 """
 from __future__ import annotations
 
@@ -72,7 +74,12 @@ def _split_counts(n_samples: int, workers: int) -> list[int]:
 def _haar_samples(
     n_qubits: int, alpha: float, n_samples: int, seed: int, workers: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (purity, renyi entropy) of U^dag X_0 U over Haar U."""
+    """Per-sample (purity, renyi entropy) of U^dag X_0 U over Haar U.
+
+    The purity at alpha = inf and 0 is the limit that measures.purity
+    takes: the largest probability, and the rank (the count of
+    probabilities above the 1e-30 floor).
+    """
     if n_qubits > MAX_MC_QUBITS:
         raise ValueError(f"MC path capped at {MAX_MC_QUBITS} qubits")
     if n_samples < 2:
@@ -81,6 +88,12 @@ def _haar_samples(
         raise ValueError("workers must be positive")
     dim = 1 << n_qubits
     seed_op = pauli_matrix(single_site_pauli(0, "X", n_qubits))
+    if math.isinf(alpha):
+        purity_of = np.max
+    elif alpha == 0:
+        purity_of = lambda probs: np.count_nonzero(probs > 1e-30)
+    else:
+        purity_of = lambda probs: np.sum(probs**alpha)
     streams = np.random.SeedSequence(seed).spawn(workers)
     purities = np.empty(n_samples)
     entropies = np.empty(n_samples)
@@ -92,7 +105,7 @@ def _haar_samples(
             evolved = u.conj().T @ seed_op @ u
             coeff = pauli_coefficients(evolved, n_qubits).real
             probs = coeff * coeff
-            purities[pos] = np.sum(probs**alpha)
+            purities[pos] = purity_of(probs)
             entropies[pos] = renyi_entropy(probs[probs > 1e-30], alpha)
             pos += 1
     return purities, entropies

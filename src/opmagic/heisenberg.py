@@ -7,22 +7,24 @@ conjugated in reverse list order.
 Angle convention: RZ(theta) = exp(-i theta Z) and
 RZZ(theta) = exp(-i theta Z x Z), so conjugation rotates coefficients by
 2*theta and T == RZ(pi/8) exactly.
+
+One kernel, `_propagate`, serves `evolve_heisenberg` and `conjugate_gate`.
+It works on raw (x_mask, z_mask) -> coeff dicts in the symplectic form of
+Aaronson and Gottesman: each maximal run of Clifford gates is compiled to
+opcodes and applied to one term at a time, and each rotation splits the
+terms that anticommute with its generator.
 """
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .paulis import (
-    PRUNE_TOL,
-    PauliString,
-    SparseOperator,
-    commutes,
-    pauli_mul,
-)
+from .paulis import PRUNE_TOL, PauliString, SparseOperator
 
 CLIFFORD_KINDS = frozenset({"H", "S", "Sdg", "X", "Y", "Z", "CNOT", "CZ", "SWAP"})
 ROTATION_KINDS = frozenset({"T", "Tdg", "RZ", "RZZ"})
@@ -30,16 +32,24 @@ GATE_KINDS = CLIFFORD_KINDS | ROTATION_KINDS
 _TWO_SITE = frozenset({"CNOT", "CZ", "SWAP", "RZZ"})
 _FIXED_ANGLE = {"T": math.pi / 8, "Tdg": -math.pi / 8}
 
-# Heisenberg action g^dag P g of single-qubit Cliffords, indexed by the
-# local letter code x + 2z (I, X, Z, Y) -> (x', z', sign).
-_CLIFFORD_1Q = {
-    "H": ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)),
-    "S": ((0, 0, 1), (1, 1, -1), (0, 1, 1), (1, 0, 1)),
-    "Sdg": ((0, 0, 1), (1, 1, 1), (0, 1, 1), (1, 0, -1)),
-    "X": ((0, 0, 1), (1, 0, 1), (0, 1, -1), (1, 1, -1)),
-    "Y": ((0, 0, 1), (1, 0, -1), (0, 1, -1), (1, 1, 1)),
-    "Z": ((0, 0, 1), (1, 0, -1), (0, 1, 1), (1, 1, -1)),
-}
+_ANGLE_RE = re.compile(r"^([+-]?)(?:(\d+(?:\.\d+)?)\s*\*?\s*)?pi(?:\s*/\s*(\d+(?:\.\d+)?))?$")
+
+
+def parse_angle(text: str) -> float:
+    """Radians, either a float literal or a pi fraction like 'pi/8' or '3*pi/4'."""
+    text = text.strip().lower()
+    m = _ANGLE_RE.match(text)
+    if m:
+        sign = -1.0 if m.group(1) == "-" else 1.0
+        mult = float(m.group(2)) if m.group(2) else 1.0
+        div = float(m.group(3)) if m.group(3) else 1.0
+        if div == 0.0:
+            raise ValueError(f"angle {text!r} divides by zero")
+        return sign * mult * math.pi / div
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"cannot parse angle {text!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +74,8 @@ class Gate:
         if self.kind in ("RZ", "RZZ"):
             if self.theta is None:
                 raise ValueError(f"{self.kind} needs an angle")
+            if not math.isfinite(self.theta):
+                raise ValueError(f"{self.kind} angle must be finite, got {self.theta!r}")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
@@ -130,8 +142,6 @@ class Circuit:
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
         """Parse the line format: 'qubits N' then one gate per line, e.g. 'RZZ 0 1 pi/8'."""
-        from .cli import parse_angle  # local import to keep cli optional
-
         n_qubits = None
         gates = []
         for raw in text.splitlines():
@@ -140,6 +150,8 @@ class Circuit:
                 continue
             parts = line.split()
             if parts[0].lower() == "qubits":
+                if len(parts) != 2:
+                    raise ValueError(f"expected 'qubits N', got {raw!r}")
                 n_qubits = int(parts[1])
                 continue
             kind = parts[0]
@@ -156,51 +168,157 @@ class Circuit:
         return cls(n_qubits, tuple(gates))
 
 
-def _swap_bits(mask: int, a: int, b: int) -> int:
-    if ((mask >> a) ^ (mask >> b)) & 1:
-        mask ^= (1 << a) | (1 << b)
-    return mask
+# Opcodes of compiled Clifford gates, in dispatch order: the doped ensemble
+# draws H, S and CNOT, and the XXZ brick holds a SWAP.
+_H, _S, _CNOT, _SWAP, _CZ, _SDG, _X, _Y, _Z = range(9)
+_OPCODES = {
+    "H": _H, "S": _S, "CNOT": _CNOT, "SWAP": _SWAP, "CZ": _CZ, "Sdg": _SDG, "X": _X, "Y": _Y, "Z": _Z
+}
 
 
-def _conjugate_clifford(p: PauliString, gate: Gate) -> tuple[PauliString, float]:
-    """Term-by-term image (g^dag P g, sign) for a Clifford gate."""
-    x, z = p.x_mask, p.z_mask
-    kind = gate.kind
-    if kind in _CLIFFORD_1Q:
-        q = gate.sites[0]
-        idx = ((x >> q) & 1) + 2 * ((z >> q) & 1)
-        nx, nz, sign = _CLIFFORD_1Q[kind][idx]
-        bit = 1 << q
-        x = (x & ~bit) | (nx << q)
-        z = (z & ~bit) | (nz << q)
-        return PauliString(p.n_qubits, x, z), float(sign)
-    if kind == "SWAP":
-        a, b = gate.sites
-        return PauliString(p.n_qubits, _swap_bits(x, a, b), _swap_bits(z, a, b)), 1.0
-    if kind == "CNOT":
-        c, t = gate.sites
-        xc, zc = (x >> c) & 1, (z >> c) & 1
-        xt, zt = (x >> t) & 1, (z >> t) & 1
-        sign = -1.0 if (xc and zt and not (xt ^ zc)) else 1.0
-        x = (x & ~(1 << t)) | ((xt ^ xc) << t)
-        z = (z & ~(1 << c)) | ((zc ^ zt) << c)
-        return PauliString(p.n_qubits, x, z), sign
-    if kind == "CZ":
-        a, b = gate.sites
-        xa, za = (x >> a) & 1, (z >> a) & 1
-        xb, zb = (x >> b) & 1, (z >> b) & 1
-        sign = -1.0 if (xa and xb and (za ^ zb)) else 1.0
-        z = (z & ~(1 << a)) | ((za ^ xb) << a)
-        z = (z & ~(1 << b)) | ((zb ^ xa) << b)
-        return PauliString(p.n_qubits, x, z), sign
-    raise ValueError(f"not a Clifford kind: {kind}")
+def _compile(gates: Sequence[Gate]) -> list:
+    """Heisenberg-order steps: one list of Clifford opcodes per maximal run,
+    and one (generator z_mask, cos 2 theta, sin 2 theta) tuple per rotation.
+
+    An opcode is (code, 1 << first site, 1 << last site).
+    """
+    steps: list = []
+    run = None
+    for gate in reversed(gates):
+        sites = gate.sites
+        code = _OPCODES.get(gate.kind)
+        if code is not None:
+            if run is None:
+                run = []
+                steps.append(run)
+            run.append((code, 1 << sites[0], 1 << sites[-1]))
+        else:
+            run = None
+            angle = 2.0 * gate.angle
+            z_gen = sum(1 << s for s in sites)  # sites are distinct
+            steps.append((z_gen, math.cos(angle), math.sin(angle)))
+    return steps
 
 
-def _rotation_generator(gate: Gate, n_qubits: int) -> PauliString:
-    z = 0
-    for s in gate.sites:
-        z |= 1 << s
-    return PauliString(n_qubits, 0, z)
+def _clifford_run(terms: dict, ops: list, prune_tol: float) -> dict:
+    """Every term at or above `prune_tol` through every gate of the run.
+
+    The images g^dag P g of the letters I, X, Z, Y at a site: H swaps X and
+    Z and negates Y; S maps X -> -Y, Y -> X; Sdg maps X -> Y, Y -> -X; a
+    Pauli gate negates the two letters it anticommutes with. CNOT adds x_c
+    to x_t and z_t to z_c; CZ adds x_b to z_a and x_a to z_b. A
+    Clifford maps strings one to one, so nothing merges and a sign flip is
+    exact; magnitudes are kept, so pruning once per run equals pruning
+    after every gate.
+    """
+    out = {}
+    for (x, z), a in terms.items():
+        if not abs(a) >= prune_tol:
+            continue
+        for code, m, m2 in ops:
+            if code == _H:
+                if (x ^ z) & m:
+                    x ^= m
+                    z ^= m
+                elif x & m:
+                    a = -a
+            elif code == _S:
+                if x & m:
+                    if not z & m:
+                        a = -a
+                    z ^= m
+            elif code == _CNOT:
+                if x & m:
+                    if z & m2:
+                        if (not x & m2) == (not z & m):
+                            a = -a
+                        z ^= m
+                    x ^= m2
+                elif z & m2:
+                    z ^= m
+            elif code == _SWAP:
+                both = m | m2
+                t = x & both
+                if t and t != both:
+                    x ^= both
+                t = z & both
+                if t and t != both:
+                    z ^= both
+            elif code == _CZ:
+                if x & m:
+                    if x & m2 and (not z & m) != (not z & m2):
+                        a = -a
+                    z ^= m2
+                if x & m2:
+                    z ^= m
+            elif code == _SDG:
+                if x & m:
+                    if z & m:
+                        a = -a
+                    z ^= m
+            elif code == _X:
+                if z & m:
+                    a = -a
+            elif code == _Y:
+                if (x ^ z) & m:
+                    a = -a
+            elif x & m:  # _Z
+                a = -a
+        out[x, z] = a
+    return out
+
+
+def _rotation(terms: dict, z_gen: int, c2: float, s2: float, prune_tol: float) -> dict:
+    """exp(-i theta G) for a Z-string G, with c2, s2 = cos, sin of 2 theta.
+
+    A term P that commutes with G is kept. An anticommuting P maps to
+    c2 P + sign s2 R with G P = i^k R; sign = Re(i^(k+1)), which is -1
+    exactly when k = |x & z_G| + 2 |x & z & z_G| is 1 mod 4. R anticommutes
+    with G too, so only split terms merge, and each of their strings gets
+    at most two contributions (P's own and that of G P). Float addition of
+    two numbers does not depend on their order, so the merge needs no sort.
+    """
+    out = {}
+    split: dict = {}
+    get = split.get
+    for key, a in terms.items():
+        x = key[0]
+        k = (x & z_gen).bit_count()
+        if k & 1:
+            z = key[1]
+            split[key] = get(key, 0.0) + a * c2
+            r = (x, z ^ z_gen)
+            b = a * s2
+            if (k + 2 * (x & z & z_gen).bit_count()) & 3 == 1:
+                b = -b
+            split[r] = get(r, 0.0) + b
+        elif abs(a) >= prune_tol:
+            out[key] = a
+    for key, a in split.items():
+        if abs(a) >= prune_tol:
+            out[key] = a
+    return out
+
+
+def _propagate(operator: SparseOperator, gates: Sequence[Gate], prune_tol: float) -> SparseOperator:
+    """The engine: g^dag O g for every gate, last gate first, on raw masks.
+
+    Works on a (x_mask, z_mask) -> coeff dict. PauliString objects are made
+    once, for the result, reusing the input's strings that survive. Every
+    step prunes its output at `prune_tol`.
+    """
+    n = operator.n_qubits
+    strings = {(p.x_mask, p.z_mask): p for p in operator.terms}
+    terms = {key: operator.terms[p] for key, p in strings.items()}
+    for step in _compile(gates):
+        if type(step) is list:
+            terms = _clifford_run(terms, step, prune_tol)
+        else:
+            terms = _rotation(terms, *step, prune_tol)
+    get = strings.get
+    return SparseOperator(
+        n, {get(key) or PauliString(n, *key): a for key, a in terms.items()}, prune_tol=prune_tol
+    )
 
 
 def conjugate_gate(
@@ -211,41 +329,26 @@ def conjugate_gate(
     Clifford kinds permute and sign-flip strings one-for-one. A rotation
     exp(-i theta G) leaves commuting terms alone and maps an anticommuting
     term P to cos(2 theta) P + s sin(2 theta) R with (i^k, R) = G*P and
-    s = Re(i * i^k), so coefficients stay real by construction. Terms are
-    processed in canonical order, which makes the float merge deterministic.
+    s = Re(i * i^k), so coefficients stay real by construction.
     """
     n = operator.n_qubits
     if any(s >= n for s in gate.sites):
         raise ValueError(f"gate {gate} out of range for {n} qubits")
-    out: dict[PauliString, float] = {}
-    if gate.kind in CLIFFORD_KINDS:
-        for p, a in operator.sorted_terms():
-            q, sign = _conjugate_clifford(p, gate)
-            out[q] = out.get(q, 0.0) + sign * a
-        return SparseOperator(n, out, prune_tol=prune_tol)
-    gen = _rotation_generator(gate, n)
-    c2 = math.cos(2.0 * gate.angle)
-    s2 = math.sin(2.0 * gate.angle)
-    for p, a in operator.sorted_terms():
-        if commutes(p, gen):
-            out[p] = out.get(p, 0.0) + a
-            continue
-        phase, r = pauli_mul(gen, p)
-        sign = (1j * phase).real  # +-1 since G and P anticommute
-        out[p] = out.get(p, 0.0) + a * c2
-        out[r] = out.get(r, 0.0) + a * s2 * sign
-    return SparseOperator(n, out, prune_tol=prune_tol)
+    return _propagate(operator, (gate,), prune_tol)
 
 
 def evolve_heisenberg(
     operator: SparseOperator, circuit: Circuit, *, prune_tol: float = PRUNE_TOL
 ) -> SparseOperator:
-    """U^dag O U for the full circuit: conjugate gates in reverse list order."""
+    """U^dag O U for the full circuit: conjugate gates in reverse list order.
+
+    Bit for bit the same as conjugate_gate applied gate by gate.
+    """
     if operator.n_qubits != circuit.n_qubits:
         raise ValueError("size mismatch")
-    for gate in reversed(circuit.gates):
-        operator = conjugate_gate(operator, gate, prune_tol=prune_tol)
-    return operator
+    if not circuit.gates:
+        return operator
+    return _propagate(operator, circuit.gates, prune_tol)
 
 
 def support(operator: SparseOperator) -> set[int]:
@@ -282,29 +385,48 @@ def mixing_depth(n_qubits: int) -> int:
     return 3 * n_qubits * n_qubits
 
 
+@functools.lru_cache(maxsize=16)
+def _clifford_gate_table(n_qubits: int) -> tuple[Gate, ...]:
+    """Interned {H, S, CNOT} gates: H on each site, S on each site, then
+    CNOT on each ordered pair (c, t), c != t, at c (n - 1) + t - (t > c).
+    """
+    sites = range(n_qubits)
+    return (
+        tuple(Gate("H", (q,)) for q in sites)
+        + tuple(Gate("S", (q,)) for q in sites)
+        + tuple(Gate("CNOT", (c, t)) for c in sites for t in sites if t != c)
+    )
+
+
+def _clifford_gates(n_qubits: int, depth: int, seed: int) -> list[Gate]:
+    """`depth` gates of the mixing ensemble from three vectorized draws:
+    kind, site, and an ordered CNOT pair.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(3 if n_qubits >= 2 else 2, size=depth)
+    site = rng.integers(n_qubits, size=depth)
+    pair = rng.integers(max(n_qubits * (n_qubits - 1), 1), size=depth)
+    index = np.where(kind == 2, 2 * n_qubits + pair, kind * n_qubits + site)
+    table = _clifford_gate_table(n_qubits)
+    return [table[i] for i in index.tolist()]
+
+
 def random_clifford_circuit(
     n_qubits: int, depth: int | None = None, seed: int = 0
 ) -> Circuit:
     """Seeded circuit of uniform {H, S, CNOT} gates on random sites.
 
-    This is a mixing ensemble, not exact uniform tableau sampling; the
-    default depth 3 n^2 is enough for the ensemble averages used here.
+    Each gate is H or S on a uniform site, or CNOT on a uniform ordered
+    pair of distinct sites, with equal odds of the three kinds (no CNOT on
+    one qubit). This is a mixing ensemble, not exact uniform tableau
+    sampling; the default depth 3 n^2 is enough for the ensemble averages
+    used here.
     """
     if depth is None:
         depth = mixing_depth(n_qubits)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    rng = np.random.default_rng(seed)
-    kinds = ("H", "S", "CNOT") if n_qubits >= 2 else ("H", "S")
-    gates = []
-    for _ in range(depth):
-        kind = kinds[rng.integers(len(kinds))]
-        if kind == "CNOT":
-            c, t = rng.choice(n_qubits, size=2, replace=False)
-            gates.append(Gate("CNOT", (int(c), int(t))))
-        else:
-            gates.append(Gate(kind, (int(rng.integers(n_qubits)),)))
-    return Circuit(n_qubits, tuple(gates))
+    return Circuit(n_qubits, tuple(_clifford_gates(n_qubits, depth, seed)))
 
 
 def doped_circuit(
@@ -315,7 +437,9 @@ def doped_circuit(
 ) -> Circuit:
     """Random Clifford blocks with one T gate between consecutive blocks.
 
-    tau = 0 gives a single pure Clifford block.
+    tau = 0 gives a single pure Clifford block. Block k is
+    random_clifford_circuit(n_qubits, clifford_depth, seed_k) for a seed
+    drawn from `seed`.
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
@@ -326,18 +450,7 @@ def doped_circuit(
     t_sites = rng.integers(0, n_qubits, size=tau) if tau else []
     gates: list[Gate] = []
     for k in range(tau):
-        gates.extend(random_clifford_circuit(n_qubits, clifford_depth, int(block_seeds[k])).gates)
+        gates += _clifford_gates(n_qubits, clifford_depth, int(block_seeds[k]))
         gates.append(Gate("T", (int(t_sites[k]),)))
-    gates.extend(random_clifford_circuit(n_qubits, clifford_depth, int(block_seeds[tau])).gates)
+    gates += _clifford_gates(n_qubits, clifford_depth, int(block_seeds[tau]))
     return Circuit(n_qubits, tuple(gates))
-
-
-def concat(circuits: Iterable[Circuit]) -> Circuit:
-    """Concatenate circuits on the same register, in application order."""
-    circuits = list(circuits)
-    if not circuits:
-        raise ValueError("nothing to concatenate")
-    out = circuits[0]
-    for c in circuits[1:]:
-        out = out + c
-    return out

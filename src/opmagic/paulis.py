@@ -155,7 +155,8 @@ def enumerate_paulis(n_qubits: int) -> list[PauliString]:
 class SparseOperator:
     """Real linear combination of Pauli strings, stored as a sparse map.
 
-    Terms with |coefficient| below `prune_tol` are dropped on construction.
+    Terms with |coefficient| below `prune_tol` are dropped on construction;
+    a non-finite coefficient is an error.
     Instances are treated as immutable; operations return new objects.
     """
 
@@ -176,6 +177,8 @@ class SparseOperator:
         for pauli, coeff in items:
             if pauli.n_qubits != n_qubits:
                 raise ValueError("term size mismatch")
+            if not math.isfinite(coeff):
+                raise ValueError(f"coefficient of {pauli} is not finite: {coeff!r}")
             if abs(coeff) >= prune_tol:
                 kept[pauli] = float(coeff)
         self.terms = kept

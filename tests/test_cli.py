@@ -33,9 +33,20 @@ class TestParsers:
         assert parse_angle("pi") == pytest.approx(math.pi)
         with pytest.raises(ValueError):
             parse_angle("eight")
+        with pytest.raises(ValueError):
+            parse_angle("pi/0")
 
     def test_parse_alphas(self):
         assert parse_alphas("0.5,1,2,inf") == [0.5, 1.0, 2.0, math.inf]
+
+    def test_parse_alpha_rejects_nan(self):
+        with pytest.raises(ValueError):
+            parse_alphas("2,nan")
+
+    def test_parse_angle_lives_in_the_core(self):
+        from opmagic import cli, heisenberg
+
+        assert cli.parse_angle is heisenberg.parse_angle
 
     def test_parse_range(self):
         assert parse_range("1..4") == [1, 2, 3, 4]
@@ -133,6 +144,17 @@ class TestHaarAvgCommand:
         assert closed == pytest.approx(3 / 14, abs=1e-12)
         assert abs(mean - closed) < 3 * stderr
 
+    def test_alpha_inf_and_zero(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert main(
+            ["haar-avg", "--n", "2", "--alpha", "inf,0", "--samples", "100",
+             "--seed", "5", "--out", str(out)]
+        ) == 0
+        (inf_row, zero_row) = read_csv_rows(out)[1:]
+        assert inf_row[1] == "inf" and 1 / 15 <= float(inf_row[3]) <= 1.0
+        assert float(zero_row[3]) == 15.0
+        assert inf_row[5:] == zero_row[5:] == ["", ""]
+
 
 class TestOtherCommands:
     def test_doped_scan(self, tmp_path):
@@ -202,6 +224,39 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "opmagic" in capsys.readouterr().out
+
+    def test_qubits_line_without_count(self, tmp_path, capsys):
+        path = tmp_path / "circ.txt"
+        path.write_text("qubits\nT 0\n")
+        assert main(["ose", "--circuit", str(path), "--seed-op", "X0"]) == 1
+        assert "qubits N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_in_text(self, tmp_path, capsys, angle):
+        path = tmp_path / "circ.txt"
+        path.write_text(f"qubits 1\nRZ 0 {angle}\n")
+        out = tmp_path / "op.json"
+        assert main(["evolve", "--circuit", str(path), "--seed-op", "X", "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_angle_in_json(self, tmp_path, capsys):
+        path = tmp_path / "circ.json"
+        path.write_text('{"n": 1, "gates": [{"kind": "RZ", "sites": [0], "theta": NaN}]}')
+        assert main(["evolve", "--circuit", str(path), "--seed-op", "X"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_operator_file(self, tmp_path):
+        from opmagic.cli import load_operator
+
+        path = tmp_path / "op.json"
+        path.write_text('{"operator": {"n": 1, "terms": [["X", NaN]]}}')
+        with pytest.raises(ValueError, match="not finite"):
+            load_operator(str(path))
+
+    def test_nan_alpha_is_bad_input(self, tmp_path):
+        circuit = write_circuit(tmp_path, t_ladder(2))
+        assert main(["ose", "--circuit", circuit, "--seed-op", "XX", "--alpha", "nan"]) == 1
 
     def test_gate_text_circuit_accepted(self, tmp_path):
         path = tmp_path / "circ.txt"

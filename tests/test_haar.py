@@ -146,6 +146,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_average_purity(6, 2, 100)
 
+    def test_alpha_inf_purity_is_max_probability(self):
+        est = mc_average_purity(2, math.inf, 200, seed=3)
+        # the largest of 15 probabilities summing to 1 lies in [1/15, 1]
+        assert 1 / 15 <= est.mean <= 1.0
+        assert est.mean > mc_average_purity(2, 2, 200, seed=3).mean
+
+    def test_alpha_zero_purity_is_rank(self):
+        # U^dag X U is traceless, so the identity coefficient is 0 and the
+        # other 4^n - 1 are nonzero almost surely
+        for n in (1, 2):
+            est = mc_average_purity(n, 0, 50, seed=4)
+            assert est.mean == 4**n - 1 and est.stderr == 0.0
+
 
 class TestFluctuations:
     def test_reproducible(self):

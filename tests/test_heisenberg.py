@@ -48,6 +48,13 @@ class TestGateValidation:
         assert Gate("T", (0,)).angle == math.pi / 8
         assert Gate("Tdg", (0,)).angle == -math.pi / 8
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Gate("RZ", (0,), bad)
+        with pytest.raises(ValueError, match="finite"):
+            Gate.from_json_dict({"kind": "RZZ", "sites": [0, 1], "theta": bad})
+
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate("H", (2,)),))

@@ -181,6 +181,13 @@ class TestSparseOperator:
         out = op.relabel_sites({0: 2, 2: 0})
         assert out.sorted_terms()[0][0].label() == "IZX"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            SparseOperator(1, {PauliString.from_label("X"): bad})
+        with pytest.raises(ValueError, match="not finite"):
+            SparseOperator.from_json_dict({"n": 1, "terms": [["Z", 1.0], ["X", bad]]})
+
     def test_json_round_trip_bit_identical(self):
         r = math.sqrt(0.5)
         op = from_local(0, r, 0, -r, 3)
