@@ -24,7 +24,6 @@ from .heisenberg import (
     doped_circuit,
     evolve_heisenberg,
     random_clifford_circuit,
-    support,
 )
 from .measures import OseReport, ose, pauli_probs, purity, renyi_entropy, t_count_lower_bound
 from .xxz import XxzParams, alpha1_ose, closed_form_ose, commuted_operator, simulate_vs_closed
@@ -49,7 +48,6 @@ __all__ = [
     "doped_circuit",
     "evolve_heisenberg",
     "random_clifford_circuit",
-    "support",
     "OseReport",
     "ose",
     "pauli_probs",

@@ -73,17 +73,19 @@ def load_operator(path: str) -> SparseOperator:
     return SparseOperator.from_json_dict(data)
 
 
-def _meta(command: str, params: dict) -> dict:
-    return {"tool": "opmagic", "version": __version__, "command": command, "params": params}
+_NOT_PARAMS = frozenset({"command", "func", "out", "format"})
 
 
-def _emit(args, command: str, params: dict, header: list[str], rows: list[list]) -> None:
-    meta = _meta(command, params)
+def _meta(args) -> dict:
+    """Provenance: every parsed option of the command except where its output goes."""
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    return {"tool": "opmagic", "version": __version__, "command": args.command, "params": params}
+
+
+def _emit(args, header: list[str], rows: list[list]) -> None:
+    meta = _meta(args)
     if args.format == "json":
-        payload = dict(meta)
-        payload["columns"] = header
-        payload["rows"] = rows
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(dict(meta, columns=header, rows=rows), indent=2) + "\n"
     else:
         buf = io.StringIO()
         for key, value in meta.items():
@@ -115,7 +117,7 @@ def _cmd_evolve(args) -> None:
     circuit = load_circuit(args.circuit)
     seed = _seed_operator(args, circuit)
     evolved = evolve_heisenberg(seed, circuit)
-    payload = dict(_meta("evolve", {"circuit": args.circuit, "seed_op": args.seed_op}))
+    payload = _meta(args)
     payload["operator"] = evolved.to_json_dict()
     _write_out(args.out, json.dumps(payload, indent=2) + "\n")
 
@@ -130,13 +132,7 @@ def _cmd_ose(args) -> None:
         rows.append(
             [_fmt_alpha(alpha), rep.purity, rep.ose, rep.linear_ose, rep.rank, rep.support_size]
         )
-    _emit(
-        args,
-        "ose",
-        {"circuit": args.circuit, "seed_op": args.seed_op, "alpha": args.alpha},
-        ["alpha", "purity", "ose", "linear_ose", "rank", "support"],
-        rows,
-    )
+    _emit(args, ["alpha", "purity", "ose", "linear_ose", "rank", "support"], rows)
 
 
 def _fmt_alpha(alpha: float) -> str:
@@ -159,21 +155,7 @@ def _cmd_xxz_scan(args) -> None:
                 comparison = simulate_vs_closed(params)
                 simulated, diff = comparison.simulated, comparison.abs_diff
             rows.append([j, t, _fmt_alpha(alpha), args.ax, args.ay, args.az, closed, simulated, diff])
-    _emit(
-        args,
-        "xxz-scan",
-        {
-            "J": args.J,
-            "t": args.t,
-            "alpha": args.alpha,
-            "ax": args.ax,
-            "ay": args.ay,
-            "az": args.az,
-            "simulate": args.simulate,
-        },
-        ["J", "t", "alpha", "a_x", "a_y", "a_z", "closed", "simulated", "diff"],
-        rows,
-    )
+    _emit(args, ["J", "t", "alpha", "a_x", "a_y", "a_z", "closed", "simulated", "diff"], rows)
 
 
 def _cmd_haar_avg(args) -> None:
@@ -189,13 +171,7 @@ def _cmd_haar_avg(args) -> None:
         if math.isfinite(alpha) and alpha >= 1 and int(alpha) == alpha:
             asym = asymptotic_avg_purity(dim, int(alpha))
         rows.append([args.n, _fmt_alpha(alpha), args.samples, est.mean, est.stderr, closed, asym])
-    _emit(
-        args,
-        "haar-avg",
-        {"n": args.n, "alpha": args.alpha, "samples": args.samples, "seed": args.seed, "workers": args.workers},
-        ["n", "alpha", "samples", "mc_mean", "stderr", "closed_form", "asymptotic"],
-        rows,
-    )
+    _emit(args, ["n", "alpha", "samples", "mc_mean", "stderr", "closed_form", "asymptotic"], rows)
 
 
 def _cmd_doped_scan(args) -> None:
@@ -213,20 +189,7 @@ def _cmd_doped_scan(args) -> None:
         for alpha in alphas:
             rep = ose(evolved, seed_op, alpha)
             rows.append([index, args.tau, _fmt_alpha(alpha), rep.ose, rep.rank])
-    _emit(
-        args,
-        "doped-scan",
-        {
-            "n": args.n,
-            "tau": args.tau,
-            "circuits": args.circuits,
-            "alpha": args.alpha,
-            "clifford_depth": args.clifford_depth,
-            "seed": args.seed,
-        },
-        ["circuit", "tau", "alpha", "ose", "rank"],
-        rows,
-    )
+    _emit(args, ["circuit", "tau", "alpha", "ose", "rank"], rows)
 
 
 def _cmd_truncate_study(args) -> None:
@@ -246,13 +209,7 @@ def _cmd_truncate_study(args) -> None:
                 expectation_error_bound(result.epsilon),
             ]
         )
-    _emit(
-        args,
-        "truncate-study",
-        {"circuit": args.circuit, "seed_op": args.seed_op, "chi": args.chi},
-        ["chi", "kept_terms", "kept_weight", "epsilon", "error_bound"],
-        rows,
-    )
+    _emit(args, ["chi", "kept_terms", "kept_weight", "epsilon", "error_bound"], rows)
 
 
 def _cmd_nullity(args) -> None:
@@ -267,13 +224,7 @@ def _cmd_nullity(args) -> None:
         mean_sre = avg_linear_sre(u, args.sre_samples, seed=args.seed)
         header += ["avg_linear_sre", "sre_over_ose"]
         row += [mean_sre, mean_sre / mean_ose if mean_ose else ""]
-    _emit(
-        args,
-        "nullity",
-        {"circuit": args.circuit, "sre_samples": args.sre_samples, "seed": args.seed},
-        header,
-        [row],
-    )
+    _emit(args, header, [row])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("evolve", help="Heisenberg-evolve a Pauli seed, emit operator JSON")
     p.add_argument("--circuit", required=True)
@@ -322,6 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="2")
     p.add_argument("--samples", type=int, default=2000)
     common(p, seeded=True)
+    p.add_argument(
+        "--workers", type=int, default=1, help="RNG stream partitions, run one after another"
+    )
     p.set_defaults(func=_cmd_haar_avg)
 
     p = sub.add_parser("doped-scan", help="OSE statistics over doped Clifford circuits")

@@ -19,7 +19,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .heisenberg import Circuit, Gate, mixing_depth, random_clifford_circuit
-from .paulis import PauliString, SparseOperator
+from .measures import renyi_entropy
+from .paulis import PauliString, SparseOperator, enumerate_paulis
 
 MAX_DENSE_QUBITS = 6
 MAX_NULLITY_QUBITS = 4
@@ -177,17 +178,10 @@ def ptm(unitary: np.ndarray) -> np.ndarray:
     n = dim.bit_length() - 1
     out = np.empty((4**n, 4**n))
     udag = unitary.conj().T
-    for b, z in enumerate(_iter_canonical(n)):
-        conj = udag @ z @ unitary
+    for b, p in enumerate(enumerate_paulis(n)):
+        conj = udag @ pauli_matrix(p) @ unitary
         out[:, b] = pauli_coefficients(conj, n).real
     return out
-
-
-def _iter_canonical(n_qubits: int):
-    from .paulis import enumerate_paulis
-
-    for p in enumerate_paulis(n_qubits):
-        yield pauli_matrix(p)
 
 
 @dataclass(frozen=True)
@@ -238,22 +232,18 @@ def state_sre(unitary: np.ndarray, state: np.ndarray, alpha: float) -> float:
     """Stabilizer Renyi entropy of U|state| in bits.
 
     Normalization used here (declared, since conventions differ):
-    zeta_alpha = (1/D) sum_P <P>^(2 alpha), M_alpha = log2(zeta_alpha)/(1-alpha),
-    with the alpha -> 1 limit taken as the Shannon form. Zero exactly on
-    stabilizer outputs. The linear variant is 1 - zeta_2.
+    zeta_alpha = (1/D) sum_P <P>^(2 alpha), M_alpha = log2(zeta_alpha)/(1-alpha).
+    For a pure state <P>^2 / D is a probability vector and M_alpha is its
+    measures.renyi_entropy minus N, so alpha = 0, 1, inf are the limits
+    taken there. Zero exactly on stabilizer outputs. The linear variant is
+    1 - zeta_2.
     """
     psi = unitary @ state
     dim = psi.shape[0]
     n = dim.bit_length() - 1
     rho = np.outer(psi, psi.conj())
     expect = pauli_coefficients(rho, n).real * dim
-    sq = expect * expect
-    if alpha == 1:
-        xi = sq / dim  # a probability vector for pure states
-        nz = sq > 1e-24
-        return float(-np.sum(xi[nz] * np.log2(sq[nz])))
-    zeta = float(np.sum(sq**alpha) / dim)
-    return math.log2(zeta) / (1.0 - alpha)
+    return renyi_entropy(expect * expect / dim, alpha) - n
 
 
 def avg_linear_sre(

@@ -7,17 +7,20 @@ re-deriving the Weingarten sums. Sampling splits into per-worker RNG
 streams spawned from the master seed, so estimates are reproducible for a
 fixed (seed, worker count) and the merge is order independent. `workers`
 only partitions the RNG streams: the streams run one after another in the
-calling process.
+calling process. Each sample's probability vector is reduced by
+`measures`, which alone decides how a Renyi index (0, 1, inf, negative)
+is evaluated.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .dense import pauli_coefficients, pauli_matrix
-from .measures import renyi_entropy
+from .measures import renyi_entropy, renyi_purity
 from .paulis import single_site_pauli
 
 MAX_HAAR_DIM = 64
@@ -72,14 +75,9 @@ def _split_counts(n_samples: int, workers: int) -> list[int]:
 
 
 def _haar_samples(
-    n_qubits: int, alpha: float, n_samples: int, seed: int, workers: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (purity, renyi entropy) of U^dag X_0 U over Haar U.
-
-    The purity at alpha = inf and 0 is the limit that measures.purity
-    takes: the largest probability, and the rank (the count of
-    probabilities above the 1e-30 floor).
-    """
+    n_qubits: int, reduce: Callable[[np.ndarray], float], n_samples: int, seed: int, workers: int
+) -> np.ndarray:
+    """`reduce` of each sample's Pauli probabilities of U^dag X_0 U over Haar U."""
     if n_qubits > MAX_MC_QUBITS:
         raise ValueError(f"MC path capped at {MAX_MC_QUBITS} qubits")
     if n_samples < 2:
@@ -88,15 +86,8 @@ def _haar_samples(
         raise ValueError("workers must be positive")
     dim = 1 << n_qubits
     seed_op = pauli_matrix(single_site_pauli(0, "X", n_qubits))
-    if math.isinf(alpha):
-        purity_of = np.max
-    elif alpha == 0:
-        purity_of = lambda probs: np.count_nonzero(probs > 1e-30)
-    else:
-        purity_of = lambda probs: np.sum(probs**alpha)
     streams = np.random.SeedSequence(seed).spawn(workers)
-    purities = np.empty(n_samples)
-    entropies = np.empty(n_samples)
+    samples = np.empty(n_samples)
     pos = 0
     for count, stream in zip(_split_counts(n_samples, workers), streams):
         rng = np.random.default_rng(stream)
@@ -104,11 +95,9 @@ def _haar_samples(
             u = sample_haar_unitary(dim, rng)
             evolved = u.conj().T @ seed_op @ u
             coeff = pauli_coefficients(evolved, n_qubits).real
-            probs = coeff * coeff
-            purities[pos] = purity_of(probs)
-            entropies[pos] = renyi_entropy(probs[probs > 1e-30], alpha)
+            samples[pos] = reduce(coeff * coeff)
             pos += 1
-    return purities, entropies
+    return samples
 
 
 def _estimate(samples: np.ndarray, n_samples: int, seed: int) -> McEstimate:
@@ -126,9 +115,9 @@ def mc_average_purity(
     """MC estimate of the Haar-averaged purity of an evolved single-site Pauli.
 
     By unitary invariance any fixed non-identity Pauli seed is equivalent;
-    X on qubit 0 is used.
+    X on qubit 0 is used. Each sample is measures.renyi_purity.
     """
-    purities, _ = _haar_samples(n_qubits, alpha, n_samples, seed, workers)
+    purities = _haar_samples(n_qubits, lambda p: renyi_purity(p, alpha), n_samples, seed, workers)
     return _estimate(purities, n_samples, seed)
 
 
@@ -136,7 +125,7 @@ def mc_average_ose(
     n_qubits: int, alpha: float, n_samples: int, seed: int = 0, workers: int = 1
 ) -> McEstimate:
     """MC estimate of the Haar-averaged OSE (Renyi entropy of the coefficients)."""
-    _, entropies = _haar_samples(n_qubits, alpha, n_samples, seed, workers)
+    entropies = _haar_samples(n_qubits, lambda p: renyi_entropy(p, alpha), n_samples, seed, workers)
     return _estimate(entropies, n_samples, seed)
 
 
@@ -148,7 +137,7 @@ def relative_fluctuation(
     workers: int = 1,
 ) -> McEstimate:
     """Sample estimate of sqrt(Var[P]) / E[P]; stderr from 10 batch means."""
-    purities, _ = _haar_samples(n_qubits, alpha, n_samples, seed, workers)
+    purities = _haar_samples(n_qubits, lambda p: renyi_purity(p, alpha), n_samples, seed, workers)
     value = float(np.std(purities, ddof=1) / np.mean(purities))
     n_batches = 10
     if n_samples >= 2 * n_batches:

@@ -160,6 +160,8 @@ class Circuit:
             n_sites = 2 if kind in _TWO_SITE else 1
             sites = tuple(int(p) for p in parts[1 : 1 + n_sites])
             rest = parts[1 + n_sites :]
+            if len(rest) > 1:
+                raise ValueError(f"unexpected tokens {rest[1:]} in line {raw!r}")
             theta = parse_angle(rest[0]) if rest else None
             gates.append(Gate(kind, sites, theta))
         if n_qubits is None:
@@ -349,11 +351,6 @@ def evolve_heisenberg(
     if not circuit.gates:
         return operator
     return _propagate(operator, circuit.gates, prune_tol)
-
-
-def support(operator: SparseOperator) -> set[int]:
-    """Union of non-identity sites over all terms."""
-    return operator.support()
 
 
 def brickwork_circuit(n_qubits: int, layers: int, brick: Sequence[Gate]) -> Circuit:

@@ -3,9 +3,12 @@
 The squared Pauli coefficients of a unit-weight Hermitian operator form a
 probability vector; the operator stabilizer entropy at index alpha is its
 Renyi entropy minus that of the unevolved seed. Base-2 logarithms
-throughout. alpha = 0, 1, inf are taken as limits (rank, Shannon, min
-entropy); non-integer alpha is accepted and uses |a_i|^(2 alpha), though
-the monotone proofs cover integer alpha only.
+throughout. This module is the one place that maps a Renyi index to its
+evaluation: alpha = 0, 1, inf are taken as limits (count above
+PROB_FLOOR, Shannon, min entropy), negative alpha is rejected, and
+non-integer alpha is accepted and uses |a_i|^(2 alpha), though the
+monotone proofs cover integer alpha only. The Haar averages and the dense
+state stabilizer Renyi entropy reduce their probability vectors here too.
 """
 from __future__ import annotations
 
@@ -17,6 +20,9 @@ import numpy as np
 from .paulis import SparseOperator
 
 _WEIGHT_TOL = 1e-8
+# Probabilities at or below this are numerical zeros: they are left out of
+# every entropy and of the alpha = 0 count.
+PROB_FLOOR = 1e-30
 
 
 def pauli_probs(operator: SparseOperator) -> np.ndarray:
@@ -27,10 +33,28 @@ def pauli_probs(operator: SparseOperator) -> np.ndarray:
     return np.array([a * a for _, a in operator.sorted_terms()], dtype=float)
 
 
-def renyi_entropy(probs: np.ndarray, alpha: float) -> float:
-    """Renyi-alpha entropy in bits of a probability vector."""
+def renyi_purity(probs: np.ndarray, alpha: float) -> float:
+    """Generalized purity sum_i p_i^alpha of a probability vector.
+
+    alpha = 0 counts the probabilities above PROB_FLOOR and alpha = inf
+    gives the largest one.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
     p = np.asarray(probs, dtype=float)
-    p = p[p > 0.0]
+    if alpha == 0:
+        return float(np.count_nonzero(p > PROB_FLOOR))
+    if math.isinf(alpha):
+        return float(np.max(p))
+    return float(np.sum(p**alpha))
+
+
+def renyi_entropy(probs: np.ndarray, alpha: float) -> float:
+    """Renyi-alpha entropy in bits of a probability vector, over p > PROB_FLOOR."""
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    p = np.asarray(probs, dtype=float)
+    p = p[p > PROB_FLOOR]
     if p.size == 0:
         raise ValueError("empty probability vector")
     if alpha == 0:
@@ -39,8 +63,6 @@ def renyi_entropy(probs: np.ndarray, alpha: float) -> float:
         return float(-np.sum(p * np.log2(p)))
     if math.isinf(alpha):
         return float(-np.log2(np.max(p)))
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
     return float(np.log2(np.sum(p**alpha)) / (1.0 - alpha))
 
 
@@ -48,10 +70,7 @@ def purity(operator: SparseOperator, alpha: float) -> float:
     """Generalized Pauli purity sum_i a_i^(2 alpha); alpha <= 0 returns the rank."""
     if alpha <= 0:
         return float(len(operator))
-    probs = pauli_probs(operator)
-    if math.isinf(alpha):
-        return float(np.max(probs))
-    return float(np.sum(probs**alpha))
+    return renyi_purity(pauli_probs(operator), alpha)
 
 
 @dataclass(frozen=True)
@@ -76,14 +95,15 @@ def ose(evolved: SparseOperator, initial: SparseOperator, alpha: float) -> OseRe
     """Renyi-alpha entropy of the evolved coefficients, offset by the seed's.
 
     For a Pauli seed the offset is zero and this is the entropy of the
-    distribution {a_i^2}. Bounded by 2 N for any evolution.
+    distribution {a_i^2}. Bounded by 2 N for any evolution. The purity is
+    renyi_purity of the same probabilities, so at alpha = 0 it is the count
+    above PROB_FLOOR: the rank of any operator pruned at PRUNE_TOL.
     """
     if evolved.n_qubits != initial.n_qubits:
         raise ValueError("size mismatch")
-    probs_evolved = pauli_probs(evolved)
-    probs_initial = pauli_probs(initial)
-    value = renyi_entropy(probs_evolved, alpha) - renyi_entropy(probs_initial, alpha)
-    pur = purity(evolved, alpha)
+    probs = pauli_probs(evolved)
+    value = renyi_entropy(probs, alpha) - renyi_entropy(pauli_probs(initial), alpha)
+    pur = renyi_purity(probs, alpha)
     return OseReport(
         alpha=alpha,
         purity=pur,

@@ -20,7 +20,6 @@ from opmagic import (
     ose,
     random_clifford_circuit,
     single_site_pauli,
-    support,
     truncate_top,
 )
 from opmagic.dense import (
@@ -240,7 +239,7 @@ def test_criterion_09_light_cone():
             circuit = brickwork_circuit(n, layers, brick)
             seed = SparseOperator.from_pauli(single_site_pauli(layers, "X", n))
             evolved = evolve_heisenberg(seed, circuit)
-            assert len(support(evolved)) <= 1 + 2 * layers
+            assert len(evolved.support()) <= 1 + 2 * layers
     report("criterion-09 light-cone", "support <= 1 + 2t for t <= 6, three brick types")
 
 

@@ -1,6 +1,8 @@
+import ast
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,25 @@ class TestParsers:
         from opmagic import cli, heisenberg
 
         assert cli.parse_angle is heisenberg.parse_angle
+
+    def test_core_modules_do_not_import_cli(self):
+        import opmagic
+
+        package = Path(opmagic.__file__).parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            if path.name in ("cli.py", "__main__.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                else:
+                    continue
+                if any("cli" in name.split(".") for name in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
     def test_parse_range(self):
         assert parse_range("1..4") == [1, 2, 3, 4]
@@ -265,3 +286,84 @@ class TestExitCodes:
         assert main(
             ["ose", "--circuit", str(path), "--seed-op", "XI", "--out", str(out)]
         ) == 0
+
+    def test_trailing_tokens_in_text_circuit(self, tmp_path, capsys):
+        path = tmp_path / "circ.txt"
+        path.write_text("qubits 1\nRZ 0 0.3 junk\n")
+        out = tmp_path / "op.json"
+        assert main(["evolve", "--circuit", str(path), "--seed-op", "X", "--out", str(out)]) == 1
+        assert "RZ 0 0.3 junk" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_alpha_in_haar_avg(self, capsys):
+        assert main(["haar-avg", "--n", "2", "--alpha", "-1", "--samples", "50"]) == 1
+        assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["doped-scan", "--n", "3", "--tau", "1", "--circuits", "1"],
+            ["nullity", "--circuit", "c.txt"],
+        ],
+    )
+    def test_workers_only_on_haar_avg(self, argv, capsys):
+        assert main([*argv, "--workers", "2"]) == 1
+        assert "--workers" in capsys.readouterr().err
+
+
+# One invocation per command and the provenance it wrote when each command
+# listed its parameters by hand: the CSV `# params=` line and the JSON
+# `params` object, key order included.
+PROVENANCE = {
+    "evolve": (
+        ["--circuit", "c.txt", "--seed-op", "X0"],
+        None,
+        '{"circuit": "c.txt", "seed_op": "X0"}',
+    ),
+    "ose": (
+        ["--circuit", "c.txt", "--seed-op", "X0", "--alpha", "1,inf"],
+        '# params={"alpha": "1,inf", "circuit": "c.txt", "seed_op": "X0"}',
+        '{"circuit": "c.txt", "seed_op": "X0", "alpha": "1,inf"}',
+    ),
+    "xxz-scan": (
+        ["--J", "pi/8", "--t", "1..2", "--ax", "0.6", "--az", "0.8"],
+        '# params={"J": "pi/8", "alpha": "2", "ax": 0.6, "ay": 0.0, "az": 0.8, "simulate": false, "t": "1..2"}',
+        '{"J": "pi/8", "t": "1..2", "alpha": "2", "ax": 0.6, "ay": 0.0, "az": 0.8, "simulate": false}',
+    ),
+    "haar-avg": (
+        ["--n", "1", "--samples", "20", "--seed", "3", "--workers", "2"],
+        '# params={"alpha": "2", "n": 1, "samples": 20, "seed": 3, "workers": 2}',
+        '{"n": 1, "alpha": "2", "samples": 20, "seed": 3, "workers": 2}',
+    ),
+    "doped-scan": (
+        ["--n", "3", "--tau", "1", "--circuits", "2", "--seed", "5"],
+        '# params={"alpha": "2", "circuits": 2, "clifford_depth": null, "n": 3, "seed": 5, "tau": 1}',
+        '{"n": 3, "tau": 1, "circuits": 2, "alpha": "2", "clifford_depth": null, "seed": 5}',
+    ),
+    "truncate-study": (
+        ["--circuit", "c.txt", "--seed-op", "X0", "--chi", "1..2"],
+        '# params={"chi": "1..2", "circuit": "c.txt", "seed_op": "X0"}',
+        '{"circuit": "c.txt", "seed_op": "X0", "chi": "1..2"}',
+    ),
+    "nullity": (
+        ["--circuit", "c.txt", "--sre-samples", "2", "--seed", "4"],
+        '# params={"circuit": "c.txt", "seed": 4, "sre_samples": 2}',
+        '{"circuit": "c.txt", "sre_samples": 2, "seed": 4}',
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PROVENANCE))
+def test_provenance_params_pinned(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text("qubits 2\nH 0\nCNOT 0 1\nT 1\n")
+    rest, csv_line, json_params = PROVENANCE[command]
+    if csv_line is not None:
+        assert main([command, *rest]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("# params=")] == [csv_line]
+        rest = [*rest, "--format", "json"]
+    assert main([command, *rest]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["command"] == command
+    assert json.dumps(data["params"]) == json_params

@@ -152,6 +152,31 @@ class TestMonteCarlo:
         assert 1 / 15 <= est.mean <= 1.0
         assert est.mean > mc_average_purity(2, 2, 200, seed=3).mean
 
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            mc_average_purity(2, -1, 50)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("alpha", [0.5, 2, 3])
+    def test_matches_per_sample_loop(self, alpha, workers):
+        # the per-sample sum over the same spawned streams, written out
+        from opmagic.dense import pauli_coefficients, pauli_matrix
+        from opmagic.paulis import single_site_pauli
+
+        n, total = 2, 40
+        x0 = pauli_matrix(single_site_pauli(0, "X", n))
+        counts = [total // workers + (w < total % workers) for w in range(workers)]
+        purities = []
+        for count, stream in zip(counts, np.random.SeedSequence(17).spawn(workers)):
+            rng = np.random.default_rng(stream)
+            for _ in range(count):
+                u = sample_haar_unitary(1 << n, rng)
+                probs = pauli_coefficients(u.conj().T @ x0 @ u, n).real ** 2
+                purities.append(np.sum(probs**alpha))
+        est = mc_average_purity(n, alpha, total, seed=17, workers=workers)
+        assert est.mean == float(np.mean(purities))
+        assert est.stderr == float(np.std(purities, ddof=1) / math.sqrt(total))
+
     def test_alpha_zero_purity_is_rank(self):
         # U^dag X U is traceless, so the identity coefficient is 0 and the
         # other 4^n - 1 are nonzero almost surely
@@ -175,7 +200,7 @@ class TestFluctuations:
         # essentially no sample strays beyond 10x the mean purity
         from opmagic.haar import _haar_samples
 
-        purities, _ = _haar_samples(5, 2, 400, seed=127, workers=1)
+        purities = _haar_samples(5, lambda p: np.sum(p**2), 400, seed=127, workers=1)
         mean = closed_form_avg_purity(32, 2)
         fraction = np.mean(np.abs(purities - mean) > 10 * mean)
         assert fraction < 0.01

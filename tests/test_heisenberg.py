@@ -15,7 +15,6 @@ from opmagic import (
     ose,
     random_clifford_circuit,
     single_site_pauli,
-    support,
 )
 from opmagic.dense import circuit_unitary, pauli_spectrum
 from opmagic.heisenberg import CLIFFORD_KINDS, ROTATION_KINDS
@@ -181,14 +180,14 @@ class TestBrickwork:
     def test_light_cone_after_one_layer(self):
         c = brickwork_circuit(8, 1, self.brick())
         ev = evolve_heisenberg(x_seed(3, 8), c)
-        assert support(ev) <= {2, 3}
+        assert ev.support() <= {2, 3}
 
     @pytest.mark.parametrize("layers", range(1, 7))
     def test_light_cone_bound(self, layers):
         n = 2 * layers + 2
         c = brickwork_circuit(n, layers, self.brick())
         ev = evolve_heisenberg(x_seed(layers, n), c)
-        assert len(support(ev)) <= 1 + 2 * layers
+        assert len(ev.support()) <= 1 + 2 * layers
 
 
 class TestRandomCircuits:
@@ -229,11 +228,11 @@ class TestRandomCircuits:
 
 class TestSupport:
     def test_single_site(self):
-        assert support(x_seed(3, 8)) == {3}
+        assert x_seed(3, 8).support() == {3}
 
     def test_identity_empty(self):
         op = SparseOperator.from_pauli(PauliString.identity(4))
-        assert support(op) == set()
+        assert op.support() == set()
 
 
 class TestSerialization:
@@ -253,3 +252,8 @@ class TestSerialization:
         c = Circuit.from_text(text)
         assert c.gates[0].theta == pytest.approx(math.pi / 8)
         assert c.gates[1].kind == "CNOT"
+
+    @pytest.mark.parametrize("line", ["RZ 0 0.3 junk", "T 0 pi/8 1", "CNOT 0 1 2 3"])
+    def test_text_trailing_tokens_rejected(self, line):
+        with pytest.raises(ValueError, match=line):
+            Circuit.from_text(f"qubits 4\n{line}\n")

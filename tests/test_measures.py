@@ -16,7 +16,7 @@ from opmagic import (
     single_site_pauli,
     t_count_lower_bound,
 )
-from opmagic.measures import renyi_entropy
+from opmagic.measures import PROB_FLOOR, renyi_entropy, renyi_purity
 from conftest import operator_from_spectrum, random_mixed_circuit
 
 ALPHAS = (0, 0.5, 1, 2, 3, math.inf)
@@ -67,6 +67,54 @@ class TestPurity:
     def test_alpha_zero_routes_to_rank(self):
         assert purity(uniform_op(8), 0) == 8.0
         assert purity(uniform_op(8), -1) == 8.0
+
+
+class TestRenyiLimits:
+    PROBS = np.array([0.5, 0.25, 0.25, PROB_FLOOR, 0.0])
+
+    def test_alpha_zero_counts_above_floor(self):
+        assert renyi_purity(self.PROBS, 0) == 3.0
+        assert renyi_entropy(self.PROBS, 0) == math.log2(3)
+
+    def test_alpha_inf_is_max(self):
+        assert renyi_purity(self.PROBS, math.inf) == 0.5
+        assert renyi_entropy(self.PROBS, math.inf) == 1.0
+
+    def test_finite_alpha_sums_the_whole_vector(self):
+        assert renyi_purity(self.PROBS, 2) == float(np.sum(self.PROBS**2))
+        assert renyi_entropy(self.PROBS, 1) == 1.5
+
+    @pytest.mark.parametrize("alpha", [-1, -0.5, -math.inf])
+    def test_negative_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="non-negative"):
+            renyi_purity(self.PROBS, alpha)
+        with pytest.raises(ValueError, match="non-negative"):
+            renyi_entropy(self.PROBS, alpha)
+
+
+# float.hex of (purity, ose, linear_ose) per index, recorded before the
+# Renyi limits moved behind renyi_purity, on random_mixed_circuit(
+# default_rng(2), 5, 40) from the seed 0.6 XIIIZ + 0.8 YIIII (rank 24).
+OSE_PINS = {
+    0: ("0x1.8000000000000p+4", "0x1.cae00d1cfdeb4p+1", "-0x1.7000000000000p+4"),
+    0.5: ("0x1.8b06339b89740p+1", "0x1.23ef5211a678ep+1", "-0x1.0b06339b89740p+1"),
+    1: ("0x1.0000000000001p+0", "0x1.7f5c8fd6e7a13p+0", "-0x1.0000000000000p-52"),
+    2: ("0x1.26a0513b934e9p-2", "0x1.cff2ee3fc2d43p-1", "0x1.6cafd7623658cp-1"),
+    3: ("0x1.cf1f351530dd4p-4", "0x1.731233776ef1bp-1", "0x1.c61c195d59e46p-1"),
+    math.inf: ("0x1.d3ac07358a076p-2", "0x1.f2793ce8edec8p-2", "0x1.1629fc653afc5p-1"),
+}
+
+
+def test_ose_pinned_per_index():
+    circuit = random_mixed_circuit(np.random.default_rng(2), 5, 40)
+    seed = SparseOperator(
+        5, {PauliString.from_label("XIIIZ"): 0.6, PauliString.from_label("YIIII"): 0.8}
+    )
+    evolved = evolve_heisenberg(seed, circuit)
+    for alpha, pins in OSE_PINS.items():
+        rep = ose(evolved, seed, alpha)
+        assert (rep.purity.hex(), rep.ose.hex(), rep.linear_ose.hex()) == pins
+        assert rep.rank == 24
 
 
 class TestOse:
