@@ -4,7 +4,16 @@ Everything here is brute force on 2^n dimensional matrices and is the
 oracle the sparse path is tested against: exact circuit unitaries, full
 Pauli spectra, the Pauli transfer matrix, unitary stabilizer nullity, and
 state stabilizer entropies. Site 0 is the most significant tensor factor,
-matching the leftmost letter of a Pauli label.
+matching the leftmost letter of a Pauli label. Nothing here calls the
+Heisenberg engine.
+
+Circuits are applied by contracting each gate's 2^k x 2^k matrix into the
+register, held as a (2,)*n tensor, on the gate's k sites. Pauli
+coefficients come from index arithmetic on the (x, z) bits of a string:
+tr[A P]/D = i^|x & z|/D sum_r A[r, r ^ x] (-1)^|r & z|, one gather and one
++-1 Walsh-Hadamard (Sylvester) product, with its tables built once per n.
+pauli_matrix (a kron of the explicit 2x2 letters) and gate_matrix are the
+independent references both are tested against.
 
 Caps: spectra and unitaries at n <= 6, the 16^n nullity pair scan at
 n <= 4. Global phases are dropped everywhere; every quantity computed here
@@ -19,7 +28,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .heisenberg import Circuit, Gate, mixing_depth, random_clifford_circuit
-from .measures import renyi_entropy
+from .measures import renyi_entropy, renyi_purity
 from .paulis import PauliString, SparseOperator, enumerate_paulis
 
 MAX_DENSE_QUBITS = 6
@@ -31,18 +40,6 @@ _P1 = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-# Per-site change of basis from matrix elements (m = 2r + c) to Pauli
-# letters in canonical order I, X, Z, Y: row L, entry sigma_L[c, r].
-_PAULI_XFORM = np.array(
-    [
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
-        [1, 0, 0, -1],
-        [0, 1j, -1j, 0],
-    ],
-    dtype=complex,
-)
 
 
 def pauli_matrix(pauli: PauliString) -> np.ndarray:
@@ -90,73 +87,67 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def embed(local: np.ndarray, sites: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Embed a k-site gate matrix into the full 2^n dimensional register."""
-    k = len(sites)
-    if local.shape != (1 << k, 1 << k):
-        raise ValueError("local matrix shape does not match site count")
-    dim = 1 << n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    shifts = [n_qubits - 1 - s for s in sites]  # site 0 is the MSB
-    for col in range(dim):
-        j = 0
-        base = col
-        for idx, sh in enumerate(shifts):
-            j |= ((col >> sh) & 1) << (k - 1 - idx)
-            base &= ~(1 << sh)
-        for i in range(1 << k):
-            row = base
-            for idx, sh in enumerate(shifts):
-                row |= ((i >> (k - 1 - idx)) & 1) << sh
-            out[row, col] = local[i, j]
-    return out
+def _contract(register: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """Apply the circuit's gates in order to a register of shape (2,)*n + rest.
+
+    Each gate's matrix, reshaped to (2,)*2k, is contracted on its k sites
+    with tensordot and the new axes are moved back into place.
+    """
+    if circuit.n_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(f"dense path capped at {MAX_DENSE_QUBITS} qubits")
+    for gate in circuit.gates:
+        k = len(gate.sites)
+        local = gate_matrix(gate).reshape((2,) * (2 * k))
+        register = np.tensordot(local, register, axes=(tuple(range(k, 2 * k)), gate.sites))
+        register = np.moveaxis(register, tuple(range(k)), gate.sites)
+    return register
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of gate matrices; global phase is not meaningful."""
-    if circuit.n_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense path capped at {MAX_DENSE_QUBITS} qubits")
-    dim = 1 << circuit.n_qubits
-    u = np.eye(dim, dtype=complex)
-    for gate in circuit.gates:
-        u = embed(gate_matrix(gate), gate.sites, circuit.n_qubits) @ u
-    return u
+    n = circuit.n_qubits
+    dim = 1 << n
+    eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    return _contract(eye, circuit).reshape(dim, dim)
 
 
-@lru_cache(maxsize=8)
-def _canonical_perm(n_qubits: int) -> np.ndarray:
-    """Map site-major letter index to the canonical (z_mask << n) | x_mask index."""
-    perm = np.empty(4**n_qubits, dtype=np.int64)
-    for flat in range(4**n_qubits):
-        x_mask = z_mask = 0
-        rest = flat
-        for site in range(n_qubits - 1, -1, -1):
-            letter = rest & 3
-            rest >>= 2
-            x_mask |= (letter & 1) << site
-            z_mask |= (letter >> 1) << site
-        perm[flat] = (z_mask << n_qubits) | x_mask
-    return perm
+@lru_cache(maxsize=MAX_DENSE_QUBITS)
+def _pauli_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of the n-qubit Pauli transform: gather[r, xm], sylvester[zm, r], phase[zm, xm].
+
+    xm, zm are the canonical masks, whose bit s is site s. In matrix indices
+    site 0 is the most significant bit, so a mask stands for its n bits
+    reversed, rev(m); |x & z| is the same for both. Then sylvester @ A[gather]
+    * phase is indexed [zm, xm], which flattens to (z_mask << n) | x_mask.
+    """
+    dim = 1 << n_qubits
+    idx = np.arange(dim)
+    rev = np.zeros(dim, dtype=np.int64)
+    for s in range(n_qubits):
+        rev |= ((idx >> s) & 1) << (n_qubits - 1 - s)
+    parity = np.array([k.bit_count() for k in range(dim)], dtype=np.int64)
+    gather = idx[:, None] * dim + (idx[:, None] ^ rev[None, :])  # [r, x]: A[r, r ^ x]
+    sylvester = (1 - 2 * (parity[rev[:, None] & idx[None, :]] & 1)).astype(complex)  # [z, r]
+    phase = np.array([1, 1j, -1, -1j])[parity[idx[:, None] & idx[None, :]] & 3] / dim
+    for table in (gather, sylvester, phase):  # cached and shared by every caller
+        table.flags.writeable = False
+    return gather, sylvester, phase
 
 
 def pauli_coefficients(matrix: np.ndarray, n_qubits: int) -> np.ndarray:
     """tr[A P]/D for all 4^n strings P, in canonical order (complex vector).
 
-    Works by a per-site basis change on the reshaped matrix, so no Pauli
-    matrices are materialized.
+    With x, z the string's bits in matrix-index order, P[r ^ x, r] is
+    i^|x & z| (-1)^|r & z|, so tr[A P]/D = i^|x & z|/D sum_r A[r, r ^ x]
+    (-1)^|r & z|: one gather and one +-1 Walsh-Hadamard product.
     """
     dim = 1 << n_qubits
     if matrix.shape != (dim, dim):
         raise ValueError("matrix shape does not match qubit count")
-    t = matrix.reshape((2,) * (2 * n_qubits))
-    order = [ax for pair in zip(range(n_qubits), range(n_qubits, 2 * n_qubits)) for ax in pair]
-    t = np.transpose(t, order).reshape((4,) * n_qubits)
-    for site in range(n_qubits):
-        t = np.moveaxis(np.tensordot(_PAULI_XFORM, t, axes=(1, site)), 0, site)
-    flat = t.reshape(-1) / dim
-    out = np.empty_like(flat)
-    out[_canonical_perm(n_qubits)] = flat
-    return out
+    if n_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(f"dense path capped at {MAX_DENSE_QUBITS} qubits")
+    gather, sylvester, phase = _pauli_tables(n_qubits)
+    return (sylvester @ matrix.ravel()[gather] * phase).ravel()
 
 
 def pauli_spectrum(unitary: np.ndarray, seed: SparseOperator) -> np.ndarray:
@@ -204,28 +195,38 @@ def stabilizer_nullity(unitary: np.ndarray) -> NullityReport:
 
 
 def avg_linear_ose(unitary: np.ndarray, alpha: float = 2.0) -> float:
-    """Mean of 1 - P^(alpha) over all non-identity Pauli seeds."""
-    c = ptm(unitary)
-    probs = c * c
-    row_purity = np.sum(probs**alpha, axis=1)
-    return float(np.mean(1.0 - row_purity[1:]))  # row 0 is the identity seed
+    """Mean of 1 - P^(alpha) over all non-identity Pauli seeds (measures.renyi_purity)."""
+    rows = ptm(unitary)[1:]  # row 0 is the identity seed
+    return float(np.mean([1.0 - renyi_purity(row * row, alpha) for row in rows]))
 
 
 def random_stabilizer_state(n_qubits: int, seed: int = 0) -> np.ndarray:
     """|0...0> pushed through a random Clifford mixing circuit."""
-    if n_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense path capped at {MAX_DENSE_QUBITS} qubits")
     circuit = random_clifford_circuit(n_qubits, mixing_depth(n_qubits), seed)
-    return circuit_unitary(circuit)[:, 0]
+    zero = np.zeros((2,) * n_qubits, dtype=complex)
+    zero[(0,) * n_qubits] = 1.0
+    return _contract(zero, circuit).reshape(-1)
+
+
+def _state_probs(state: np.ndarray) -> np.ndarray:
+    """<psi|P|psi>^2 / D over all strings: a probability vector for a pure state."""
+    dim = state.shape[0]
+    rho = np.outer(state, state.conj())
+    expect = pauli_coefficients(rho, dim.bit_length() - 1).real * dim  # <P> per string
+    return expect * expect / dim
 
 
 def state_stabilizer_purity(state: np.ndarray, alpha: float) -> float:
-    """zeta_alpha = (1/D) sum_P <psi|P|psi>^(2 alpha); equals 1 on stabilizer states."""
+    """zeta_alpha = (1/D) sum_P <psi|P|psi>^(2 alpha); equals 1 on stabilizer states.
+
+    Evaluated as D^(alpha-1) renyi_purity(<P>^2/D, alpha), so alpha = 0 is
+    the count of nonzero <P> over D. D^(alpha-1) is unbounded at alpha = inf,
+    so that index raises; state_sre takes it as the min entropy.
+    """
+    if math.isinf(alpha):
+        raise ValueError("state_stabilizer_purity has no alpha = inf form; use state_sre")
     dim = state.shape[0]
-    n = dim.bit_length() - 1
-    rho = np.outer(state, state.conj())
-    expect = pauli_coefficients(rho, n).real * dim  # <P> per string
-    return float(np.sum((expect * expect) ** alpha) / dim)
+    return float(dim ** (alpha - 1.0) * renyi_purity(_state_probs(state), alpha))
 
 
 def state_sre(unitary: np.ndarray, state: np.ndarray, alpha: float) -> float:
@@ -239,11 +240,7 @@ def state_sre(unitary: np.ndarray, state: np.ndarray, alpha: float) -> float:
     1 - zeta_2.
     """
     psi = unitary @ state
-    dim = psi.shape[0]
-    n = dim.bit_length() - 1
-    rho = np.outer(psi, psi.conj())
-    expect = pauli_coefficients(rho, n).real * dim
-    return renyi_entropy(expect * expect / dim, alpha) - n
+    return renyi_entropy(_state_probs(psi), alpha) - (psi.shape[0].bit_length() - 1)
 
 
 def avg_linear_sre(

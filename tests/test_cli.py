@@ -69,6 +69,32 @@ class TestParsers:
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
 
+    def test_dense_oracle_does_not_use_the_engine(self):
+        # dense.py is the ground truth the engine is checked against, so it
+        # names neither the engine's entry points nor its private functions
+        import opmagic
+
+        package = Path(opmagic.__file__).parent
+        engine = ast.parse((package / "heisenberg.py").read_text(encoding="utf-8"))
+        forbidden = {"evolve_heisenberg", "conjugate_gate"} | {
+            node.name
+            for node in engine.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        }
+        assert "_propagate" in forbidden
+        offenders = []
+        for node in ast.walk(ast.parse((package / "dense.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name.rsplit(".", 1)[-1] for a in node.names]
+            else:
+                continue
+            offenders += [f"dense.py:{node.lineno}: {n}" for n in names if n in forbidden]
+        assert offenders == []
+
     def test_parse_range(self):
         assert parse_range("1..4") == [1, 2, 3, 4]
         assert parse_range("7") == [7]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -53,6 +54,23 @@ class TestCircuitUnitary:
         with pytest.raises(ValueError):
             circuit_unitary(Circuit(7, ()))
 
+    # sha256 of circuit_unitary(random_mixed_circuit(default_rng(n), n, 40)).tobytes(),
+    # recorded with each gate embedded as a full 2^n x 2^n matrix and multiplied in
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (1, "74d5e90b77c57334fc026fc645ed4c907189d49e4b8ae19a74f0ff8db86b29dc"),
+            (2, "304547b6bed816a4df53394cc9df5fbd5511a4293ca8ed61cdc89aa48b3208b1"),
+            (3, "835e2db74541ca675957faef5eed72eb8e4e48640863c237f542f12be23c9464"),
+            (4, "6ad27a79ee82bae2c210df512dfc91ef6a81fbf8e3c0f5cf8fbb7ba2d83c684e"),
+            (5, "ed3d027731033d28eab6cb212a082d68d30c525240d02ee9955eb874f11f6926"),
+            (6, "450487b8ac28127866e9b792b753d2abd3ce3e325c5367110396715c874d6be7"),
+        ],
+    )
+    def test_pinned_bit_for_bit(self, n, digest):
+        u = circuit_unitary(random_mixed_circuit(np.random.default_rng(n), n, 40))
+        assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+
     def test_xxz_brick_matches_interaction_exponential(self):
         from opmagic.xxz import two_site_unitary, xxz_brick
 
@@ -74,14 +92,22 @@ class TestPauliMatrixAndCoefficients:
             )
 
     def test_coefficients_pick_out_terms(self):
+        # the kron-built pauli_matrix is the reference: checks the i^|x & z|
+        # phase and the bit reversal into canonical order at every size
         rng = np.random.default_rng(37)
-        n = 3
-        paulis = enumerate_paulis(n)
-        coeffs = rng.normal(size=len(paulis))
-        matrix = sum(c * pauli_matrix(p) for c, p in zip(coeffs, paulis))
-        got = pauli_coefficients(matrix, n)
-        np.testing.assert_allclose(got.real, coeffs, atol=1e-12)
-        np.testing.assert_allclose(got.imag, 0.0, atol=1e-12)
+        for n in range(1, 7):
+            paulis = enumerate_paulis(n)
+            real = rng.normal(size=len(paulis))
+            for coeffs in (real, real + 1j * rng.normal(size=len(paulis))):
+                matrix = sum(c * pauli_matrix(p) for c, p in zip(coeffs, paulis))
+                got = pauli_coefficients(matrix, n)
+                np.testing.assert_allclose(got, coeffs, rtol=0, atol=1e-12)
+
+    def test_coefficients_reject_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            pauli_coefficients(np.eye(4, dtype=complex), 3)
+        with pytest.raises(ValueError, match="shape"):
+            pauli_coefficients(np.zeros((4, 8), dtype=complex), 2)
 
 
 class TestPauliSpectrum:
@@ -145,6 +171,15 @@ class TestNullity:
             u = circuit_unitary(c)
             nu = stabilizer_nullity(u).nu
             assert avg_linear_ose(u, alpha=2) <= 1.0 - 2.0**-nu + 1e-9
+
+    # every PTM row of a Clifford holds one +-1, so each Renyi limit gives 0
+    def test_avg_linear_ose_alpha_zero_on_clifford(self):
+        u = circuit_unitary(Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))))
+        assert avg_linear_ose(u, 0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_avg_linear_ose_alpha_inf_on_clifford(self):
+        u = circuit_unitary(Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))))
+        assert avg_linear_ose(u, math.inf) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPtm:
@@ -211,6 +246,17 @@ class TestRandomStabilizerState:
         for seed in range(5):
             psi = random_stabilizer_state(3, seed=seed)
             assert state_stabilizer_purity(psi, 2) == pytest.approx(1.0, abs=1e-10)
+
+    def test_purity_at_alpha_zero_is_one_on_zero_state(self):
+        # four strings (II, IZ, ZI, ZZ) have <P> = 1, over D = 4
+        zero = np.zeros(4, dtype=complex)
+        zero[0] = 1.0
+        assert state_stabilizer_purity(zero, 0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_purity_rejects_alpha_inf(self):
+        psi = random_stabilizer_state(3, seed=0)
+        with pytest.raises(ValueError, match="state_sre"):
+            state_stabilizer_purity(psi, math.inf)
 
 
 class TestAvgLinearSre:

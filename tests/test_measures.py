@@ -17,7 +17,7 @@ from opmagic import (
     t_count_lower_bound,
 )
 from opmagic.measures import PROB_FLOOR, renyi_entropy, renyi_purity
-from conftest import operator_from_spectrum, random_mixed_circuit
+from conftest import operator_from_spectrum, random_mixed_circuit, random_pauli
 
 ALPHAS = (0, 0.5, 1, 2, 3, math.inf)
 
@@ -242,7 +242,7 @@ class TestTCountBound:
         assert np.mean(values) > 2.22
 
     def test_non_pauli_seed_offset(self):
-        # rank-2 seed: bound subtracts log2(2) = 1
+        # rank-2 equal-weight seed: H_2 = 1 = log2(2), so the bound is 0
         seed = SparseOperator(
             1,
             {
@@ -250,7 +250,34 @@ class TestTCountBound:
                 PauliString.from_label("Y"): math.sqrt(0.5),
             },
         )
-        assert t_count_lower_bound(seed, seed, 2) == pytest.approx(-1.0)
+        assert t_count_lower_bound(seed, seed, 2) == pytest.approx(0.0, abs=1e-12)
+
+    def test_unequal_seed_entropy_is_not_subtracted_twice(self):
+        # H_2(evolved) - log2 rank(seed), not (H_2(evolved) - H_2(seed)) - log2 rank(seed)
+        seed = SparseOperator(
+            2, {PauliString.from_label("XI"): 0.6, PauliString.from_label("ZI"): 0.8}
+        )
+        want = -math.log2(0.36**2 + 0.64**2) - 1.0
+        assert want == pytest.approx(-0.108892, abs=1e-6)
+        assert t_count_lower_bound(seed, seed, 2) == pytest.approx(want, abs=1e-12)
+
+    def test_bound_holds_for_random_multi_term_seeds(self):
+        from opmagic import doped_circuit
+
+        rng = np.random.default_rng(47)
+        for trial in range(24):
+            tau = trial % 4
+            n_terms = int(rng.integers(2, 5))
+            strings = set()
+            while len(strings) < n_terms:
+                strings.add(random_pauli(rng, 5))
+            coeffs = rng.normal(size=n_terms)
+            coeffs /= np.linalg.norm(coeffs)
+            seed = SparseOperator(5, dict(zip(sorted(strings), coeffs)))
+            circuit = doped_circuit(5, tau, clifford_depth=30, seed=trial)
+            evolved = evolve_heisenberg(seed, circuit)
+            for alpha in (0, 1, 2, math.inf):
+                assert t_count_lower_bound(evolved, seed, alpha) <= tau + 1e-9
 
     def test_doped_respects_bound(self):
         rng = np.random.default_rng(29)
