@@ -20,9 +20,16 @@ import numpy as np
 
 from . import __version__
 from .dense import avg_linear_ose, avg_linear_sre, circuit_unitary, stabilizer_nullity
+from .haar import asymptotic_avg_purity, closed_form_avg_purity, mc_average_purity
 from .heisenberg import Circuit, doped_circuit, evolve_heisenberg, parse_angle
 from .measures import ose
-from .paulis import SparseOperator, expectation_error_bound, parse_pauli_text, truncate_top
+from .paulis import (
+    SparseOperator,
+    expectation_error_bound,
+    parse_pauli_text,
+    single_site_pauli,
+    truncate_top,
+)
 from .xxz import XxzParams, alpha1_ose, closed_form_ose, simulate_vs_closed
 
 
@@ -63,14 +70,6 @@ def load_circuit(path: str) -> Circuit:
     if stripped.startswith("{"):
         return Circuit.from_json_dict(json.loads(text))
     return Circuit.from_text(text)
-
-
-def load_operator(path: str) -> SparseOperator:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "operator" in data:
-        data = data["operator"]
-    return SparseOperator.from_json_dict(data)
 
 
 _NOT_PARAMS = frozenset({"command", "func", "out", "format"})
@@ -159,8 +158,6 @@ def _cmd_xxz_scan(args) -> None:
 
 
 def _cmd_haar_avg(args) -> None:
-    from .haar import asymptotic_avg_purity, closed_form_avg_purity, mc_average_purity
-
     rows = []
     dim = 1 << args.n
     for alpha in parse_alphas(args.alpha):
@@ -175,8 +172,6 @@ def _cmd_haar_avg(args) -> None:
 
 
 def _cmd_doped_scan(args) -> None:
-    from .paulis import single_site_pauli
-
     alphas = parse_alphas(args.alpha)
     rows = []
     rng = np.random.default_rng(args.seed)
@@ -309,7 +304,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except (CliError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # CliError, JSONDecodeError included
         print(f"opmagic: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

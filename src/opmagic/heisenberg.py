@@ -12,12 +12,15 @@ One kernel, `_propagate`, serves `evolve_heisenberg` and `conjugate_gate`.
 It works on raw (x_mask, z_mask) -> coeff dicts in the symplectic form of
 Aaronson and Gottesman: each maximal run of Clifford gates is compiled to
 opcodes and applied to one term at a time, and each rotation splits the
-terms that anticommute with its generator.
+terms that anticommute with its generator. The kernel knows five opcodes,
+H, S, CNOT, SWAP and one Pauli sign rule; `_compile` lowers every other
+Clifford kind (Sdg, CZ, X, Y, Z) to them through `_LOWERINGS`.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +29,22 @@ import numpy as np
 
 from .paulis import PRUNE_TOL, PauliString, SparseOperator
 
-CLIFFORD_KINDS = frozenset({"H", "S", "Sdg", "X", "Y", "Z", "CNOT", "CZ", "SWAP"})
+# Opcodes of compiled Clifford gates, in dispatch order: the doped ensemble
+# draws H, S and CNOT, and the XXZ brick holds a SWAP. An opcode is
+# (code, 1 << first site, 1 << last site), and (_PAULI, x_mask, z_mask).
+_H, _S, _CNOT, _SWAP, _PAULI = range(5)
+_OPCODES = {"H": _H, "S": _S, "CNOT": _CNOT, "SWAP": _SWAP}
+# Every other Clifford kind, from its first and last site masks, in
+# Heisenberg order: Sdg = S Z, CZ = (I x H) CNOT (I x H), and Y ~ X Z.
+_LOWERINGS = {
+    "Sdg": lambda m, m2: ((_S, m, m), (_PAULI, 0, m)),
+    "CZ": lambda m, m2: ((_H, m2, m2), (_CNOT, m, m2), (_H, m2, m2)),
+    "X": lambda m, m2: ((_PAULI, m, 0),),
+    "Y": lambda m, m2: ((_PAULI, m, m),),
+    "Z": lambda m, m2: ((_PAULI, 0, m),),
+}
+
+CLIFFORD_KINDS = frozenset(_OPCODES) | frozenset(_LOWERINGS)
 ROTATION_KINDS = frozenset({"T", "Tdg", "RZ", "RZZ"})
 GATE_KINDS = CLIFFORD_KINDS | ROTATION_KINDS
 _TWO_SITE = frozenset({"CNOT", "CZ", "SWAP", "RZZ"})
@@ -52,6 +70,16 @@ def parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle {text!r}") from None
 
 
+def _integer(value, name: str) -> int:
+    """`value` as a Python int; a bool, a float or a string is bad input."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: kind, site tuple, and an angle for RZ/RZZ only."""
@@ -61,9 +89,11 @@ class Gate:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "sites", tuple(self.sites))
+        if isinstance(self.sites, (str, bytes)) or not hasattr(self.sites, "__iter__"):
+            raise ValueError(f"{self.kind} sites must be a list of integers, got {self.sites!r}")
+        object.__setattr__(self, "sites", tuple(_integer(s, f"{self.kind} site") for s in self.sites))
         want = 2 if self.kind in _TWO_SITE else 1
         if len(self.sites) != want:
             raise ValueError(f"{self.kind} takes {want} site(s), got {self.sites}")
@@ -96,8 +126,12 @@ class Gate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Gate":
+        if not isinstance(data, dict):
+            raise ValueError(f"a gate must be a JSON object, got {data!r}")
         theta = data.get("theta")
-        return cls(data["kind"], tuple(data["sites"]), None if theta is None else float(theta))
+        if theta is not None and (isinstance(theta, bool) or not isinstance(theta, (int, float))):
+            raise ValueError(f"gate theta must be a number, got {theta!r}")
+        return cls(data["kind"], data["sites"], None if theta is None else float(theta))
 
 
 @dataclass(frozen=True)
@@ -108,12 +142,15 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        if self.n_qubits <= 0:
+        n = _integer(self.n_qubits, "qubit count n")
+        if n <= 0:
             raise ValueError("n_qubits must be positive")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if any(s >= self.n_qubits for s in g.sites):
-                raise ValueError(f"gate {g} out of range for {self.n_qubits} qubits")
+        # one max over the distinct site tuples; the gate is looked up only to name it
+        if max(map(max, {g.sites for g in self.gates}), default=-1) >= n:
+            bad = next(g for g in self.gates if max(g.sites) >= n)
+            raise ValueError(f"gate {bad} out of range for {n} qubits")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -128,7 +165,12 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Circuit":
-        return cls(int(data["n"]), tuple(Gate.from_json_dict(g) for g in data["gates"]))
+        if not isinstance(data, dict):
+            raise ValueError(f"a circuit must be a JSON object, got {data!r}")
+        gates = data["gates"]
+        if not isinstance(gates, list):
+            raise ValueError(f"circuit gates must be a list, got {gates!r}")
+        return cls(data["n"], tuple(Gate.from_json_dict(g) for g in gates))
 
     def to_text(self) -> str:
         lines = [f"qubits {self.n_qubits}"]
@@ -170,35 +212,28 @@ class Circuit:
         return cls(n_qubits, tuple(gates))
 
 
-# Opcodes of compiled Clifford gates, in dispatch order: the doped ensemble
-# draws H, S and CNOT, and the XXZ brick holds a SWAP.
-_H, _S, _CNOT, _SWAP, _CZ, _SDG, _X, _Y, _Z = range(9)
-_OPCODES = {
-    "H": _H, "S": _S, "CNOT": _CNOT, "SWAP": _SWAP, "CZ": _CZ, "Sdg": _SDG, "X": _X, "Y": _Y, "Z": _Z
-}
-
-
 def _compile(gates: Sequence[Gate]) -> list:
     """Heisenberg-order steps: one list of Clifford opcodes per maximal run,
     and one (generator z_mask, cos 2 theta, sin 2 theta) tuple per rotation.
-
-    An opcode is (code, 1 << first site, 1 << last site).
     """
     steps: list = []
     run = None
     for gate in reversed(gates):
         sites = gate.sites
         code = _OPCODES.get(gate.kind)
-        if code is not None:
-            if run is None:
-                run = []
-                steps.append(run)
-            run.append((code, 1 << sites[0], 1 << sites[-1]))
-        else:
+        if code is None and gate.kind in ROTATION_KINDS:
             run = None
             angle = 2.0 * gate.angle
             z_gen = sum(1 << s for s in sites)  # sites are distinct
             steps.append((z_gen, math.cos(angle), math.sin(angle)))
+            continue
+        if run is None:
+            run = []
+            steps.append(run)
+        if code is None:
+            run += _LOWERINGS[gate.kind](1 << sites[0], 1 << sites[-1])
+        else:
+            run.append((code, 1 << sites[0], 1 << sites[-1]))
     return steps
 
 
@@ -206,11 +241,10 @@ def _clifford_run(terms: dict, ops: list, prune_tol: float) -> dict:
     """Every term at or above `prune_tol` through every gate of the run.
 
     The images g^dag P g of the letters I, X, Z, Y at a site: H swaps X and
-    Z and negates Y; S maps X -> -Y, Y -> X; Sdg maps X -> Y, Y -> -X; a
-    Pauli gate negates the two letters it anticommutes with. CNOT adds x_c
-    to x_t and z_t to z_c; CZ adds x_b to z_a and x_a to z_b. A
-    Clifford maps strings one to one, so nothing merges and a sign flip is
-    exact; magnitudes are kept, so pruning once per run equals pruning
+    Z and negates Y; S maps X -> -Y, Y -> X; a Pauli opcode negates the
+    letters that anticommute with it. CNOT adds x_c to x_t and z_t to z_c.
+    A Clifford maps strings one to one, so nothing merges and a sign flip
+    is exact; magnitudes are kept, so pruning once per run equals pruning
     after every gate.
     """
     out = {}
@@ -246,25 +280,7 @@ def _clifford_run(terms: dict, ops: list, prune_tol: float) -> dict:
                 t = z & both
                 if t and t != both:
                     z ^= both
-            elif code == _CZ:
-                if x & m:
-                    if x & m2 and (not z & m) != (not z & m2):
-                        a = -a
-                    z ^= m2
-                if x & m2:
-                    z ^= m
-            elif code == _SDG:
-                if x & m:
-                    if z & m:
-                        a = -a
-                    z ^= m
-            elif code == _X:
-                if z & m:
-                    a = -a
-            elif code == _Y:
-                if (x ^ z) & m:
-                    a = -a
-            elif x & m:  # _Z
+            elif (x & m2) ^ (z & m):  # _PAULI with masks (m, m2)
                 a = -a
         out[x, z] = a
     return out

@@ -10,9 +10,13 @@ is, in bits,
     A = a_z^(2a) / (a_x^(2a) + a_y^(2a)),
 
 growing near-linearly before saturating at (1/(1-alpha)) log2(A/(A+1)).
-The alpha -> 1 limit is t (a_x^2 + a_y^2) H2(cos^2 2J) with H2 the binary
-entropy in bits, maximal (coefficient 1) at J = pi/8. At J = 0 (pure
-SWAPs) and J = pi/4 (Clifford point) every index gives zero.
+The alpha -> inf limit is log2 p_max - log2 max(a_z^2, m M^t) with
+p_max = max(a_x^2, a_y^2, a_z^2), m = max(a_x^2, a_y^2) and
+M = max(cos^2 2J, sin^2 2J): the largest weights of the seed and of the
+evolved operator. The alpha -> 1 limit is t (a_x^2 + a_y^2) H2(cos^2 2J)
+with H2 the binary entropy in bits, maximal (coefficient 1) at J = pi/8.
+At J = 0 (pure SWAPs) and J = pi/4 (Clifford point) every index gives
+zero.
 """
 from __future__ import annotations
 
@@ -98,6 +102,9 @@ def closed_form_ose(params: XxzParams) -> float:
         raise ValueError("alpha = 1 is the replica limit; use alpha1_ose")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
+    if params.alpha == math.inf:
+        p_max, m, big = _max_weights(params)
+        return math.log2(p_max) - math.log2(max(params.a_z**2, m * big**params.t))
     a = params.a_alpha()
     c2 = math.cos(2.0 * params.j) ** 2
     s2 = math.sin(2.0 * params.j) ** 2
@@ -111,6 +118,8 @@ def alpha1_ose(params: XxzParams) -> float:
     H2 is the binary Shannon entropy, so J = 0 and J = pi/4 give 0 and
     J = pi/8 gives coefficient exactly 1.
     """
+    if params.alpha != 1:
+        raise ValueError(f"alpha1_ose is the alpha = 1 limit, got alpha = {params.alpha}")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
     q = math.cos(2.0 * params.j) ** 2
@@ -131,6 +140,13 @@ def saturation_value(params: XxzParams) -> float:
         raise ValueError("alpha = 1 grows linearly and does not saturate")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
+    if params.alpha == math.inf:
+        p_max, _, big = _max_weights(params)
+        if big >= 1.0:  # J = 0 or pi/4
+            return 0.0
+        if params.a_z == 0.0:
+            return math.inf
+        return math.log2(p_max) - math.log2(params.a_z**2)
     c2 = math.cos(2.0 * params.j) ** 2
     s2 = math.sin(2.0 * params.j) ** 2
     if c2**params.alpha + s2**params.alpha >= 1.0:  # J = 0 or pi/4
@@ -139,6 +155,14 @@ def saturation_value(params: XxzParams) -> float:
     if a == 0.0:
         return math.inf
     return math.log2(a / (a + 1.0)) / (1.0 - params.alpha)
+
+
+def _max_weights(params: XxzParams) -> tuple[float, float, float]:
+    """p_max = max(a_x^2, a_y^2, a_z^2), m = max(a_x^2, a_y^2) and
+    M = max(cos^2 2J, sin^2 2J), the alpha = inf ingredients."""
+    m = max(params.a_x**2, params.a_y**2)
+    big = max(math.cos(2.0 * params.j) ** 2, math.sin(2.0 * params.j) ** 2)
+    return max(m, params.a_z**2), m, big
 
 
 def commuted_operator(

@@ -171,6 +171,15 @@ class TestXxzScanCommand:
         for row in read_csv_rows(out)[1:]:
             assert float(row[8]) < 1e-9
 
+    def test_alpha_inf(self, tmp_path):
+        out = tmp_path / "xxz.csv"
+        assert main(
+            ["xxz-scan", "--J", "0.3", "--t", "1..3", "--alpha", "inf", "--out", str(out)]
+        ) == 0
+        rows = read_csv_rows(out)[1:]
+        assert [row[2] for row in rows] == ["inf"] * 3
+        assert float(rows[0][6]) == pytest.approx(-math.log2(math.cos(0.6) ** 2), abs=1e-12)
+
 
 class TestHaarAvgCommand:
     def test_deterministic_output(self, tmp_path):
@@ -293,13 +302,25 @@ class TestExitCodes:
         assert main(["evolve", "--circuit", str(path), "--seed-op", "X"]) == 1
         assert "finite" in capsys.readouterr().err
 
-    def test_non_finite_operator_file(self, tmp_path):
-        from opmagic.cli import load_operator
-
-        path = tmp_path / "op.json"
-        path.write_text('{"operator": {"n": 1, "terms": [["X", NaN]]}}')
-        with pytest.raises(ValueError, match="not finite"):
-            load_operator(str(path))
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ('{"n": 2, "gates": [{"kind": "H", "sites": [0.5]}]}', "H site must"),
+            ('{"n": 2, "gates": [{"kind": "H", "sites": "0"}]}', "H sites must"),
+            ('{"n": 2, "gates": [{"kind": "CNOT", "sites": [0, 1.0]}]}', "CNOT site must"),
+            ('{"n": 2, "gates": 5}', "gates must"),
+            ('{"n": 2, "gates": [5]}', "a gate must"),
+            ('{"n": null, "gates": []}', "count n must"),
+            ('{"n": 2, "gates": [{"kind": "RZ", "sites": [0], "theta": [1]}]}', "theta must"),
+            ('{"n": 2.7, "gates": [{"kind": "H", "sites": [0]}]}', "count n must"),
+            ('{"n": 2, "gates": [{"kind": "H", "sites": [true]}]}', "H site must"),
+        ],
+    )
+    def test_malformed_json_circuit(self, tmp_path, capsys, body, field):
+        path = tmp_path / "circ.json"
+        path.write_text(body)
+        assert main(["ose", "--circuit", str(path), "--seed-op", "XX"]) == 1
+        assert field in capsys.readouterr().err
 
     def test_nan_alpha_is_bad_input(self, tmp_path):
         circuit = write_circuit(tmp_path, t_ladder(2))

@@ -92,6 +92,15 @@ class TestClosedForm:
 
     def test_pauli_seed_saturation_is_infinite(self):
         assert saturation_value(params(0.3, 0, 2)) == math.inf
+        assert saturation_value(params(0.3, 0, math.inf)) == math.inf
+
+    def test_alpha_inf_saturation(self):
+        a = (0.8, 0.0, 0.6)
+        limit = saturation_value(params(0.3, 0, math.inf, a))
+        assert limit == pytest.approx(math.log2(0.64 / 0.36), abs=1e-12)
+        assert closed_form_ose(params(0.3, 40, math.inf, a)) == pytest.approx(limit, abs=1e-12)
+        assert saturation_value(params(math.pi / 4, 0, math.inf)) == 0.0
+        assert saturation_value(params(0.0, 0, math.inf, a)) == 0.0
 
 
 class TestAlphaOne:
@@ -107,6 +116,10 @@ class TestAlphaOne:
         q = math.cos(math.pi / 8) ** 2
         h2 = -q * math.log2(q) - (1 - q) * math.log2(1 - q)
         assert alpha1_ose(params(math.pi / 16, 3, 1)) == pytest.approx(3 * h2, abs=1e-12)
+
+    def test_other_index_rejected(self):
+        with pytest.raises(ValueError, match="alpha = 2"):
+            alpha1_ose(params(0.3, 2, 2))
 
     def test_matches_replica_limit_of_closed_form(self):
         for a in ((1.0, 0.0, 0.0), MIXED_SEED):
@@ -210,6 +223,13 @@ class TestSimulateVsClosed:
             circuit = xxz_brickwork(n, t, 0.3)
             seed = SparseOperator.from_pauli(single_site_pauli(t, "X", n))
             assert len(evolve_heisenberg(seed, circuit)) == 2**t
+
+    @pytest.mark.parametrize("a", [(1.0, 0.0, 0.0), (0.6, 0.0, 0.8), (0.48, 0.6, 0.64), (0.8, 0.0, 0.6)])
+    @pytest.mark.parametrize("j", [math.pi / 16, 0.3, math.pi / 8])
+    def test_alpha_inf(self, j, a):
+        for t in range(1, 7):
+            result = simulate_vs_closed(params(j, t, math.inf, a))
+            assert result.abs_diff < 1e-9
 
     def test_depth_cap(self):
         with pytest.raises(ValueError):
