@@ -10,11 +10,12 @@ RZZ(theta) = exp(-i theta Z x Z), so conjugation rotates coefficients by
 
 One kernel, `_propagate`, serves `evolve_heisenberg` and `conjugate_gate`.
 It works on raw (x_mask, z_mask) -> coeff dicts in the symplectic form of
-Aaronson and Gottesman: each maximal run of Clifford gates is compiled to
-opcodes and applied to one term at a time, and each rotation splits the
-terms that anticommute with its generator. The kernel knows five opcodes,
-H, S, CNOT, SWAP and one Pauli sign rule; `_compile` lowers every other
-Clifford kind (Sdg, CZ, X, Y, Z) to them through `_LOWERINGS`.
+Aaronson and Gottesman, on the circuit compiled to Pauli rotations, so
+Clifford gates never touch the evolved operator and each rotation splits
+the terms that anticommute with its generator. The kernel knows five
+Clifford opcodes, H, S, CNOT, SWAP and one Pauli sign rule; `_compile`
+lowers every other Clifford kind (Sdg, CZ, X, Y, Z) to them through
+`_LOWERINGS`.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .paulis import PRUNE_TOL, PauliString, SparseOperator
+from .paulis import PRUNE_TOL, PauliString, SparseOperator, json_fields
 
 # Opcodes of compiled Clifford gates, in dispatch order: the doped ensemble
 # draws H, S and CNOT, and the XXZ brick holds a SWAP. An opcode is
@@ -126,12 +127,11 @@ class Gate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Gate":
-        if not isinstance(data, dict):
-            raise ValueError(f"a gate must be a JSON object, got {data!r}")
+        kind, sites = json_fields(data, "a gate", "kind", "sites")
         theta = data.get("theta")
         if theta is not None and (isinstance(theta, bool) or not isinstance(theta, (int, float))):
             raise ValueError(f"gate theta must be a number, got {theta!r}")
-        return cls(data["kind"], data["sites"], None if theta is None else float(theta))
+        return cls(kind, sites, None if theta is None else float(theta))
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,10 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Circuit":
-        if not isinstance(data, dict):
-            raise ValueError(f"a circuit must be a JSON object, got {data!r}")
-        gates = data["gates"]
+        n, gates = json_fields(data, "a circuit", "n", "gates")
         if not isinstance(gates, list):
             raise ValueError(f"circuit gates must be a list, got {gates!r}")
-        return cls(data["n"], tuple(Gate.from_json_dict(g) for g in gates))
+        return cls(n, tuple(Gate.from_json_dict(g) for g in gates))
 
     def to_text(self) -> str:
         lines = [f"qubits {self.n_qubits}"]
@@ -214,7 +212,7 @@ class Circuit:
 
 def _compile(gates: Sequence[Gate]) -> list:
     """Heisenberg-order steps: one list of Clifford opcodes per maximal run,
-    and one (generator z_mask, cos 2 theta, sin 2 theta) tuple per rotation.
+    and one row (0, generator z_mask, 2 theta) per rotation.
     """
     steps: list = []
     run = None
@@ -223,9 +221,8 @@ def _compile(gates: Sequence[Gate]) -> list:
         code = _OPCODES.get(gate.kind)
         if code is None and gate.kind in ROTATION_KINDS:
             run = None
-            angle = 2.0 * gate.angle
             z_gen = sum(1 << s for s in sites)  # sites are distinct
-            steps.append((z_gen, math.cos(angle), math.sin(angle)))
+            steps.append((0, z_gen, 2.0 * gate.angle))
             continue
         if run is None:
             run = []
@@ -237,20 +234,17 @@ def _compile(gates: Sequence[Gate]) -> list:
     return steps
 
 
-def _clifford_run(terms: dict, ops: list, prune_tol: float) -> dict:
-    """Every term at or above `prune_tol` through every gate of the run.
+def _clifford_run(rows: list, ops: list) -> list:
+    """Every (x_mask, z_mask, coeff) row through every gate of the run.
 
     The images g^dag P g of the letters I, X, Z, Y at a site: H swaps X and
     Z and negates Y; S maps X -> -Y, Y -> X; a Pauli opcode negates the
     letters that anticommute with it. CNOT adds x_c to x_t and z_t to z_c.
     A Clifford maps strings one to one, so nothing merges and a sign flip
-    is exact; magnitudes are kept, so pruning once per run equals pruning
-    after every gate.
+    is exact.
     """
-    out = {}
-    for (x, z), a in terms.items():
-        if not abs(a) >= prune_tol:
-            continue
+    out = []
+    for x, z, a in rows:
         for code, m, m2 in ops:
             if code == _H:
                 if (x ^ z) & m:
@@ -282,35 +276,36 @@ def _clifford_run(terms: dict, ops: list, prune_tol: float) -> dict:
                     z ^= both
             elif (x & m2) ^ (z & m):  # _PAULI with masks (m, m2)
                 a = -a
-        out[x, z] = a
+        out.append((x, z, a))
     return out
 
 
-def _rotation(terms: dict, z_gen: int, c2: float, s2: float, prune_tol: float) -> dict:
-    """exp(-i theta G) for a Z-string G, with c2, s2 = cos, sin of 2 theta.
+def _rotation(terms: dict, x_g: int, z_g: int, angle: float, prune_tol: float) -> dict:
+    """exp(-i theta G) for the string G = (x_g, z_g), with angle = 2 theta.
 
-    A term P that commutes with G is kept. An anticommuting P maps to
-    c2 P + sign s2 R with G P = i^k R; sign = Re(i^(k+1)), which is -1
-    exactly when k = |x & z_G| + 2 |x & z & z_G| is 1 mod 4. R anticommutes
-    with G too, so only split terms merge, and each of their strings gets
-    at most two contributions (P's own and that of G P). Float addition of
-    two numbers does not depend on their order, so the merge needs no sort.
+    A term P that commutes with G is kept; an anticommuting P maps to
+    cos(angle) P + sign sin(angle) R with G P = i^k R, where sign is -1
+    exactly when the `pauli_mul` exponent k is 1 mod 4. R anticommutes with
+    G too, so only split terms merge, each string with at most two
+    contributions, whose float sum does not depend on their order: the
+    merge needs no sort.
     """
+    c2, s2 = math.cos(angle), math.sin(angle)
     out = {}
     split: dict = {}
     get = split.get
+    k_g = (x_g & z_g).bit_count()
     for key, a in terms.items():
-        x = key[0]
-        k = (x & z_gen).bit_count()
-        if k & 1:
-            z = key[1]
+        x, z = key
+        if ((x & z_g) ^ (z & x_g)).bit_count() & 1:
             split[key] = get(key, 0.0) + a * c2
-            r = (x, z ^ z_gen)
+            x_r, z_r = x ^ x_g, z ^ z_g
             b = a * s2
-            if (k + 2 * (x & z & z_gen).bit_count()) & 3 == 1:
+            k = k_g + (x & z).bit_count() + 2 * (z_g & x).bit_count() - (x_r & z_r).bit_count()
+            if k & 3 == 1:
                 b = -b
-            split[r] = get(r, 0.0) + b
-        elif abs(a) >= prune_tol:
+            split[x_r, z_r] = get((x_r, z_r), 0.0) + b
+        else:
             out[key] = a
     for key, a in split.items():
         if abs(a) >= prune_tol:
@@ -319,36 +314,40 @@ def _rotation(terms: dict, z_gen: int, c2: float, s2: float, prune_tol: float) -
 
 
 def _propagate(operator: SparseOperator, gates: Sequence[Gate], prune_tol: float) -> SparseOperator:
-    """The engine: g^dag O g for every gate, last gate first, on raw masks.
+    """The engine: U^dag O U = R^dag (C^dag O C) R, on raw masks.
 
-    Works on a (x_mask, z_mask) -> coeff dict. PauliString objects are made
-    once, for the result, reusing the input's strings that survive. Every
-    step prunes its output at `prune_tol`.
+    C is every Clifford gate, R = exp(-i theta_m Q_m) ... exp(-i theta_1 Q_1)
+    and Q_k = +-E_k^dag P_k E_k, E_k the Clifford gates acting before
+    rotation k. Walking the gates last first, each Clifford run conjugates
+    only the (x_mask, z_mask, coeff) rows of the seed's terms and of the
+    rotations passed so far, whose angle 2 theta_k takes the sign of Q_k:
+    at most (seed terms + rotations) x Clifford gates single-string steps.
+    Then the rotations, last first, act on the operator dict and prune it
+    at `prune_tol`; input terms below `prune_tol` are dropped once, on entry.
+    An exact zero is never kept, even at `prune_tol` = 0: the sign of a zero
+    would depend on whether the Clifford gates came before or after it.
     """
     n = operator.n_qubits
-    strings = {(p.x_mask, p.z_mask): p for p in operator.terms}
-    terms = {key: operator.terms[p] for key, p in strings.items()}
+    tol = max(prune_tol, math.ulp(0.0))
+    rows = [(p.x_mask, p.z_mask, a) for p, a in operator.terms.items() if abs(a) >= tol]
+    n_seed = len(rows)
     for step in _compile(gates):
         if type(step) is list:
-            terms = _clifford_run(terms, step, prune_tol)
+            rows = _clifford_run(rows, step)
         else:
-            terms = _rotation(terms, *step, prune_tol)
-    get = strings.get
+            rows.append(step)
+    terms = {(x, z): a for x, z, a in rows[:n_seed]}
+    for x_g, z_g, angle in rows[n_seed:]:
+        terms = _rotation(terms, x_g, z_g, angle, tol)
     return SparseOperator(
-        n, {get(key) or PauliString(n, *key): a for key, a in terms.items()}, prune_tol=prune_tol
+        n, {PauliString(n, *key): a for key, a in terms.items()}, prune_tol=prune_tol
     )
 
 
 def conjugate_gate(
     operator: SparseOperator, gate: Gate, *, prune_tol: float = PRUNE_TOL
 ) -> SparseOperator:
-    """Return g^dag . O . g with real coefficients; result is pruned.
-
-    Clifford kinds permute and sign-flip strings one-for-one. A rotation
-    exp(-i theta G) leaves commuting terms alone and maps an anticommuting
-    term P to cos(2 theta) P + s sin(2 theta) R with (i^k, R) = G*P and
-    s = Re(i * i^k), so coefficients stay real by construction.
-    """
+    """Return g^dag . O . g with real coefficients; result is pruned."""
     n = operator.n_qubits
     if any(s >= n for s in gate.sites):
         raise ValueError(f"gate {gate} out of range for {n} qubits")

@@ -13,6 +13,7 @@ state stabilizer Renyi entropy reduce their probability vectors here too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,7 +51,11 @@ def renyi_purity(probs: np.ndarray, alpha: float) -> float:
 
 
 def renyi_entropy(probs: np.ndarray, alpha: float) -> float:
-    """Renyi-alpha entropy in bits of a probability vector, over p > PROB_FLOOR."""
+    """Renyi-alpha entropy in bits of a probability vector, over p > PROB_FLOOR.
+
+    Where sum_i p_i^alpha is not a positive normal float (a large finite
+    alpha), p_max^alpha is factored out of it in log2.
+    """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     p = np.asarray(probs, dtype=float)
@@ -63,7 +68,11 @@ def renyi_entropy(probs: np.ndarray, alpha: float) -> float:
         return float(-np.sum(p * np.log2(p)))
     if math.isinf(alpha):
         return float(-np.log2(np.max(p)))
-    return float(np.log2(np.sum(p**alpha)) / (1.0 - alpha))
+    total = np.sum(p**alpha)
+    if total >= sys.float_info.min:
+        return float(np.log2(total) / (1.0 - alpha))
+    p_max = np.max(p)
+    return float((alpha * np.log2(p_max) + np.log2(np.sum((p / p_max) ** alpha))) / (1.0 - alpha))
 
 
 def purity(operator: SparseOperator, alpha: float) -> float:

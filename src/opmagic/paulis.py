@@ -152,6 +152,16 @@ def enumerate_paulis(n_qubits: int) -> list[PauliString]:
     ]
 
 
+def json_fields(data, what: str, *keys: str) -> list:
+    """The values of `keys`, each one required, in the JSON object `data`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing the field {key!r}")
+    return [data[key] for key in keys]
+
+
 class SparseOperator:
     """Real linear combination of Pauli strings, stored as a sparse map.
 
@@ -254,9 +264,8 @@ class SparseOperator:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparseOperator":
-        n = int(data["n"])
-        terms = {PauliString.from_label(lbl): float(c) for lbl, c in data["terms"]}
-        return cls(n, terms)
+        n, terms = json_fields(data, "an operator", "n", "terms")
+        return cls(int(n), {PauliString.from_label(lbl): float(c) for lbl, c in terms})
 
     def __repr__(self) -> str:
         body = " + ".join(f"{a:+.6g}*{p}" for p, a in self.sorted_terms()[:4])

@@ -9,12 +9,16 @@ is, in bits,
     (1/(1-alpha)) * log2[(A + (cos^(2a)(2J) + sin^(2a)(2J))^t) / (A + 1)],
     A = a_z^(2a) / (a_x^(2a) + a_y^(2a)),
 
-growing near-linearly before saturating at (1/(1-alpha)) log2(A/(A+1)).
+growing near-linearly before saturating at (1/(1-alpha)) log2(A/(A+1))
+for alpha > 1 (for alpha < 1 it grows without bound). Both forms are
+evaluated in log2, with max(a_x^2, a_y^2)^alpha and
+M^alpha = max(cos^2 2J, sin^2 2J)^alpha factored out of their sums, so a
+large finite index neither underflows nor overflows.
 The alpha -> inf limit is log2 p_max - log2 max(a_z^2, m M^t) with
-p_max = max(a_x^2, a_y^2, a_z^2), m = max(a_x^2, a_y^2) and
-M = max(cos^2 2J, sin^2 2J): the largest weights of the seed and of the
-evolved operator. The alpha -> 1 limit is t (a_x^2 + a_y^2) H2(cos^2 2J)
-with H2 the binary entropy in bits, maximal (coefficient 1) at J = pi/8.
+p_max = max(a_x^2, a_y^2, a_z^2) and m = max(a_x^2, a_y^2): the largest
+weights of the seed and of the evolved operator. The alpha -> 1 limit is
+t (a_x^2 + a_y^2) H2(cos^2 2J) with H2 the binary entropy in bits,
+maximal (coefficient 1) at J = pi/8.
 At J = 0 (pure SWAPs) and J = pi/4 (Clifford point) every index gives
 zero.
 """
@@ -102,14 +106,13 @@ def closed_form_ose(params: XxzParams) -> float:
         raise ValueError("alpha = 1 is the replica limit; use alpha1_ose")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
+    p_max, m, big = _max_weights(params)
     if params.alpha == math.inf:
-        p_max, m, big = _max_weights(params)
-        return math.log2(p_max) - math.log2(max(params.a_z**2, m * big**params.t))
-    a = params.a_alpha()
-    c2 = math.cos(2.0 * params.j) ** 2
-    s2 = math.sin(2.0 * params.j) ** 2
-    x = c2**params.alpha + s2**params.alpha
-    return math.log2((a + x**params.t) / (a + 1.0)) / (1.0 - params.alpha)
+        top = max(_log2(params.a_z**2), math.log2(m) + params.t * math.log2(big))
+        return math.log2(p_max) - top
+    log_a, log_x = _log2_ratios(params, m, big)
+    grown = np.logaddexp2(log_a, params.t * log_x) - np.logaddexp2(log_a, 0.0)
+    return float(grown) / (1.0 - params.alpha)
 
 
 def alpha1_ose(params: XxzParams) -> float:
@@ -135,34 +138,46 @@ def _binary_entropy(q: float) -> float:
 
 
 def saturation_value(params: XxzParams) -> float:
-    """t -> infinity limit of closed_form_ose; inf for a Pauli-like seed."""
+    """t -> infinity limit of closed_form_ose; inf for a Pauli-like seed
+    and for alpha < 1."""
     if params.alpha == 1:
         raise ValueError("alpha = 1 grows linearly and does not saturate")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
-    if params.alpha == math.inf:
-        p_max, _, big = _max_weights(params)
-        if big >= 1.0:  # J = 0 or pi/4
-            return 0.0
-        if params.a_z == 0.0:
-            return math.inf
-        return math.log2(p_max) - math.log2(params.a_z**2)
-    c2 = math.cos(2.0 * params.j) ** 2
-    s2 = math.sin(2.0 * params.j) ** 2
-    if c2**params.alpha + s2**params.alpha >= 1.0:  # J = 0 or pi/4
+    p_max, m, big = _max_weights(params)
+    if big >= 1.0:  # J = 0 or pi/4
         return 0.0
-    a = params.a_alpha()
-    if a == 0.0:
+    if params.alpha == math.inf:
+        return math.log2(p_max) - _log2(params.a_z**2)
+    log_a, log_x = _log2_ratios(params, m, big)
+    if log_x > 0.0:  # alpha < 1
         return math.inf
-    return math.log2(a / (a + 1.0)) / (1.0 - params.alpha)
+    return float(log_a - np.logaddexp2(log_a, 0.0)) / (1.0 - params.alpha)
 
 
 def _max_weights(params: XxzParams) -> tuple[float, float, float]:
     """p_max = max(a_x^2, a_y^2, a_z^2), m = max(a_x^2, a_y^2) and
-    M = max(cos^2 2J, sin^2 2J), the alpha = inf ingredients."""
+    M = max(cos^2 2J, sin^2 2J): the largest weights of the seed, of its
+    X/Y part and of one brick's split."""
     m = max(params.a_x**2, params.a_y**2)
     big = max(math.cos(2.0 * params.j) ** 2, math.sin(2.0 * params.j) ** 2)
     return max(m, params.a_z**2), m, big
+
+
+def _log2_ratios(params: XxzParams, m: float, big: float) -> tuple[float, float]:
+    """log2 A and log2 (cos^(2a) 2J + sin^(2a) 2J), with m^alpha and M^alpha
+    factored out of the sums; log2 A is -inf at a_z = 0."""
+    alpha = params.alpha
+    c2 = math.cos(2.0 * params.j) ** 2
+    s2 = math.sin(2.0 * params.j) ** 2
+    log_x = alpha * math.log2(big) + math.log2((c2 / big) ** alpha + (s2 / big) ** alpha)
+    den = (params.a_x**2 / m) ** alpha + (params.a_y**2 / m) ** alpha
+    return alpha * _log2(params.a_z**2 / m) - math.log2(den), log_x
+
+
+def _log2(value: float) -> float:
+    """log2 with log2(0) = -inf."""
+    return math.log2(value) if value > 0.0 else -math.inf
 
 
 def commuted_operator(

@@ -126,6 +126,19 @@ class TestOseCommand:
         for r in rows:
             assert float(r[2]) == pytest.approx(2.0, abs=1e-12)
 
+    def test_large_finite_alpha(self, tmp_path):
+        # eight equal weights 1/8: sum p^2000 underflows, yet every index gives 3
+        circuit = write_circuit(tmp_path, t_ladder(3))
+        out = tmp_path / "ose.csv"
+        assert main(
+            ["ose", "--circuit", circuit, "--seed-op", "XXX",
+             "--alpha", "2,2000,inf", "--out", str(out)]
+        ) == 0
+        rows = read_csv_rows(out)[1:]
+        assert [r[0] for r in rows] == ["2", "2000", "inf"]
+        for r in rows:
+            assert float(r[2]) == pytest.approx(3.0, abs=1e-12)
+
     def test_provenance_header(self, tmp_path, capsys):
         circuit = write_circuit(tmp_path, t_ladder(2))
         assert main(["ose", "--circuit", circuit, "--seed-op", "XX"]) == 0
@@ -179,6 +192,15 @@ class TestXxzScanCommand:
         rows = read_csv_rows(out)[1:]
         assert [row[2] for row in rows] == ["inf"] * 3
         assert float(rows[0][6]) == pytest.approx(-math.log2(math.cos(0.6) ** 2), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "extra", [["--alpha", "2000"], ["--alpha", "1000", "--ax", "0.6", "--az", "0.8"]]
+    )
+    def test_large_finite_alpha(self, tmp_path, extra):
+        out = tmp_path / "xxz.csv"
+        assert main(["xxz-scan", "--J", "0.3", "--t", "1..2", *extra, "--out", str(out)]) == 0
+        for row in read_csv_rows(out)[1:]:
+            assert math.isfinite(float(row[6]))
 
 
 class TestHaarAvgCommand:
@@ -321,6 +343,20 @@ class TestExitCodes:
         path.write_text(body)
         assert main(["ose", "--circuit", str(path), "--seed-op", "XX"]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('{"gates": []}', "a circuit is missing the field 'n'"),
+            ('{"n": 2, "gates": [{"sites": [0]}]}', "a gate is missing the field 'kind'"),
+            ('{"n": 2, "gates": [{"kind": "H"}]}', "a gate is missing the field 'sites'"),
+        ],
+    )
+    def test_json_circuit_missing_field(self, tmp_path, capsys, body, message):
+        path = tmp_path / "circ.json"
+        path.write_text(body)
+        assert main(["ose", "--circuit", str(path), "--seed-op", "XX"]) == 1
+        assert message in capsys.readouterr().err
 
     def test_nan_alpha_is_bad_input(self, tmp_path):
         circuit = write_circuit(tmp_path, t_ladder(2))

@@ -12,9 +12,11 @@ from opmagic import (
     PauliString,
     SparseOperator,
     conjugate_gate,
+    doped_circuit,
     evolve_heisenberg,
     random_clifford_circuit,
 )
+from opmagic import heisenberg
 from opmagic.dense import circuit_unitary, pauli_spectrum
 from opmagic.paulis import enumerate_paulis
 from conftest import random_mixed_circuit
@@ -175,3 +177,56 @@ class TestCliffordSampler:
         gates = self.draws(1, 200, range(3))
         assert {g.kind for g in gates} == {"H", "S"}
         assert {g.sites for g in gates} == {(0,)}
+
+
+class TestCompiledRotations:
+    """The circuit is compiled to Pauli rotations before the operator is touched."""
+
+    def test_input_terms_below_prune_tol_are_dropped_on_entry(self):
+        # a small term is dropped before the rotation, not split by it
+        circuit = Circuit(1, (Gate("T", (0,)),))
+        x = PauliString.from_label("X")
+        seed = SparseOperator(1, {x: 1.0, PauliString.from_label("Y"): 1e-4})
+        evolved = evolve_heisenberg(seed, circuit, prune_tol=1e-3)
+        alone = evolve_heisenberg(SparseOperator(1, {x: 1.0}), circuit, prune_tol=1e-3)
+        assert as_hex(evolved) == as_hex(alone)
+        assert list(evolved.terms) == list(alone.terms)
+
+    def test_exact_zero_is_dropped_at_zero_prune_tol(self):
+        # T then Tdg cancel the Y term exactly; the Z gate before them would
+        # flip that zero's sign in the gate-by-gate order but not once compiled
+        circuit = Circuit(1, (Gate("Z", (0,)), Gate("T", (0,)), Gate("Tdg", (0,))))
+        seed = SparseOperator.from_pauli(PauliString.from_label("X"))
+        evolved = evolve_heisenberg(seed, circuit, prune_tol=0.0)
+        assert [p.label() for p in evolved.terms] == ["X"]
+        assert as_hex(evolved) == as_hex(gate_by_gate(seed, circuit, prune_tol=0.0))
+
+    def test_clifford_work_does_not_scale_with_rank(self, monkeypatch):
+        n, tau = 6, 32
+        circuit = doped_circuit(n, tau, seed=3)
+        seed = SparseOperator(
+            n, {PauliString.from_label("ZIIIII"): 0.6, PauliString.from_label("IXIIIY"): 0.8}
+        )
+        sizes = []
+        run = heisenberg._clifford_run
+
+        def counted(rows, *args):
+            sizes.append(len(rows))
+            return run(rows, *args)
+
+        monkeypatch.setattr(heisenberg, "_clifford_run", counted)
+        evolved = evolve_heisenberg(seed, circuit)
+        assert len(evolved) > 1000
+        assert len(sizes) == tau + 1
+        assert max(sizes) <= len(seed) + tau
+
+    def test_masks_beyond_64_sites(self):
+        seed, circuit = golden_inputs()
+        shift, n = 64, 69
+        wide_seed = SparseOperator(
+            n, {PauliString.from_label("I" * shift + p.label()): a for p, a in seed}
+        )
+        gates = (Gate(g.kind, tuple(s + shift for s in g.sites), g.theta) for g in circuit.gates)
+        wide = Circuit(n, tuple(gates))
+        expected = {"I" * shift + label: value for label, value in GOLDEN.items()}
+        assert as_hex(evolve_heisenberg(wide_seed, wide)) == expected

@@ -91,6 +91,22 @@ class TestRenyiLimits:
         with pytest.raises(ValueError, match="non-negative"):
             renyi_entropy(self.PROBS, alpha)
 
+    def test_large_index_does_not_underflow(self):
+        # 0.6^2000 + 0.4^2000 underflows to 0, so the direct sum gives log2(0)
+        value = renyi_entropy([0.6, 0.4], 2000)
+        assert math.isfinite(value)
+        assert abs(value - 2000 * math.log2(0.6) / (1 - 2000)) < 1e-12
+
+    def test_large_index_lies_between_its_neighbours(self):
+        seed = SparseOperator(
+            3, {PauliString.from_label("XXZ"): 0.6, PauliString.from_label("YZI"): 0.8}
+        )
+        evolved = evolve_heisenberg(seed, random_mixed_circuit(np.random.default_rng(5), 3, 30))
+        probs = pauli_probs(evolved)
+        assert np.sum(probs**2000) == 0.0
+        h = renyi_entropy(probs, 2000)
+        assert renyi_entropy(probs, math.inf) <= h <= renyi_entropy(probs, 2)
+
 
 # float.hex of (purity, ose, linear_ose) per index, recorded before the
 # Renyi limits moved behind renyi_purity, on random_mixed_circuit(

@@ -188,6 +188,13 @@ class TestSparseOperator:
         with pytest.raises(ValueError, match="not finite"):
             SparseOperator.from_json_dict({"n": 1, "terms": [["Z", 1.0], ["X", bad]]})
 
+    @pytest.mark.parametrize(
+        "data, message", [({"n": 1}, "missing the field 'terms'"), ([1], "JSON object")]
+    )
+    def test_malformed_json_operator(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            SparseOperator.from_json_dict(data)
+
     def test_json_round_trip_bit_identical(self):
         r = math.sqrt(0.5)
         op = from_local(0, r, 0, -r, 3)

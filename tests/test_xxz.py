@@ -234,3 +234,29 @@ class TestSimulateVsClosed:
     def test_depth_cap(self):
         with pytest.raises(ValueError):
             simulate_vs_closed(params(0.3, 7, 2))
+
+
+class TestLargeIndex:
+    """Closed forms in the log domain: no underflow of cos^(2 alpha), sin^(2 alpha) or A."""
+
+    @pytest.mark.parametrize("a", [(0.6, 0.0, 0.8), (0.8, 0.0, 0.6), (1.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("alpha", [1000, 2000])
+    def test_simulation_agrees(self, alpha, a):
+        for t in range(1, 5):
+            result = simulate_vs_closed(params(0.3, t, alpha, a))
+            assert result.abs_diff < 1e-9
+
+    def test_approaches_the_alpha_inf_limit(self):
+        for a in ((0.6, 0.0, 0.8), (0.8, 0.0, 0.6), (1.0, 0.0, 0.0)):
+            for t in (1, 3, 200):
+                big = closed_form_ose(params(0.3, t, 10**6, a))
+                want = closed_form_ose(params(0.3, t, math.inf, a))
+                assert big == pytest.approx(want, rel=1e-5, abs=1e-5)
+            limit = saturation_value(params(0.3, 0, 10**6, a))
+            assert limit == pytest.approx(saturation_value(params(0.3, 0, math.inf, a)), abs=1e-5)
+
+    def test_saturation_below_index_one_is_infinite(self):
+        # for alpha < 1 the per-layer factor exceeds 1 and the entropy grows without bound
+        assert saturation_value(params(0.3, 0, 0.5, MIXED_SEED)) == math.inf
+        assert closed_form_ose(params(0.3, 400, 0.5, MIXED_SEED)) > 100
+        assert saturation_value(params(math.pi / 4, 0, 0.5, MIXED_SEED)) == 0.0
