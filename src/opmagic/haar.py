@@ -36,14 +36,6 @@ class McEstimate:
     n_samples: int
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
-
 
 def double_factorial(k: int) -> int:
     """k!! for k >= -1 (empty product for k <= 0)."""

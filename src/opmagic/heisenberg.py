@@ -13,43 +13,50 @@ It works on raw (x_mask, z_mask) -> coeff dicts in the symplectic form of
 Aaronson and Gottesman, on the circuit compiled to Pauli rotations, so
 Clifford gates never touch the evolved operator and each rotation splits
 the terms that anticommute with its generator. The kernel knows five
-Clifford opcodes, H, S, CNOT, SWAP and one Pauli sign rule; `_compile`
-lowers every other Clifford kind (Sdg, CZ, X, Y, Z) to them through
-`_LOWERINGS`.
+Clifford opcodes, H, S, CNOT, SWAP and one Pauli sign rule. Each gate kind
+is one `_KINDS` row, and each `Gate` carries its compiled step. A new kind
+takes a row, a `dense.gate_matrix` case and a `tests/conftest.py` entry.
 """
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .paulis import PRUNE_TOL, PauliString, SparseOperator, json_fields
+from .paulis import PRUNE_TOL, PauliString, SparseOperator, as_integer, json_fields
 
 # Opcodes of compiled Clifford gates, in dispatch order: the doped ensemble
 # draws H, S and CNOT, and the XXZ brick holds a SWAP. An opcode is
 # (code, 1 << first site, 1 << last site), and (_PAULI, x_mask, z_mask).
 _H, _S, _CNOT, _SWAP, _PAULI = range(5)
-_OPCODES = {"H": _H, "S": _S, "CNOT": _CNOT, "SWAP": _SWAP}
-# Every other Clifford kind, from its first and last site masks, in
-# Heisenberg order: Sdg = S Z, CZ = (I x H) CNOT (I x H), and Y ~ X Z.
-_LOWERINGS = {
-    "Sdg": lambda m, m2: ((_S, m, m), (_PAULI, 0, m)),
-    "CZ": lambda m, m2: ((_H, m2, m2), (_CNOT, m, m2), (_H, m2, m2)),
-    "X": lambda m, m2: ((_PAULI, m, 0),),
-    "Y": lambda m, m2: ((_PAULI, m, m),),
-    "Z": lambda m, m2: ((_PAULI, 0, m),),
+
+# Every gate kind: (site count, Clifford lowering, fixed angle). A Clifford
+# kind lowers its first and last site masks (m, m2) to opcodes in Heisenberg
+# order: Sdg = S Z, CZ = (I x H) CNOT (I x H), and Y ~ X Z. Any other kind
+# rotates about the Z string on its sites, by its fixed angle or by theta.
+_KINDS = {
+    "H": (1, lambda m, m2: ((_H, m, m),), None),
+    "S": (1, lambda m, m2: ((_S, m, m),), None),
+    "Sdg": (1, lambda m, m2: ((_S, m, m), (_PAULI, 0, m)), None),
+    "X": (1, lambda m, m2: ((_PAULI, m, 0),), None),
+    "Y": (1, lambda m, m2: ((_PAULI, m, m),), None),
+    "Z": (1, lambda m, m2: ((_PAULI, 0, m),), None),
+    "CNOT": (2, lambda m, m2: ((_CNOT, m, m2),), None),
+    "CZ": (2, lambda m, m2: ((_H, m2, m2), (_CNOT, m, m2), (_H, m2, m2)), None),
+    "SWAP": (2, lambda m, m2: ((_SWAP, m, m2),), None),
+    "T": (1, None, math.pi / 8),
+    "Tdg": (1, None, -math.pi / 8),
+    "RZ": (1, None, None),
+    "RZZ": (2, None, None),
 }
 
-CLIFFORD_KINDS = frozenset(_OPCODES) | frozenset(_LOWERINGS)
-ROTATION_KINDS = frozenset({"T", "Tdg", "RZ", "RZZ"})
-GATE_KINDS = CLIFFORD_KINDS | ROTATION_KINDS
-_TWO_SITE = frozenset({"CNOT", "CZ", "SWAP", "RZZ"})
-_FIXED_ANGLE = {"T": math.pi / 8, "Tdg": -math.pi / 8}
+GATE_KINDS = frozenset(_KINDS)
+CLIFFORD_KINDS = frozenset(kind for kind, row in _KINDS.items() if row[1])
+ROTATION_KINDS = GATE_KINDS - CLIFFORD_KINDS
 
 _ANGLE_RE = re.compile(r"^([+-]?)(?:(\d+(?:\.\d+)?)\s*\*?\s*)?pi(?:\s*/\s*(\d+(?:\.\d+)?))?$")
 
@@ -71,53 +78,49 @@ def parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle {text!r}") from None
 
 
-def _integer(value, name: str) -> int:
-    """`value` as a Python int; a bool, a float or a string is bad input."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class Gate:
-    """One gate: kind, site tuple, and an angle for RZ/RZZ only."""
+    """One gate: kind, site tuple, and an angle for RZ/RZZ only. `step` is
+    its compiled form: (opcodes, None), or ((), rotation row) for a rotation."""
 
     kind: str
     sites: tuple[int, ...]
     theta: float | None = None
+    step: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, str) or self.kind not in GATE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        want, lower, fixed = _KINDS[self.kind]
         if isinstance(self.sites, (str, bytes)) or not hasattr(self.sites, "__iter__"):
             raise ValueError(f"{self.kind} sites must be a list of integers, got {self.sites!r}")
-        object.__setattr__(self, "sites", tuple(_integer(s, f"{self.kind} site") for s in self.sites))
-        want = 2 if self.kind in _TWO_SITE else 1
+        object.__setattr__(self, "sites", tuple(as_integer(s, f"{self.kind} site") for s in self.sites))
         if len(self.sites) != want:
             raise ValueError(f"{self.kind} takes {want} site(s), got {self.sites}")
         if len(set(self.sites)) != len(self.sites):
             raise ValueError("gate sites must be distinct")
         if any(s < 0 for s in self.sites):
             raise ValueError("site indices must be non-negative")
-        if self.kind in ("RZ", "RZZ"):
+        if lower is None and fixed is None:
             if self.theta is None:
                 raise ValueError(f"{self.kind} needs an angle")
             if not math.isfinite(self.theta):
                 raise ValueError(f"{self.kind} angle must be finite, got {self.theta!r}")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} takes no angle")
+        if lower is None:  # sites are distinct
+            step = ((), (0, sum(1 << s for s in self.sites), 2.0 * self.angle))
+        else:
+            step = (lower(1 << self.sites[0], 1 << self.sites[-1]), None)
+        object.__setattr__(self, "step", step)
 
     @property
     def angle(self) -> float:
         """Rotation angle, with T/Tdg pinned to +-pi/8."""
-        if self.kind in _FIXED_ANGLE:
-            return _FIXED_ANGLE[self.kind]
-        if self.theta is None:
+        angle = _KINDS[self.kind][2] if self.theta is None else self.theta
+        if angle is None:
             raise ValueError(f"{self.kind} has no angle")
-        return self.theta
+        return angle
 
     def to_json_dict(self) -> dict:
         d: dict = {"kind": self.kind, "sites": list(self.sites)}
@@ -142,7 +145,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        n = _integer(self.n_qubits, "qubit count n")
+        n = as_integer(self.n_qubits, "qubit count n")
         if n <= 0:
             raise ValueError("n_qubits must be positive")
         object.__setattr__(self, "n_qubits", n)
@@ -154,11 +157,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("size mismatch")
-        return Circuit(self.n_qubits, self.gates + other.gates)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n_qubits, "gates": [g.to_json_dict() for g in self.gates]}
@@ -195,9 +193,9 @@ class Circuit:
                 n_qubits = int(parts[1])
                 continue
             kind = parts[0]
-            if kind not in GATE_KINDS:
+            if kind not in _KINDS:
                 raise ValueError(f"unknown gate kind {kind!r} in line {raw!r}")
-            n_sites = 2 if kind in _TWO_SITE else 1
+            n_sites = _KINDS[kind][0]
             sites = tuple(int(p) for p in parts[1 : 1 + n_sites])
             rest = parts[1 + n_sites :]
             if len(rest) > 1:
@@ -205,8 +203,7 @@ class Circuit:
             theta = parse_angle(rest[0]) if rest else None
             gates.append(Gate(kind, sites, theta))
         if n_qubits is None:
-            top = max((max(g.sites) for g in gates), default=-1)
-            n_qubits = top + 1
+            n_qubits = max((max(g.sites) + 1 for g in gates), default=0)
         return cls(n_qubits, tuple(gates))
 
 
@@ -217,20 +214,15 @@ def _compile(gates: Sequence[Gate]) -> list:
     steps: list = []
     run = None
     for gate in reversed(gates):
-        sites = gate.sites
-        code = _OPCODES.get(gate.kind)
-        if code is None and gate.kind in ROTATION_KINDS:
+        ops, row = gate.step
+        if row is not None:
             run = None
-            z_gen = sum(1 << s for s in sites)  # sites are distinct
-            steps.append((0, z_gen, 2.0 * gate.angle))
-            continue
-        if run is None:
-            run = []
+            steps.append(row)
+        elif run is None:
+            run = list(ops)
             steps.append(run)
-        if code is None:
-            run += _LOWERINGS[gate.kind](1 << sites[0], 1 << sites[-1])
         else:
-            run.append((code, 1 << sites[0], 1 << sites[-1]))
+            run += ops
     return steps
 
 

@@ -18,6 +18,7 @@ which makes all truncation tie-breaks and serialized output reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -25,7 +26,12 @@ from typing import Iterable, Iterator, Mapping
 # rotation at a Clifford point), so rank-based quantities stay meaningful.
 PRUNE_TOL = 1e-14
 
-_LETTERS = ("I", "X", "Z", "Y")  # indexed by 2*z_bit + x_bit
+_LETTERS = "IXZY"  # indexed by the digit 2*z_bit + x_bit
+# str.translate tables between letters and bits, for whole labels at once
+_X_BITS = str.maketrans(_LETTERS, "0101")
+_Z_BITS = str.maketrans(_LETTERS, "0011")
+_DIGIT_LETTERS = str.maketrans("0123", _LETTERS)
+_DROP_LETTERS = str.maketrans("", "", _LETTERS)
 _AXIS_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _I_POWERS = (1, 1j, -1, -1j)
 
@@ -53,14 +59,10 @@ class PauliString:
     def from_label(cls, label: str) -> "PauliString":
         """Parse 'IXZY...' with site 0 as the leftmost character."""
         label = label.strip()
-        if not label or any(ch not in _AXIS_BITS for ch in label):
+        if not label or label.translate(_DROP_LETTERS):
             raise ValueError(f"invalid Pauli label {label!r}")
-        x = z = 0
-        for site, ch in enumerate(label):
-            xb, zb = _AXIS_BITS[ch]
-            x |= xb << site
-            z |= zb << site
-        return cls(len(label), x, z)
+        bits = label[::-1]  # site 0 is the lowest bit
+        return cls(len(label), int(bits.translate(_X_BITS), 2), int(bits.translate(_Z_BITS), 2))
 
     def letter(self, site: int) -> str:
         if not 0 <= site < self.n_qubits:
@@ -68,7 +70,9 @@ class PauliString:
         return _LETTERS[2 * ((self.z_mask >> site) & 1) + ((self.x_mask >> site) & 1)]
 
     def label(self) -> str:
-        return "".join(self.letter(s) for s in range(self.n_qubits))
+        # binary digits read as hex: one bit per hex digit, so each site's digit is 2 z + x
+        digits = int(format(self.x_mask, "b"), 16) + 2 * int(format(self.z_mask, "b"), 16)
+        return format(digits, f"0{self.n_qubits}x").translate(_DIGIT_LETTERS)[::-1]
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -160,6 +164,16 @@ def json_fields(data, what: str, *keys: str) -> list:
         if key not in data:
             raise ValueError(f"{what} is missing the field {key!r}")
     return [data[key] for key in keys]
+
+
+def as_integer(value, name: str) -> int:
+    """`value` as a Python int; a bool, a float or a string is bad input."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class SparseOperator:
@@ -265,7 +279,15 @@ class SparseOperator:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparseOperator":
         n, terms = json_fields(data, "an operator", "n", "terms")
-        return cls(int(n), {PauliString.from_label(lbl): float(c) for lbl, c in terms})
+        if not isinstance(terms, list):
+            raise ValueError(f"operator terms must be a list of [label, number] pairs, got {terms!r}")
+        parsed = {}
+        for pair in terms:
+            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+                    and isinstance(pair[1], (int, float)) and not isinstance(pair[1], bool)):
+                raise ValueError(f"operator terms must be [label, number] pairs, got {pair!r}")
+            parsed[PauliString.from_label(pair[0])] = float(pair[1])
+        return cls(as_integer(n, "operator qubit count n"), parsed)
 
     def __repr__(self) -> str:
         body = " + ".join(f"{a:+.6g}*{p}" for p, a in self.sorted_terms()[:4])
@@ -306,22 +328,18 @@ def parse_pauli_text(text: str, n_qubits: int | None = None) -> tuple[PauliStrin
         return p, sign
     if n_qubits is None:
         raise ValueError("site-tagged Pauli text needs an explicit qubit count")
-    x = z = 0
-    seen: set[int] = set()
+    letters = ["I"] * n_qubits
     for tok in tokens:
         axis, rest = tok[0].upper(), tok[1:]
         if axis not in ("X", "Y", "Z") or not rest.isdigit():
             raise ValueError(f"bad Pauli token {tok!r}")
         site = int(rest)
-        if site in seen:
-            raise ValueError(f"duplicate site {site}")
         if not 0 <= site < n_qubits:
             raise ValueError(f"site {site} out of range")
-        seen.add(site)
-        xb, zb = _AXIS_BITS[axis]
-        x |= xb << site
-        z |= zb << site
-    return PauliString(n_qubits, x, z), sign
+        if letters[site] != "I":
+            raise ValueError(f"duplicate site {site}")
+        letters[site] = axis
+    return PauliString.from_label("".join(letters)), sign
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .measures import ose
 from .paulis import PauliString, SparseOperator, from_local, single_site_pauli
 
 MAX_SIM_LAYERS = 6
+BRANCH_CUT = 1e-28  # PRUNE_TOL^2: a brick branch weight below it is an exact zero
 
 
 def xxz_brick(j_coupling: float) -> tuple[Gate, Gate]:
@@ -88,19 +89,12 @@ class XxzParams:
         if abs(norm - 1.0) >= 1e-10:
             raise ValueError(f"seed coefficients not normalized: |a|^2 = {norm}")
 
-    def a_alpha(self) -> float:
-        """A = a_z^(2 alpha) / (a_x^(2 alpha) + a_y^(2 alpha))."""
-        den = (self.a_x**2) ** self.alpha + (self.a_y**2) ** self.alpha
-        if den == 0.0:
-            raise ValueError("degenerate seed: a_x = a_y = 0")
-        return (self.a_z**2) ** self.alpha / den
-
 
 def closed_form_ose(params: XxzParams) -> float:
     """Exact OSE in bits for any depth; alpha = 1 lives in alpha1_ose.
 
-    A pure sigma_z seed commutes with every gate, so that degenerate case
-    returns 0 outright.
+    A pure sigma_z seed commutes with every gate, and a Clifford brick
+    (J = 0, pi/4) splits no string: both return 0.
     """
     if params.alpha == 1:
         raise ValueError("alpha = 1 is the replica limit; use alpha1_ose")
@@ -111,6 +105,8 @@ def closed_form_ose(params: XxzParams) -> float:
         top = max(_log2(params.a_z**2), math.log2(m) + params.t * math.log2(big))
         return math.log2(p_max) - top
     log_a, log_x = _log2_ratios(params, m, big)
+    if log_x == 0.0:  # a Clifford brick: +0.0, not the sign of 1 - alpha
+        return 0.0
     grown = np.logaddexp2(log_a, params.t * log_x) - np.logaddexp2(log_a, 0.0)
     return float(grown) / (1.0 - params.alpha)
 
@@ -132,7 +128,7 @@ def alpha1_ose(params: XxzParams) -> float:
 def _binary_entropy(q: float) -> float:
     # branch amplitudes below the engine prune tolerance are exact zeros,
     # so the Clifford endpoints J = 0, pi/4 give exactly 0
-    if min(q, 1.0 - q) < 1e-28:
+    if min(q, 1.0 - q) < BRANCH_CUT:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
@@ -166,10 +162,11 @@ def _max_weights(params: XxzParams) -> tuple[float, float, float]:
 
 def _log2_ratios(params: XxzParams, m: float, big: float) -> tuple[float, float]:
     """log2 A and log2 (cos^(2a) 2J + sin^(2a) 2J), with m^alpha and M^alpha
-    factored out of the sums; log2 A is -inf at a_z = 0."""
+    factored out of the sums; log2 A is -inf at a_z = 0. A branch weight
+    below BRANCH_CUT counts as 0, so log2 x is 0 at J = 0 and pi/4."""
     alpha = params.alpha
-    c2 = math.cos(2.0 * params.j) ** 2
-    s2 = math.sin(2.0 * params.j) ** 2
+    j2 = 2.0 * params.j
+    c2, s2 = (w if w >= BRANCH_CUT else 0.0 for w in (math.cos(j2) ** 2, math.sin(j2) ** 2))
     log_x = alpha * math.log2(big) + math.log2((c2 / big) ** alpha + (s2 / big) ** alpha)
     den = (params.a_x**2 / m) ** alpha + (params.a_y**2 / m) ** alpha
     return alpha * _log2(params.a_z**2 / m) - math.log2(den), log_x

@@ -87,7 +87,7 @@ def test_criterion_02_monotone_axioms():
         cliff = random_clifford_circuit(n, 3 * n * n, seed=1000 + trial)
         seed = SparseOperator.from_pauli(single_site_pauli(int(rng.integers(n)), "X", n))
         reference = ose(evolve_heisenberg(seed, base), seed, 2).ose
-        pre = ose(evolve_heisenberg(seed, cliff + base), seed, 2).ose
+        pre = ose(evolve_heisenberg(seed, Circuit(n, cliff.gates + base.gates)), seed, 2).ose
         post = ose(evolve_heisenberg(evolve_heisenberg(seed, base), cliff), seed, 2).ose
         worst_stab = max(worst_stab, abs(pre - reference), abs(post - reference))
     assert worst_stab < 1e-10

@@ -202,6 +202,17 @@ class TestXxzScanCommand:
         for row in read_csv_rows(out)[1:]:
             assert math.isfinite(float(row[6]))
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--J", "pi/4", "--t", "1..3", "--alpha", "0.01", "--simulate"],
+         ["--J", "0", "--t", "1", "--alpha", "2"]],
+    )
+    def test_clifford_points_print_zero(self, tmp_path, extra):
+        out = tmp_path / "xxz.csv"
+        assert main(["xxz-scan", *extra, "--out", str(out)]) == 0
+        for row in read_csv_rows(out)[1:]:
+            assert row[6] == "0.0"
+
 
 class TestHaarAvgCommand:
     def test_deterministic_output(self, tmp_path):

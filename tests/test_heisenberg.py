@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,10 +17,10 @@ from opmagic import (
     random_clifford_circuit,
     single_site_pauli,
 )
-from opmagic.dense import circuit_unitary, pauli_spectrum
-from opmagic.heisenberg import CLIFFORD_KINDS, ROTATION_KINDS
+from opmagic.dense import circuit_unitary, gate_matrix, pauli_spectrum
+from opmagic.heisenberg import _KINDS, CLIFFORD_KINDS, GATE_KINDS, ROTATION_KINDS
 from opmagic.paulis import enumerate_paulis
-from conftest import random_mixed_circuit
+from conftest import ONE_SITE_KINDS, TWO_SITE_KINDS, random_mixed_circuit
 
 
 def x_seed(site, n):
@@ -57,6 +58,37 @@ class TestGateValidation:
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate("H", (2,)),))
+
+
+class TestGateTable:
+    """The gate table, the dense oracle and the test draws name the same kinds."""
+
+    def test_kind_sets(self):
+        assert GATE_KINDS == frozenset(_KINDS)
+        assert CLIFFORD_KINDS == {"H", "S", "Sdg", "X", "Y", "Z", "CNOT", "CZ", "SWAP"}
+        assert ROTATION_KINDS == {"T", "Tdg", "RZ", "RZZ"}
+
+    def test_table_dense_oracle_and_draws_agree(self):
+        arity = {kind: row[0] for kind, row in _KINDS.items()}
+        draws = {**dict.fromkeys(ONE_SITE_KINDS, 1), **dict.fromkeys(TWO_SITE_KINDS, 2)}
+        assert len(draws) == len(ONE_SITE_KINDS) + len(TWO_SITE_KINDS)
+        assert draws == arity
+        for kind, n_sites in arity.items():
+            takes_angle = _KINDS[kind][1] is None and _KINDS[kind][2] is None
+            gate = Gate(kind, tuple(range(n_sites)), 0.3 if takes_angle else None)
+            matrix = gate_matrix(gate)
+            assert matrix.shape == (1 << n_sites, 1 << n_sites)
+            assert np.allclose(matrix @ matrix.conj().T, np.eye(1 << n_sites))
+
+    def test_step_is_not_part_of_the_gate_value(self):
+        step = {f.name: f for f in dataclasses.fields(Gate)}["step"]
+        assert not (step.init or step.repr or step.compare)
+        a, b = Gate("RZ", (1,), 0.3), Gate("RZ", (1,), 0.3)
+        object.__setattr__(b, "step", ((), (0, 0, 0.0)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert repr(a) == "Gate(kind='RZ', sites=(1,), theta=0.3)"
+        assert a.to_json_dict() == {"kind": "RZ", "sites": [1], "theta": 0.3}
+        assert Gate.from_json_dict(a.to_json_dict()).step == a.step == ((), (0, 2, 0.6))
 
 
 class TestSingleGateOracle:

@@ -209,7 +209,7 @@ class TestMonotoneAxioms:
             cliff = random_clifford_circuit(n, 3 * n * n, seed=trial)
             seed = SparseOperator.from_pauli(single_site_pauli(0, "X", n))
             reference = ose(evolve_heisenberg(seed, base), seed, 2).ose
-            pre = ose(evolve_heisenberg(seed, cliff + base), seed, 2).ose
+            pre = ose(evolve_heisenberg(seed, Circuit(n, cliff.gates + base.gates)), seed, 2).ose
             post = ose(
                 evolve_heisenberg(evolve_heisenberg(seed, base), cliff), seed, 2
             ).ose

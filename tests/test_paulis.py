@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -41,6 +42,21 @@ class TestPauliString:
     def test_label_round_trip(self):
         for label in ("I", "XZY", "IIXZ", "YYYY"):
             assert PauliString.from_label(label).label() == label
+
+    @pytest.mark.parametrize("n", [1, 28, 64, 65, 70])
+    def test_label_round_trip_random_masks(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        for x, z in [(0, 0), (full, full)] + [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(50)]:
+            p = PauliString(n, x, z)
+            label = p.label()
+            assert label == "".join(p.letter(s) for s in range(n))
+            assert PauliString.from_label(label) == p
+
+    @pytest.mark.parametrize("bad", ["", "  ", "XQ", "x", "X_Y", "+X", "X+", "X Y", "01", "0bX"])
+    def test_bad_label_rejected(self, bad):
+        with pytest.raises(ValueError, match="invalid Pauli label"):
+            PauliString.from_label(bad)
 
     def test_letter_bit_encoding(self):
         p = PauliString.from_label("IXZY")
@@ -189,7 +205,19 @@ class TestSparseOperator:
             SparseOperator.from_json_dict({"n": 1, "terms": [["Z", 1.0], ["X", bad]]})
 
     @pytest.mark.parametrize(
-        "data, message", [({"n": 1}, "missing the field 'terms'"), ([1], "JSON object")]
+        "data, message",
+        [
+            ({"n": 1}, "missing the field 'terms'"),
+            ([1], "JSON object"),
+            ({"n": 2.7, "terms": [["XX", 1.0]]}, "qubit count n must be an integer"),
+            ({"n": True, "terms": [["X", 1.0]]}, "qubit count n must be an integer"),
+            ({"n": 1, "terms": "X"}, "operator terms must be a list"),
+            ({"n": 1, "terms": {"X": 1.0}}, "operator terms must be a list"),
+            ({"n": 1, "terms": [["X"]]}, "operator terms must be"),
+            ({"n": 1, "terms": [["X", "1.0"]]}, "operator terms must be"),
+            ({"n": 1, "terms": [["X", True]]}, "operator terms must be"),
+            ({"n": 1, "terms": [[1, 1.0]]}, "operator terms must be"),
+        ],
     )
     def test_malformed_json_operator(self, data, message):
         with pytest.raises(ValueError, match=message):

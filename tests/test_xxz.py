@@ -38,10 +38,6 @@ class TestParams:
         with pytest.raises(ValueError):
             XxzParams(j=0.1, t=1, alpha=2, a_x=0.9, a_y=0.0, a_z=0.0)
 
-    def test_a_alpha(self):
-        p = params(0.1, 1, 2, MIXED_SEED)
-        assert p.a_alpha() == pytest.approx(0.09 / 0.29)
-
 
 class TestClosedForm:
     def test_pauli_seed_pi_over_8_gives_depth(self):
@@ -52,6 +48,14 @@ class TestClosedForm:
         for alpha in (0.5, 2, 3):
             for a in ((1.0, 0.0, 0.0), MIXED_SEED):
                 assert closed_form_ose(params(math.pi / 4, 3, alpha, a)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("j", [0.0, math.pi / 4])
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 2, 3, 1000, math.inf])
+    def test_clifford_points_give_plus_zero(self, j, alpha):
+        # the branch of weight cos^2(pi/2) = 3.7e-33 is one the engine prunes
+        for a in ((1.0, 0.0, 0.0), MIXED_SEED):
+            value = closed_form_ose(params(j, 3, alpha, a))
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_swap_circuit_vanishes(self):
         assert closed_form_ose(params(0.0, 5, 2)) == 0.0
@@ -84,9 +88,9 @@ class TestClosedForm:
             limit = saturation_value(params(j, 0, alpha, a))
             if math.isfinite(limit):
                 # pick a depth where the transient x^t has decayed below 1e-9 A
-                p = params(j, 0, alpha, a)
                 x = math.cos(2 * j) ** (2 * alpha) + math.sin(2 * j) ** (2 * alpha)
-                t_star = min(10**6, int(math.log(1e-9 * p.a_alpha()) / math.log(x)) + 1)
+                big_a = (a[2] ** 2) ** alpha / ((a[0] ** 2) ** alpha + (a[1] ** 2) ** alpha)
+                t_star = min(10**6, int(math.log(1e-9 * big_a) / math.log(x)) + 1)
                 deep = closed_form_ose(params(j, t_star, alpha, a))
                 assert deep == pytest.approx(limit, abs=1e-6)
 
