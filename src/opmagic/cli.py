@@ -51,16 +51,23 @@ def parse_alpha(text: str) -> float:
 
 
 def parse_alphas(text: str) -> list[float]:
-    return [parse_alpha(tok) for tok in text.split(",") if tok.strip()]
+    """Comma list of Renyi indices: the value of an --alpha option."""
+    return _nonempty([parse_alpha(tok) for tok in text.split(",") if tok.strip()], "--alpha", text)
 
 
-def parse_range(text: str) -> list[int]:
+def parse_range(text: str, option: str = "range") -> list[int]:
     """Integer list: '4', '1..8', or '1,3,5'."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        return _nonempty(list(range(int(lo), int(hi) + 1)), option, text)
+    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()], option, text)
+
+
+def _nonempty(values: list, option: str, text: str) -> list:
+    if not values:
+        raise CliError(f"{option} {text!r} gives an empty list")
+    return values
 
 
 def load_circuit(path: str) -> Circuit:
@@ -142,7 +149,7 @@ def _fmt_alpha(alpha: float) -> str:
 
 def _cmd_xxz_scan(args) -> None:
     j = parse_angle(args.J)
-    ts = parse_range(args.t)
+    ts = parse_range(args.t, "--t")
     alphas = parse_alphas(args.alpha)
     rows = []
     for t in ts:
@@ -173,6 +180,8 @@ def _cmd_haar_avg(args) -> None:
 
 def _cmd_doped_scan(args) -> None:
     alphas = parse_alphas(args.alpha)
+    if args.circuits < 1:
+        raise CliError(f"--circuits must be at least 1, got {args.circuits}")
     rows = []
     rng = np.random.default_rng(args.seed)
     for index in range(args.circuits):
@@ -191,7 +200,7 @@ def _cmd_truncate_study(args) -> None:
     circuit = load_circuit(args.circuit)
     seed = _seed_operator(args, circuit)
     evolved = evolve_heisenberg(seed, circuit)
-    chis = parse_range(args.chi) if args.chi else list(range(1, len(evolved) + 1))
+    chis = parse_range(args.chi, "--chi") if args.chi else list(range(1, len(evolved) + 1))
     rows = []
     for chi in chis:
         result = truncate_top(evolved, chi)

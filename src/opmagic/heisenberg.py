@@ -331,9 +331,8 @@ def _propagate(operator: SparseOperator, gates: Sequence[Gate], prune_tol: float
     terms = {(x, z): a for x, z, a in rows[:n_seed]}
     for x_g, z_g, angle in rows[n_seed:]:
         terms = _rotation(terms, x_g, z_g, angle, tol)
-    return SparseOperator(
-        n, {PauliString(n, *key): a for key, a in terms.items()}, prune_tol=prune_tol
-    )
+    pairs = ((PauliString(n, x, z), a) for (x, z), a in terms.items())
+    return SparseOperator(n, pairs, prune_tol=prune_tol)
 
 
 def conjugate_gate(
@@ -445,6 +444,8 @@ def doped_circuit(
     random_clifford_circuit(n_qubits, clifford_depth, seed_k) for a seed
     drawn from `seed`.
     """
+    if n_qubits < 1:
+        raise ValueError(f"qubit count n must be positive, got {n_qubits}")
     if tau < 0:
         raise ValueError("tau must be non-negative")
     if clifford_depth is None:

@@ -31,7 +31,7 @@ def pauli_probs(operator: SparseOperator) -> np.ndarray:
     weight = operator.l2_weight()
     if abs(weight - 1.0) >= _WEIGHT_TOL:
         raise ValueError(f"operator weight {weight} is not 1 within {_WEIGHT_TOL}")
-    return np.array([a * a for _, a in operator.sorted_terms()], dtype=float)
+    return np.fromiter(operator.terms.values(), float, len(operator)) ** 2
 
 
 def renyi_purity(probs: np.ndarray, alpha: float) -> float:

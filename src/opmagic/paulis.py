@@ -12,14 +12,17 @@ into term coefficients by the conjugation engine, so Hermitian operators
 always have real coefficients and the squared coefficients form a
 probability vector.
 
-Canonical ordering everywhere is lexicographic on ``(z_mask, x_mask)``,
-which makes all truncation tie-breaks and serialized output reproducible.
+Canonical order is lexicographic on ``(z_mask, x_mask)``. A SparseOperator
+holds its terms in that order from construction, so its probability
+vector, l2 weight and JSON follow it, and truncation, a stable sort on
+|a|, breaks ties by it: reruns are bit-identical.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 # Coefficients below this are treated as exact zeros (e.g. cos(pi/2) from a
@@ -73,10 +76,6 @@ class PauliString:
         # binary digits read as hex: one bit per hex digit, so each site's digit is 2 z + x
         digits = int(format(self.x_mask, "b"), 16) + 2 * int(format(self.z_mask, "b"), 16)
         return format(digits, f"0{self.n_qubits}x").translate(_DIGIT_LETTERS)[::-1]
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (self.z_mask, self.x_mask)
 
     @property
     def is_identity(self) -> bool:
@@ -180,8 +179,9 @@ class SparseOperator:
     """Real linear combination of Pauli strings, stored as a sparse map.
 
     Terms with |coefficient| below `prune_tol` are dropped on construction;
-    a non-finite coefficient is an error.
-    Instances are treated as immutable; operations return new objects.
+    a non-finite coefficient is an error. `terms` is in canonical
+    (z_mask, x_mask) order from construction on, and every reader takes it
+    as stored. Instances are treated as immutable; operations return new objects.
     """
 
     __slots__ = ("n_qubits", "terms")
@@ -205,7 +205,8 @@ class SparseOperator:
                 raise ValueError(f"coefficient of {pauli} is not finite: {coeff!r}")
             if abs(coeff) >= prune_tol:
                 kept[pauli] = float(coeff)
-        self.terms = kept
+        # z << n | x orders as (z, x)
+        self.terms = {p: kept[p] for p in sorted(kept, key=lambda p: p.z_mask << n_qubits | p.x_mask)}
 
     @classmethod
     def from_pauli(cls, pauli: PauliString, coeff: float = 1.0) -> "SparseOperator":
@@ -226,9 +227,6 @@ class SparseOperator:
     def l2_weight(self) -> float:
         """Sum of squared coefficients; 1 for unitarily evolved unit seeds."""
         return sum(a * a for a in self.terms.values())
-
-    def sorted_terms(self) -> list[tuple[PauliString, float]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key)
 
     def support(self) -> set[int]:
         both = 0
@@ -273,7 +271,7 @@ class SparseOperator:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n_qubits,
-            "terms": [[p.label(), a] for p, a in self.sorted_terms()],
+            "terms": [[p.label(), a] for p, a in self.terms.items()],
         }
 
     @classmethod
@@ -290,7 +288,7 @@ class SparseOperator:
         return cls(as_integer(n, "operator qubit count n"), parsed)
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{a:+.6g}*{p}" for p, a in self.sorted_terms()[:4])
+        body = " + ".join(f"{a:+.6g}*{p}" for p, a in islice(self.terms.items(), 4))
         more = "" if len(self) <= 4 else f" ... ({len(self)} terms)"
         return f"SparseOperator({body}{more})"
 
@@ -358,7 +356,7 @@ class TruncationResult:
 
 
 def truncate_top(operator: SparseOperator, chi: int) -> TruncationResult:
-    """Keep the chi largest-|a| terms; ties break on canonical string order.
+    """Keep the chi largest-|a| terms; a stable sort breaks ties in canonical order.
 
     The kept coefficients are not rescaled; `TruncationResult.choi_normalized`
     exposes the sqrt-normalized variant. epsilon is the l2 norm of the
@@ -370,9 +368,7 @@ def truncate_top(operator: SparseOperator, chi: int) -> TruncationResult:
     weight = operator.l2_weight()
     if abs(weight - 1.0) >= 1e-8:
         raise ValueError(f"operator weight {weight} is not 1 within 1e-8")
-    ranked = sorted(
-        operator.terms.items(), key=lambda kv: (-abs(kv[1]), kv[0].sort_key)
-    )
+    ranked = sorted(operator.terms.items(), key=lambda kv: -abs(kv[1]))
     kept_terms = dict(ranked[:chi])
     kept_weight = sum(a * a for a in kept_terms.values())
     discarded = sum(a * a for _, a in ranked[chi:])

@@ -105,10 +105,9 @@ def closed_form_ose(params: XxzParams) -> float:
         top = max(_log2(params.a_z**2), math.log2(m) + params.t * math.log2(big))
         return math.log2(p_max) - top
     log_a, log_x = _log2_ratios(params, m, big)
-    if log_x == 0.0:  # a Clifford brick: +0.0, not the sign of 1 - alpha
-        return 0.0
     grown = np.logaddexp2(log_a, params.t * log_x) - np.logaddexp2(log_a, 0.0)
-    return float(grown) / (1.0 - params.alpha)
+    # no growth (t = 0, or a Clifford brick: log2 x = 0) is +0.0, not the sign of 1 - alpha
+    return float(grown) / (1.0 - params.alpha) + 0.0
 
 
 def alpha1_ose(params: XxzParams) -> float:
@@ -140,9 +139,9 @@ def saturation_value(params: XxzParams) -> float:
         raise ValueError("alpha = 1 grows linearly and does not saturate")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
-    p_max, m, big = _max_weights(params)
-    if big >= 1.0:  # J = 0 or pi/4
+    if 0.0 in _branch_weights(params.j):  # a Clifford brick, as in _log2_ratios
         return 0.0
+    p_max, m, big = _max_weights(params)
     if params.alpha == math.inf:
         return math.log2(p_max) - _log2(params.a_z**2)
     log_a, log_x = _log2_ratios(params, m, big)
@@ -156,17 +155,21 @@ def _max_weights(params: XxzParams) -> tuple[float, float, float]:
     M = max(cos^2 2J, sin^2 2J): the largest weights of the seed, of its
     X/Y part and of one brick's split."""
     m = max(params.a_x**2, params.a_y**2)
-    big = max(math.cos(2.0 * params.j) ** 2, math.sin(2.0 * params.j) ** 2)
-    return max(m, params.a_z**2), m, big
+    return max(m, params.a_z**2), m, max(_branch_weights(params.j))
+
+
+def _branch_weights(j: float) -> tuple[float, float]:
+    """cos^2 2J and sin^2 2J, one brick's split weights; a weight below
+    BRANCH_CUT is an exact 0, so one of them is 0 at J = 0 and pi/4."""
+    return tuple(w if w >= BRANCH_CUT else 0.0 for w in (math.cos(2.0 * j) ** 2, math.sin(2.0 * j) ** 2))
 
 
 def _log2_ratios(params: XxzParams, m: float, big: float) -> tuple[float, float]:
     """log2 A and log2 (cos^(2a) 2J + sin^(2a) 2J), with m^alpha and M^alpha
-    factored out of the sums; log2 A is -inf at a_z = 0. A branch weight
-    below BRANCH_CUT counts as 0, so log2 x is 0 at J = 0 and pi/4."""
+    factored out of the sums; log2 A is -inf at a_z = 0, and log2 x is 0
+    at J = 0 and pi/4."""
     alpha = params.alpha
-    j2 = 2.0 * params.j
-    c2, s2 = (w if w >= BRANCH_CUT else 0.0 for w in (math.cos(j2) ** 2, math.sin(j2) ** 2))
+    c2, s2 = _branch_weights(params.j)
     log_x = alpha * math.log2(big) + math.log2((c2 / big) ** alpha + (s2 / big) ** alpha)
     den = (params.a_x**2 / m) ** alpha + (params.a_y**2 / m) ** alpha
     return alpha * _log2(params.a_z**2 / m) - math.log2(den), log_x

@@ -369,6 +369,25 @@ class TestExitCodes:
         assert main(["ose", "--circuit", str(path), "--seed-op", "XX"]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["xxz-scan", "--J", "0.3", "--t", "5..1"], "--t '5..1' gives an empty list"),
+            (["haar-avg", "--n", "2", "--alpha", ","], "--alpha ',' gives an empty list"),
+            (["truncate-study", "--chi", "5..1"], "--chi '5..1' gives an empty list"),
+            (["doped-scan", "--n", "4", "--tau", "1", "--circuits", "0"], "--circuits must be at least 1"),
+            (["doped-scan", "--n", "4", "--tau", "1", "--circuits", "-2"], "--circuits must be at least 1"),
+            (["doped-scan", "--n", "0", "--tau", "1"], "qubit count n must be positive"),
+        ],
+        ids=["t-range", "alpha-list", "chi-range", "circuits-0", "circuits-negative", "n-0"],
+    )
+    def test_empty_result_is_bad_input(self, tmp_path, capsys, argv, message):
+        if argv[0] == "truncate-study":
+            argv = argv + ["--circuit", write_circuit(tmp_path, t_ladder(2)), "--seed-op", "XI"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_nan_alpha_is_bad_input(self, tmp_path):
         circuit = write_circuit(tmp_path, t_ladder(2))
         assert main(["ose", "--circuit", circuit, "--seed-op", "XX", "--alpha", "nan"]) == 1

@@ -112,7 +112,7 @@ class TestSingleGateOracle:
 
     def test_hadamard_tableau(self):
         ev = conjugate_gate(x_seed(0, 1), Gate("H", (0,)))
-        assert ev.sorted_terms() == [(PauliString.from_label("Z"), 1.0)]
+        assert list(ev.terms.items()) == [(PauliString.from_label("Z"), 1.0)]
 
     def test_t_splits_x(self):
         ev = conjugate_gate(x_seed(0, 1), Gate("T", (0,)))
@@ -123,7 +123,7 @@ class TestSingleGateOracle:
         # cos(2 theta) = 0 at theta = pi/4: one surviving weight-1 string
         ev = conjugate_gate(x_seed(0, 2), Gate("RZZ", (0, 1), math.pi / 4))
         assert len(ev) == 1
-        (p, a), = ev.sorted_terms()
+        (p, a), = list(ev.terms.items())
         assert p.label() == "YZ" and abs(abs(a) - 1.0) < 1e-12
 
 

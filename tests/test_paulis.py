@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 from opmagic import (
     PauliString,
     SparseOperator,
+    commuted_operator,
     commutes,
+    conjugate_gate,
     enumerate_paulis,
+    evolve_heisenberg,
     expectation_error_bound,
     from_local,
     parse_pauli_text,
     pauli_mul,
+    pauli_probs,
     single_site_pauli,
     truncate_top,
 )
-from conftest import dense_from_label
+from conftest import dense_from_label, random_mixed_circuit, random_pauli
 
 
 def mask_pair(n):
@@ -158,7 +162,7 @@ class TestEnumerate:
 class TestSparseOperator:
     def test_from_local_pauli_seed(self):
         op = from_local(0, 1.0, 0.0, 0.0, 4)
-        assert op.sorted_terms() == [(PauliString.from_label("XIII"), 1.0)]
+        assert list(op.terms.items()) == [(PauliString.from_label("XIII"), 1.0)]
 
     def test_from_local_two_terms(self):
         r = math.sqrt(0.5)
@@ -190,12 +194,12 @@ class TestSparseOperator:
         a = SparseOperator.from_pauli(PauliString.from_label("X"), 0.5)
         b = SparseOperator.from_pauli(PauliString.from_label("ZY"), 2.0)
         ab = a.tensor(b)
-        assert ab.sorted_terms() == [(PauliString.from_label("XZY"), 1.0)]
+        assert list(ab.terms.items()) == [(PauliString.from_label("XZY"), 1.0)]
 
     def test_relabel_sites(self):
         op = SparseOperator.from_pauli(PauliString.from_label("XZI"))
         out = op.relabel_sites({0: 2, 2: 0})
-        assert out.sorted_terms()[0][0].label() == "IZX"
+        assert list(out.terms.items())[0][0].label() == "IZX"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_rejected(self, bad):
@@ -228,6 +232,51 @@ class TestSparseOperator:
         op = from_local(0, r, 0, -r, 3)
         back = SparseOperator.from_json_dict(op.to_json_dict())
         assert back.n_qubits == op.n_qubits and back.terms == op.terms
+
+
+def canonical_keys(op):
+    return [(p.z_mask, p.x_mask) for p in op.terms]
+
+
+class TestCanonicalOrder:
+    """Every operator holds its terms in (z_mask, x_mask) order from construction."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_every_producer_is_canonical(self, seed, n, shuffler):
+        rng = np.random.default_rng(seed)
+        paulis = sorted({random_pauli(rng, n) for _ in range(4)})
+        coeffs = rng.normal(size=len(paulis))
+        coeffs /= np.linalg.norm(coeffs)
+        pairs = list(zip(paulis, coeffs.tolist()))
+        shuffler.shuffle(pairs)
+        seed_op = SparseOperator(n, dict(pairs))
+        circuit = random_mixed_circuit(rng, n, 30)
+        evolved = evolve_heisenberg(seed_op, circuit)
+        gate = circuit.gates[int(rng.integers(len(circuit)))]
+        json_terms = [[p.label(), a] for p, a in pairs]
+        sites = rng.permutation(n).tolist()
+        local = rng.normal(size=3)
+        unit = [
+            seed_op,
+            SparseOperator(n, iter(pairs)),
+            evolved,
+            conjugate_gate(seed_op, gate),
+            conjugate_gate(evolved, gate),
+            SparseOperator.from_json_dict({"n": n, "terms": json_terms}),
+            seed_op.tensor(evolved),
+            evolved.relabel_sites(dict(enumerate(sites))),
+            from_local(sites[0], *(local / np.linalg.norm(local)).tolist(), n),
+            commuted_operator(0, n - 1, float(rng.uniform(0.0, math.pi / 4)), "XY"[seed % 2], n),
+        ]
+        chi = int(rng.integers(1, len(evolved) + 1))
+        for op in unit + [truncate_top(evolved, chi).kept, evolved.scaled(-0.5)]:
+            assert canonical_keys(op) == sorted(canonical_keys(op))
+        for op in unit:
+            # bit for bit what squaring a (z_mask, x_mask)-sorted copy of the terms gives
+            ordered = sorted(op.terms.items(), key=lambda kv: (kv[0].z_mask, kv[0].x_mask))
+            want = np.array([a * a for _, a in ordered], dtype=float)
+            assert pauli_probs(op).tobytes() == want.tobytes()
 
 
 class TestParsePauliText:

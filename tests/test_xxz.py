@@ -57,6 +57,14 @@ class TestClosedForm:
             value = closed_form_ose(params(j, 3, alpha, a))
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
+    @pytest.mark.parametrize("j", [0.3, math.pi / 8, 0.7])
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 2, 3, 1000, math.inf])
+    def test_depth_zero_gives_plus_zero(self, j, alpha):
+        # 0.0 / (1 - alpha) is -0.0 for alpha > 1
+        for a in ((1.0, 0.0, 0.0), MIXED_SEED, (0.6, 0.0, 0.8)):
+            value = closed_form_ose(params(j, 0, alpha, a))
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_swap_circuit_vanishes(self):
         assert closed_form_ose(params(0.0, 5, 2)) == 0.0
 
@@ -137,7 +145,7 @@ class TestAlphaOne:
 class TestCommutedOperator:
     def test_depth_zero_is_bare_pauli(self):
         op = commuted_operator(2, 0, 0.3, "X", 4)
-        assert op.sorted_terms() == [(single_site_pauli(2, "X", 4), 1.0)]
+        assert list(op.terms.items()) == [(single_site_pauli(2, "X", 4), 1.0)]
 
     def test_depth_one_weights(self):
         op = commuted_operator(0, 1, 0.3, "X", 2)
@@ -264,3 +272,10 @@ class TestLargeIndex:
         assert saturation_value(params(0.3, 0, 0.5, MIXED_SEED)) == math.inf
         assert closed_form_ose(params(0.3, 400, 0.5, MIXED_SEED)) > 100
         assert saturation_value(params(math.pi / 4, 0, 0.5, MIXED_SEED)) == 0.0
+
+    def test_saturation_near_clifford_point_takes_the_branch_cut(self):
+        # cos^2 2J = 1e-20 is above BRANCH_CUT: a real branch, so the closed form keeps growing
+        j = math.pi / 4 - 5e-11
+        values = [closed_form_ose(params(j, t, 0.5, MIXED_SEED)) for t in (10**3, 10**6, 10**8)]
+        assert 0.0 < values[0] < values[1] < values[2]
+        assert saturation_value(params(j, 0, 0.5, MIXED_SEED)) == math.inf
