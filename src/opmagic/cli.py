@@ -58,10 +58,15 @@ def parse_alphas(text: str) -> list[float]:
 def parse_range(text: str, option: str = "range") -> list[int]:
     """Integer list: '4', '1..8', or '1,3,5'."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return _nonempty(list(range(int(lo), int(hi) + 1)), option, text)
-    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()], option, text)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise CliError(f"{option} {text!r} is not a list or range of integers") from None
+    return _nonempty(values, option, text)
 
 
 def _nonempty(values: list, option: str, text: str) -> list:
@@ -165,6 +170,8 @@ def _cmd_xxz_scan(args) -> None:
 
 
 def _cmd_haar_avg(args) -> None:
+    if args.n < 1:
+        raise CliError(f"--n must be at least 1, got {args.n}")
     rows = []
     dim = 1 << args.n
     for alpha in parse_alphas(args.alpha):

@@ -8,14 +8,21 @@ Angle convention: RZ(theta) = exp(-i theta Z) and
 RZZ(theta) = exp(-i theta Z x Z), so conjugation rotates coefficients by
 2*theta and T == RZ(pi/8) exactly.
 
-One kernel, `_propagate`, serves `evolve_heisenberg` and `conjugate_gate`.
-It works on raw (x_mask, z_mask) -> coeff dicts in the symplectic form of
-Aaronson and Gottesman, on the circuit compiled to Pauli rotations, so
-Clifford gates never touch the evolved operator and each rotation splits
-the terms that anticommute with its generator. The kernel knows five
-Clifford opcodes, H, S, CNOT, SWAP and one Pauli sign rule. Each gate kind
-is one `_KINDS` row, and each `Gate` carries its compiled step. A new kind
-takes a row, a `dense.gate_matrix` case and a `tests/conftest.py` entry.
+One engine, `_propagate`, serves `evolve_heisenberg` and `conjugate_gate`.
+It works in the symplectic form of Aaronson and Gottesman, on the circuit
+compiled to Pauli rotations, in three steps. `_compile` moves every
+Clifford gate to the front: it conjugates the seed's terms and the rotation
+generators, held bit-sliced (one int per site for the X bits, one for the
+Z bits, bit r for row r, and one int of sign bits), so each gate costs a
+few int operations on all rows at once. The Clifford opcodes are H, S,
+CNOT, SWAP and one Pauli sign rule, on site indices. `_rotate` then applies
+the rotations to the operator, held as canonically sorted uint64 words and
+float64 coefficients, and splits the rows that anticommute with each
+generator. The rows come out checked, pruned and sorted, and become the
+returned operator's terms through `SparseOperator._trusted`. Each gate kind
+is one `_KINDS` row, and each `Gate` carries its compiled opcodes. A new
+kind takes a row, a `dense.gate_matrix` case and a `tests/conftest.py`
+entry.
 """
 from __future__ import annotations
 
@@ -27,27 +34,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .paulis import PRUNE_TOL, PauliString, SparseOperator, as_integer, json_fields
+from .paulis import PRUNE_TOL, SparseOperator, as_integer, json_fields
 
-# Opcodes of compiled Clifford gates, in dispatch order: the doped ensemble
-# draws H, S and CNOT, and the XXZ brick holds a SWAP. An opcode is
-# (code, 1 << first site, 1 << last site), and (_PAULI, x_mask, z_mask).
-_H, _S, _CNOT, _SWAP, _PAULI = range(5)
+# Opcodes of compiled gates, in dispatch order: the doped ensemble draws H,
+# S and CNOT, and the XXZ brick holds an RZZ and a SWAP. An opcode is
+# (code, first site, last site); (_ROT, sites, 2 theta) is a rotation about
+# the Z string on its sites, and (_PAULI, site, letter) a Pauli gate, the
+# letter's digit 2 z + x as in `paulis`: 1 = X, 2 = Z, 3 = Y.
+_H, _S, _CNOT, _SWAP, _ROT, _PAULI = range(6)
 
 # Every gate kind: (site count, Clifford lowering, fixed angle). A Clifford
-# kind lowers its first and last site masks (m, m2) to opcodes in Heisenberg
+# kind lowers its first and last sites (q, q2) to opcodes in Heisenberg
 # order: Sdg = S Z, CZ = (I x H) CNOT (I x H), and Y ~ X Z. Any other kind
 # rotates about the Z string on its sites, by its fixed angle or by theta.
 _KINDS = {
-    "H": (1, lambda m, m2: ((_H, m, m),), None),
-    "S": (1, lambda m, m2: ((_S, m, m),), None),
-    "Sdg": (1, lambda m, m2: ((_S, m, m), (_PAULI, 0, m)), None),
-    "X": (1, lambda m, m2: ((_PAULI, m, 0),), None),
-    "Y": (1, lambda m, m2: ((_PAULI, m, m),), None),
-    "Z": (1, lambda m, m2: ((_PAULI, 0, m),), None),
-    "CNOT": (2, lambda m, m2: ((_CNOT, m, m2),), None),
-    "CZ": (2, lambda m, m2: ((_H, m2, m2), (_CNOT, m, m2), (_H, m2, m2)), None),
-    "SWAP": (2, lambda m, m2: ((_SWAP, m, m2),), None),
+    "H": (1, lambda q, q2: ((_H, q, q),), None),
+    "S": (1, lambda q, q2: ((_S, q, q),), None),
+    "Sdg": (1, lambda q, q2: ((_S, q, q), (_PAULI, q, 2)), None),
+    "X": (1, lambda q, q2: ((_PAULI, q, 1),), None),
+    "Y": (1, lambda q, q2: ((_PAULI, q, 3),), None),
+    "Z": (1, lambda q, q2: ((_PAULI, q, 2),), None),
+    "CNOT": (2, lambda q, q2: ((_CNOT, q, q2),), None),
+    "CZ": (2, lambda q, q2: ((_H, q2, q2), (_CNOT, q, q2), (_H, q2, q2)), None),
+    "SWAP": (2, lambda q, q2: ((_SWAP, q, q2),), None),
     "T": (1, None, math.pi / 8),
     "Tdg": (1, None, -math.pi / 8),
     "RZ": (1, None, None),
@@ -81,7 +90,7 @@ def parse_angle(text: str) -> float:
 @dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: kind, site tuple, and an angle for RZ/RZZ only. `step` is
-    its compiled form: (opcodes, None), or ((), rotation row) for a rotation."""
+    its compiled form, a tuple of opcodes."""
 
     kind: str
     sites: tuple[int, ...]
@@ -108,10 +117,10 @@ class Gate:
                 raise ValueError(f"{self.kind} angle must be finite, got {self.theta!r}")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} takes no angle")
-        if lower is None:  # sites are distinct
-            step = ((), (0, sum(1 << s for s in self.sites), 2.0 * self.angle))
+        if lower is None:
+            step = ((_ROT, self.sites, 2.0 * self.angle),)
         else:
-            step = (lower(1 << self.sites[0], 1 << self.sites[-1]), None)
+            step = lower(self.sites[0], self.sites[-1])
         object.__setattr__(self, "step", step)
 
     @property
@@ -207,132 +216,154 @@ class Circuit:
         return cls(n_qubits, tuple(gates))
 
 
-def _compile(gates: Sequence[Gate]) -> list:
-    """Heisenberg-order steps: one list of Clifford opcodes per maximal run,
-    and one row (0, generator z_mask, 2 theta) per rotation.
+def _compile(xs: list, zs: list, rows: int, gates: Sequence[Gate]) -> tuple[int, list]:
+    """Walk the gates last first, moving every Clifford gate to the front.
+
+    The rows are bit-sliced: bit r of xs[q] and zs[q] is the letter at site q
+    of row r. Rows 0..rows-1 come in as the seed's terms; each rotation met
+    appends one row, its Z-string generator, so every later Clifford gate
+    (an earlier one in list order) conjugates it too. A Clifford gate costs
+    a few int operations on all rows at once. Its images of the letters I,
+    X, Z, Y at a site: H swaps X and Z and negates Y; S maps X -> -Y,
+    Y -> X; CNOT adds x_c to x_t and z_t to z_c, and negates when
+    x_c z_t (x_t + z_c + 1) is odd; a Pauli negates the letters that
+    anticommute with it. xs and zs are updated in place. Returns the sign
+    bits, bit r set when row r ends negated, and each rotation's 2 theta in
+    walk order.
     """
-    steps: list = []
-    run = None
+    sign = 0
+    angles = []
     for gate in reversed(gates):
-        ops, row = gate.step
-        if row is not None:
-            run = None
-            steps.append(row)
-        elif run is None:
-            run = list(ops)
-            steps.append(run)
-        else:
-            run += ops
-    return steps
-
-
-def _clifford_run(rows: list, ops: list) -> list:
-    """Every (x_mask, z_mask, coeff) row through every gate of the run.
-
-    The images g^dag P g of the letters I, X, Z, Y at a site: H swaps X and
-    Z and negates Y; S maps X -> -Y, Y -> X; a Pauli opcode negates the
-    letters that anticommute with it. CNOT adds x_c to x_t and z_t to z_c.
-    A Clifford maps strings one to one, so nothing merges and a sign flip
-    is exact.
-    """
-    out = []
-    for x, z, a in rows:
-        for code, m, m2 in ops:
+        for code, q, q2 in gate.step:
             if code == _H:
-                if (x ^ z) & m:
-                    x ^= m
-                    z ^= m
-                elif x & m:
-                    a = -a
+                sign ^= xs[q] & zs[q]
+                xs[q], zs[q] = zs[q], xs[q]
             elif code == _S:
-                if x & m:
-                    if not z & m:
-                        a = -a
-                    z ^= m
+                sign ^= xs[q] & ~zs[q]
+                zs[q] ^= xs[q]
             elif code == _CNOT:
-                if x & m:
-                    if z & m2:
-                        if (not x & m2) == (not z & m):
-                            a = -a
-                        z ^= m
-                    x ^= m2
-                elif z & m2:
-                    z ^= m
+                sign ^= xs[q] & zs[q2] & ~(xs[q2] ^ zs[q])
+                xs[q2] ^= xs[q]
+                zs[q] ^= zs[q2]
             elif code == _SWAP:
-                both = m | m2
-                t = x & both
-                if t and t != both:
-                    x ^= both
-                t = z & both
-                if t and t != both:
-                    z ^= both
-            elif (x & m2) ^ (z & m):  # _PAULI with masks (m, m2)
-                a = -a
-        out.append((x, z, a))
-    return out
+                xs[q], xs[q2] = xs[q2], xs[q]
+                zs[q], zs[q2] = zs[q2], zs[q]
+            elif code == _ROT:  # q holds the sites, q2 the angle
+                for site in q:
+                    zs[site] |= 1 << rows
+                rows += 1
+                angles.append(q2)
+            else:  # _PAULI: q2 is the letter
+                if q2 & 1:
+                    sign ^= zs[q]
+                if q2 & 2:
+                    sign ^= xs[q]
+    return sign, angles
 
 
-def _rotation(terms: dict, x_g: int, z_g: int, angle: float, prune_tol: float) -> dict:
-    """exp(-i theta G) for the string G = (x_g, z_g), with angle = 2 theta.
+def _bits(ints: list, width: int) -> np.ndarray:
+    """A (len(ints), width) uint8 matrix: row i holds the low bits of ints[i]."""
+    size = (width + 7) >> 3
+    packed = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in ints), np.uint8)
+    return np.unpackbits(packed.reshape(len(ints), size), axis=1, count=width, bitorder="little")
 
-    A term P that commutes with G is kept; an anticommuting P maps to
+
+def _ints(bits: np.ndarray) -> list:
+    """The inverse of `_bits`: one int per row of a bit matrix."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _words(bits: np.ndarray, w: int) -> np.ndarray:
+    """An (n, rows) bit matrix, one row per site, as (w, rows) uint64 words,
+    word 0 lowest."""
+    padded = np.zeros((bits.shape[1], 64 * w), np.uint8)
+    padded[:, : len(bits)] = bits.T
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").T
+
+
+def _masks(words: np.ndarray) -> list:
+    """Python int masks from (w, rows) uint64 words, word 0 lowest."""
+    masks = words[0].tolist()
+    for i in range(1, len(words)):
+        masks = [m | h << (64 * i) for m, h in zip(masks, words[i].tolist())]
+    return masks
+
+
+def _rotate(xz, coeff, g, angle, tol):
+    """exp(-i theta G) on rows in canonical order, for the string G with
+    words g = (x_g, z_g) and angle = 2 theta.
+
+    A row P that commutes with G is kept; an anticommuting P maps to
     cos(angle) P + sign sin(angle) R with G P = i^k R, where sign is -1
     exactly when the `pauli_mul` exponent k is 1 mod 4. R anticommutes with
-    G too, so only split terms merge, each string with at most two
-    contributions, whose float sum does not depend on their order: the
-    merge needs no sort.
+    G too, so only split rows merge, each string with at most two
+    contributions, whose float sum does not depend on their order. The
+    merge sorts the rows into canonical order again, sums equal strings
+    and prunes below `tol`.
     """
-    c2, s2 = math.cos(angle), math.sin(angle)
-    out = {}
-    split: dict = {}
-    get = split.get
-    k_g = (x_g & z_g).bit_count()
-    for key, a in terms.items():
-        x, z = key
-        if ((x & z_g) ^ (z & x_g)).bit_count() & 1:
-            split[key] = get(key, 0.0) + a * c2
-            x_r, z_r = x ^ x_g, z ^ z_g
-            b = a * s2
-            k = k_g + (x & z).bit_count() + 2 * (z_g & x).bit_count() - (x_r & z_r).bit_count()
-            if k & 3 == 1:
-                b = -b
-            split[x_r, z_r] = get((x_r, z_r), 0.0) + b
-        else:
-            out[key] = a
-    for key, a in split.items():
-        if abs(a) >= prune_tol:
-            out[key] = a
-    return out
+    w = len(g) >> 1
+    x_g, z_g = g[:w, None], g[w:, None]
+    # the symplectic form: the parity of x.z_g + z.x_g over every word
+    hit = (np.bitwise_count(np.bitwise_xor.reduce((xz[:w] & z_g) ^ (xz[w:] & x_g))) & 1).view(bool)
+    if not hit.any():
+        return xz, coeff
+    xz_a, a = xz[:, hit], coeff[hit]
+    r = xz_a ^ g[:, None]
+    # popcounts per word in uint8, whose wrap-around keeps k mod 4
+    k = np.bitwise_count(xz_a[:w] & xz_a[w:]) + 2 * np.bitwise_count(z_g & xz_a[:w])
+    k = (k - np.bitwise_count(r[:w] & r[w:])).sum(axis=0, dtype=np.uint8)
+    k += int(np.bitwise_count(x_g & z_g).sum()) & 3
+    b = a * math.sin(angle)
+    b[k & 3 == 1] *= -1.0
+    xz = np.concatenate((xz, r), axis=1)
+    coeff = np.concatenate((np.where(hit, coeff * math.cos(angle), coeff), b))
+    order = np.lexsort(xz)
+    xz, coeff = xz[:, order], coeff[order]
+    first = np.ones(len(coeff), bool)
+    first[1:] = (xz[:, 1:] != xz[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(first)
+    coeff = np.add.reduceat(coeff, starts)
+    big = np.abs(coeff) >= tol
+    return xz[:, starts[big]], coeff[big]
 
 
 def _propagate(operator: SparseOperator, gates: Sequence[Gate], prune_tol: float) -> SparseOperator:
-    """The engine: U^dag O U = R^dag (C^dag O C) R, on raw masks.
+    """The engine: U^dag O U = R^dag (C^dag O C) R.
 
     C is every Clifford gate, R = exp(-i theta_m Q_m) ... exp(-i theta_1 Q_1)
     and Q_k = +-E_k^dag P_k E_k, E_k the Clifford gates acting before
-    rotation k. Walking the gates last first, each Clifford run conjugates
-    only the (x_mask, z_mask, coeff) rows of the seed's terms and of the
-    rotations passed so far, whose angle 2 theta_k takes the sign of Q_k:
-    at most (seed terms + rotations) x Clifford gates single-string steps.
-    Then the rotations, last first, act on the operator dict and prune it
-    at `prune_tol`; input terms below `prune_tol` are dropped once, on entry.
-    An exact zero is never kept, even at `prune_tol` = 0: the sign of a zero
-    would depend on whether the Clifford gates came before or after it.
+    rotation k. `_compile` conjugates the seed's terms and the generators,
+    bit-sliced, so its cost does not grow with the evolved operator; the
+    sign of Q_k moves onto its angle 2 theta_k. The conjugated seed is then
+    sorted once into canonical order, and the rotations, last first, act on
+    it and prune it at `prune_tol`; input terms below `prune_tol` are
+    dropped once, on entry. An exact zero is never kept, even at
+    `prune_tol` = 0: the sign of a zero would depend on whether the Clifford
+    gates came before or after it. The operator is a float64 coeff array
+    and a (2w, rows) uint64 array xz, w = ceil(n / 64): the words of each
+    row's x_mask, lowest first, then those of its z_mask. Word-major rows
+    keep every per-row operation on contiguous arrays. They come out
+    checked, pruned and sorted, and become the operator's terms as they are.
     """
     n = operator.n_qubits
+    w = (n + 63) >> 6
     tol = max(prune_tol, math.ulp(0.0))
-    rows = [(p.x_mask, p.z_mask, a) for p, a in operator.terms.items() if abs(a) >= tol]
-    n_seed = len(rows)
-    for step in _compile(gates):
-        if type(step) is list:
-            rows = _clifford_run(rows, step)
-        else:
-            rows.append(step)
-    terms = {(x, z): a for x, z, a in rows[:n_seed]}
-    for x_g, z_g, angle in rows[n_seed:]:
-        terms = _rotation(terms, x_g, z_g, angle, tol)
-    pairs = ((PauliString(n, x, z), a) for (x, z), a in terms.items())
-    return SparseOperator(n, pairs, prune_tol=prune_tol)
+    seed = [(p, a) for p, a in operator.terms.items() if abs(a) >= tol]
+    xs = _ints(_bits([p.x_mask for p, _ in seed], n).T)
+    zs = _ints(_bits([p.z_mask for p, _ in seed], n).T)
+    sign, angles = _compile(xs, zs, len(seed), gates)
+    rows = len(seed) + len(angles)
+    words = np.concatenate((_words(_bits(xs, rows), w), _words(_bits(zs, rows), w)))
+    flip = _bits([sign], rows)[0] == 1
+    coeff = np.array([a for _, a in seed], dtype=float)
+    coeff[flip[: len(seed)]] *= -1.0
+    # lexsort keys the last row first: z's highest word, down to x's lowest
+    order = np.lexsort(words[:, : len(seed)])
+    xz, coeff = words[:, order], coeff[order]
+    for r, angle in enumerate(angles, len(seed)):
+        xz, coeff = _rotate(xz, coeff, words[:, r], -angle if flip[r] else angle, tol)
+    return SparseOperator._trusted(n, _masks(xz[:w]), _masks(xz[w:]), coeff.tolist())
 
 
 def conjugate_gate(

@@ -103,6 +103,10 @@ class PauliString:
         return f"PauliString({self.label()!r})"
 
 
+# The slot setters of a PauliString, to make one from masks already checked
+_PAULI_SLOTS = (PauliString.n_qubits.__set__, PauliString.x_mask.__set__, PauliString.z_mask.__set__)
+
+
 def single_site_pauli(site: int, axis: str, n_qubits: int) -> PauliString:
     """Identity everywhere except `axis` (X, Y or Z) at `site`."""
     if not 0 <= site < n_qubits:
@@ -207,6 +211,25 @@ class SparseOperator:
                 kept[pauli] = float(coeff)
         # z << n | x orders as (z, x)
         self.terms = {p: kept[p] for p in sorted(kept, key=lambda p: p.z_mask << n_qubits | p.x_mask)}
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, x_masks: list, z_masks: list, coeffs: list) -> "SparseOperator":
+        """The operator over rows that the caller has checked, pruned and put
+        in canonical order: its strings are made once, with no second check."""
+        new = object.__new__
+        set_n, set_x, set_z = _PAULI_SLOTS
+
+        def string(x: int, z: int) -> PauliString:
+            p = new(PauliString)
+            set_n(p, n_qubits)
+            set_x(p, x)
+            set_z(p, z)
+            return p
+
+        op = cls.__new__(cls)
+        op.n_qubits = n_qubits
+        op.terms = dict(zip(map(string, x_masks, z_masks), coeffs))
+        return op
 
     @classmethod
     def from_pauli(cls, pauli: PauliString, coeff: float = 1.0) -> "SparseOperator":

@@ -34,7 +34,7 @@ from .heisenberg import Circuit, Gate, brickwork_circuit, evolve_heisenberg
 from .measures import ose
 from .paulis import PauliString, SparseOperator, from_local, single_site_pauli
 
-MAX_SIM_LAYERS = 6
+MAX_SIM_LAYERS = 18
 BRANCH_CUT = 1e-28  # PRUNE_TOL^2: a brick branch weight below it is an exact zero
 
 
@@ -229,7 +229,8 @@ def simulate_vs_closed(params: XxzParams, seed_site: int | None = None) -> XxzCo
     """Brickwork-evolved OSE on 2t+2 qubits against the closed form.
 
     The register is sized so the light cone never touches a boundary.
-    Capped at t <= 6 layers; the closed form itself has no depth limit.
+    Capped at t <= MAX_SIM_LAYERS = 18 layers, where the evolved operator
+    holds up to 2^19 + 1 terms; the closed form itself has no depth limit.
     """
     if params.t > MAX_SIM_LAYERS:
         raise ValueError(f"sparse cross-check capped at t = {MAX_SIM_LAYERS}")

@@ -378,8 +378,13 @@ class TestExitCodes:
             (["doped-scan", "--n", "4", "--tau", "1", "--circuits", "0"], "--circuits must be at least 1"),
             (["doped-scan", "--n", "4", "--tau", "1", "--circuits", "-2"], "--circuits must be at least 1"),
             (["doped-scan", "--n", "0", "--tau", "1"], "qubit count n must be positive"),
+            (["xxz-scan", "--J", "0.3", "--t", "1..x"], "--t '1..x' is not a list or range of integers"),
+            (["truncate-study", "--chi", "2,x"], "--chi '2,x' is not a list or range of integers"),
+            (["haar-avg", "--n", "0"], "--n must be at least 1, got 0"),
+            (["haar-avg", "--n", "-2"], "--n must be at least 1, got -2"),
         ],
-        ids=["t-range", "alpha-list", "chi-range", "circuits-0", "circuits-negative", "n-0"],
+        ids=["t-range", "alpha-list", "chi-range", "circuits-0", "circuits-negative", "n-0",
+             "t-not-integer", "chi-not-integer", "haar-n-0", "haar-n-negative"],
     )
     def test_empty_result_is_bad_input(self, tmp_path, capsys, argv, message):
         if argv[0] == "truncate-study":

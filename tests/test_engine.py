@@ -87,8 +87,8 @@ def gate_by_gate(operator, circuit, **kwargs):
 
 
 @st.composite
-def mixed_cases(draw):
-    n = draw(st.integers(1, 4))
+def mixed_cases(draw, min_qubits=1, max_qubits=4):
+    n = draw(st.integers(min_qubits, max_qubits))
     circuit = random_mixed_circuit(
         np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, draw(st.integers(0, 30))
     )
@@ -202,23 +202,26 @@ class TestCompiledRotations:
         assert as_hex(evolved) == as_hex(gate_by_gate(seed, circuit, prune_tol=0.0))
 
     def test_clifford_work_does_not_scale_with_rank(self, monkeypatch):
+        # every Clifford gate acts on the bit-sliced rows of the compile, one
+        # per seed term and one per rotation, never on the evolved operator
         n, tau = 6, 32
         circuit = doped_circuit(n, tau, seed=3)
         seed = SparseOperator(
             n, {PauliString.from_label("ZIIIII"): 0.6, PauliString.from_label("IXIIIY"): 0.8}
         )
-        sizes = []
-        run = heisenberg._clifford_run
+        widths = []
+        compile_ = heisenberg._compile
 
-        def counted(rows, *args):
-            sizes.append(len(rows))
-            return run(rows, *args)
+        def counted(xs, zs, rows, gates):
+            sign, angles = compile_(xs, zs, rows, gates)
+            widths.append(max(v.bit_length() for v in [*xs, *zs, sign]))
+            return sign, angles
 
-        monkeypatch.setattr(heisenberg, "_clifford_run", counted)
+        monkeypatch.setattr(heisenberg, "_compile", counted)
         evolved = evolve_heisenberg(seed, circuit)
         assert len(evolved) > 1000
-        assert len(sizes) == tau + 1
-        assert max(sizes) <= len(seed) + tau
+        assert len(widths) == 1
+        assert widths[0] <= len(seed) + tau
 
     def test_masks_beyond_64_sites(self):
         seed, circuit = golden_inputs()
@@ -230,3 +233,33 @@ class TestCompiledRotations:
         wide = Circuit(n, tuple(gates))
         expected = {"I" * shift + label: value for label, value in GOLDEN.items()}
         assert as_hex(evolve_heisenberg(wide_seed, wide)) == expected
+
+    def test_generator_with_300_y_letters(self):
+        # the phase exponent of a product counts the generator's Y letters,
+        # more of them than a uint8 holds
+        n = 300
+        gates = [Gate("S", (q,)) for q in range(n)] + [Gate("H", (q,)) for q in range(n)]
+        gates += [Gate("CNOT", (q, 0)) for q in range(1, n)] + [Gate("RZ", (0,), 0.3)]
+        seed = SparseOperator.from_pauli(PauliString(n, 1, 0))
+        evolved = evolve_heisenberg(seed, Circuit(n, tuple(gates)))
+        assert as_hex(evolved) == {
+            "Z" + "I" * (n - 1): math.cos(0.6).hex(),
+            "X" + "Y" * (n - 1): (-math.sin(0.6)).hex(),
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=mixed_cases(2, 10))
+    def test_strings_straddling_two_words(self, case):
+        # shifted by 60 sites, to n = 62..70, the strings cross the boundary
+        # of their first 64-bit word; order and coefficients must not change
+        seed, circuit = case
+        shift, n = 60, 60 + circuit.n_qubits
+        wide_seed = SparseOperator(
+            n, {PauliString(n, p.x_mask << shift, p.z_mask << shift): a for p, a in seed}
+        )
+        gates = (Gate(g.kind, tuple(s + shift for s in g.sites), g.theta) for g in circuit.gates)
+        wide = evolve_heisenberg(wide_seed, Circuit(n, tuple(gates)))
+        narrow = evolve_heisenberg(seed, circuit)
+        assert [(p.x_mask, p.z_mask, a.hex()) for p, a in wide] == [
+            (p.x_mask << shift, p.z_mask << shift, a.hex()) for p, a in narrow
+        ]

@@ -245,7 +245,12 @@ class TestSimulateVsClosed:
 
     def test_depth_cap(self):
         with pytest.raises(ValueError):
-            simulate_vs_closed(params(0.3, 7, 2))
+            simulate_vs_closed(params(0.3, 19, 2))
+
+    def test_deep_brickwork(self):
+        # rank 2^17 + 1 from a two-component seed
+        result = simulate_vs_closed(params(0.3, 16, 2, (0.6, 0.0, 0.8)))
+        assert result.abs_diff < 1e-9
 
 
 class TestLargeIndex:
