@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dense import avg_linear_ose, avg_linear_sre, circuit_unitary, stabilizer_nullity
-from .haar import asymptotic_avg_purity, closed_form_avg_purity, mc_average_purity
+from .haar import asymptotic_avg_purity, closed_form_avg_purity, mc_average_purities
 from .heisenberg import Circuit, doped_circuit, evolve_heisenberg, parse_angle
 from .measures import ose
 from .paulis import (
@@ -174,8 +174,11 @@ def _cmd_haar_avg(args) -> None:
         raise CliError(f"--n must be at least 1, got {args.n}")
     rows = []
     dim = 1 << args.n
-    for alpha in parse_alphas(args.alpha):
-        est = mc_average_purity(args.n, alpha, args.samples, seed=args.seed, workers=args.workers)
+    alphas = parse_alphas(args.alpha)
+    estimates = mc_average_purities(
+        args.n, alphas, args.samples, seed=args.seed, workers=args.workers
+    )
+    for alpha, est in zip(alphas, estimates):
         closed = asym = ""
         if math.isfinite(alpha) and alpha in (2, 3, 4, 5):
             closed = closed_form_avg_purity(dim, int(alpha))

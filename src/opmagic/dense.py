@@ -135,19 +135,25 @@ def _pauli_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def pauli_coefficients(matrix: np.ndarray, n_qubits: int) -> np.ndarray:
-    """tr[A P]/D for all 4^n strings P, in canonical order (complex vector).
+    """tr[A P]/D for all 4^n strings P, in canonical order, over the last two axes.
 
-    With x, z the string's bits in matrix-index order, P[r ^ x, r] is
-    i^|x & z| (-1)^|r & z|, so tr[A P]/D = i^|x & z|/D sum_r A[r, r ^ x]
-    (-1)^|r & z|: one gather and one +-1 Walsh-Hadamard product.
+    A (D, D) matrix gives a complex vector and a stack (..., D, D) gives
+    (..., 4^n). With x, z the string's bits in matrix-index order,
+    P[r ^ x, r] is i^|x & z| (-1)^|r & z|, so tr[A P]/D = i^|x & z|/D
+    sum_r A[r, r ^ x] (-1)^|r & z|: one gather and one +-1 Walsh-Hadamard
+    product, broadcast over the stack.
     """
     dim = 1 << n_qubits
-    if matrix.shape != (dim, dim):
+    if matrix.shape[-2:] != (dim, dim):
         raise ValueError("matrix shape does not match qubit count")
     if n_qubits > MAX_DENSE_QUBITS:
         raise ValueError(f"dense path capped at {MAX_DENSE_QUBITS} qubits")
     gather, sylvester, phase = _pauli_tables(n_qubits)
-    return (sylvester @ matrix.ravel()[gather] * phase).ravel()
+    stack = matrix.shape[:-2]
+    flat = matrix.reshape(stack + (dim * dim,))
+    out = sylvester @ flat[..., gather]
+    out *= phase
+    return out.reshape(stack + (dim * dim,))
 
 
 def pauli_spectrum(unitary: np.ndarray, seed: SparseOperator) -> np.ndarray:

@@ -7,15 +7,25 @@ re-deriving the Weingarten sums. Sampling splits into per-worker RNG
 streams spawned from the master seed, so estimates are reproducible for a
 fixed (seed, worker count) and the merge is order independent. `workers`
 only partitions the RNG streams: the streams run one after another in the
-calling process. Each sample's probability vector is reduced by
-`measures`, which alone decides how a Renyi index (0, 1, inf, negative)
-is evaluated.
+calling process.
+
+Sampling is one batched pass. Each stream is walked in batches of at most
+_BATCH_ELEMENTS / D^2 unitaries: one Gaussian draw, one stacked QR and
+one phase fix give the batch of unitaries (the draw takes the stream in
+the order a one-by-one loop would, so every sample is bit-identical to
+`sample_haar_unitary`, the batch of one), and one stacked Pauli transform
+gives the batch's (b, 4^n) probability matrix. `measures.renyi_purity`
+reduces that matrix row by row for every requested index at once, so
+`mc_average_purities` draws each unitary once for all indices;
+`measures` alone decides how a Renyi index (0, 1, inf, negative) is
+evaluated. The batch is fixed by element count, so memory does not grow
+with the sample count beyond the one float per sample per index kept.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,6 +35,9 @@ from .paulis import single_site_pauli
 
 MAX_HAAR_DIM = 64
 MAX_MC_QUBITS = 5
+# Matrix entries per sampling batch: b = _BATCH_ELEMENTS // D^2 unitaries.
+# Kept small so that peak memory stays flat (b = 16 at n = 4).
+_BATCH_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -46,19 +59,31 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def sample_haar_unitary(dim: int, seed: int | np.random.Generator = 0) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
+def _haar_batch(dim: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """`size` Haar unitaries, shape (size, dim, dim), via QR of complex Ginibre matrices.
 
-    The R diagonal is phase-corrected so the distribution is exactly
-    unitarily invariant.
+    Each R diagonal is phase-corrected so the distribution is exactly
+    unitarily invariant. Sample k takes the stream's Gaussians 2k D^2 ..
+    2(k+1) D^2 - 1, real parts first, as a one-by-one loop would.
     """
     if dim > MAX_HAAR_DIM:
         raise ValueError(f"dim capped at {MAX_HAAR_DIM}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
+    gauss = rng.standard_normal((size, 2, dim, dim))
+    # (re + 1j im) / sqrt 2, built in place to spare two batch-sized temporaries
+    z = 1j * gauss[:, 1]
+    z += gauss[:, 0]
+    z /= math.sqrt(2)
+    del gauss
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[:, None, :]
+    return q
+
+
+def sample_haar_unitary(dim: int, seed: int | np.random.Generator = 0) -> np.ndarray:
+    """One Haar-distributed unitary: the batch of one of `_haar_batch`."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return _haar_batch(dim, 1, rng)[0]
 
 
 def _split_counts(n_samples: int, workers: int) -> list[int]:
@@ -66,10 +91,32 @@ def _split_counts(n_samples: int, workers: int) -> list[int]:
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def _haar_samples(
-    n_qubits: int, reduce: Callable[[np.ndarray], float], n_samples: int, seed: int, workers: int
+def _evolved_probs(
+    seed_op: np.ndarray, n_qubits: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """`reduce` of each sample's Pauli probabilities of U^dag X_0 U over Haar U."""
+    """Pauli probabilities of U^dag O U for `size` Haar U, one row per U.
+
+    A function of its own so that a batch's unitaries and coefficients are
+    freed before the next batch is drawn.
+    """
+    u = _haar_batch(1 << n_qubits, size, rng)
+    coeff = pauli_coefficients(np.swapaxes(u.conj(), -1, -2) @ seed_op @ u, n_qubits).real
+    return coeff * coeff
+
+
+def _haar_samples(
+    n_qubits: int,
+    reduce: Callable[[np.ndarray], np.ndarray],
+    n_samples: int,
+    seed: int,
+    workers: int,
+) -> np.ndarray:
+    """`reduce` of the Pauli probabilities of U^dag X_0 U over Haar U, batch by batch.
+
+    `reduce` maps a (b, 4^n) probability matrix, one row per sample, to
+    shape (..., b); the result has shape (..., n_samples), samples in
+    stream order.
+    """
     if n_qubits > MAX_MC_QUBITS:
         raise ValueError(f"MC path capped at {MAX_MC_QUBITS} qubits")
     if n_samples < 2:
@@ -77,18 +124,22 @@ def _haar_samples(
     if workers < 1:
         raise ValueError("workers must be positive")
     dim = 1 << n_qubits
+    batch = max(1, _BATCH_ELEMENTS // (dim * dim))
     seed_op = pauli_matrix(single_site_pauli(0, "X", n_qubits))
     streams = np.random.SeedSequence(seed).spawn(workers)
-    samples = np.empty(n_samples)
+    samples = None
     pos = 0
     for count, stream in zip(_split_counts(n_samples, workers), streams):
         rng = np.random.default_rng(stream)
-        for _ in range(count):
-            u = sample_haar_unitary(dim, rng)
-            evolved = u.conj().T @ seed_op @ u
-            coeff = pauli_coefficients(evolved, n_qubits).real
-            samples[pos] = reduce(coeff * coeff)
-            pos += 1
+        for start in range(0, count, batch):
+            size = min(batch, count - start)
+            values = reduce(_evolved_probs(seed_op, n_qubits, size, rng))
+            if values.shape[-1:] != (size,):
+                raise ValueError(f"reduce gave shape {values.shape} for {size} samples")
+            if samples is None:
+                samples = np.empty(values.shape[:-1] + (n_samples,))
+            samples[..., pos : pos + size] = values
+            pos += size
     return samples
 
 
@@ -101,23 +152,37 @@ def _estimate(samples: np.ndarray, n_samples: int, seed: int) -> McEstimate:
     )
 
 
+def mc_average_purities(
+    n_qubits: int, alphas: Sequence[float], n_samples: int, seed: int = 0, workers: int = 1
+) -> list[McEstimate]:
+    """MC estimates of the Haar-averaged purity of an evolved single-site Pauli.
+
+    By unitary invariance any fixed non-identity Pauli seed is equivalent;
+    X on qubit 0 is used. Each sample is measures.renyi_purity, and one
+    sampling pass serves every index: estimate k is for alphas[k].
+    """
+    def reduce(probs: np.ndarray) -> np.ndarray:
+        return np.array([renyi_purity(probs, a) for a in alphas])
+
+    purities = _haar_samples(n_qubits, reduce, n_samples, seed, workers)
+    return [_estimate(row, n_samples, seed) for row in purities]
+
+
 def mc_average_purity(
     n_qubits: int, alpha: float, n_samples: int, seed: int = 0, workers: int = 1
 ) -> McEstimate:
-    """MC estimate of the Haar-averaged purity of an evolved single-site Pauli.
-
-    By unitary invariance any fixed non-identity Pauli seed is equivalent;
-    X on qubit 0 is used. Each sample is measures.renyi_purity.
-    """
-    purities = _haar_samples(n_qubits, lambda p: renyi_purity(p, alpha), n_samples, seed, workers)
-    return _estimate(purities, n_samples, seed)
+    """mc_average_purities at the one index alpha."""
+    return mc_average_purities(n_qubits, [alpha], n_samples, seed, workers)[0]
 
 
 def mc_average_ose(
     n_qubits: int, alpha: float, n_samples: int, seed: int = 0, workers: int = 1
 ) -> McEstimate:
     """MC estimate of the Haar-averaged OSE (Renyi entropy of the coefficients)."""
-    entropies = _haar_samples(n_qubits, lambda p: renyi_entropy(p, alpha), n_samples, seed, workers)
+    def reduce(probs: np.ndarray) -> np.ndarray:
+        return np.array([renyi_entropy(row, alpha) for row in probs])
+
+    entropies = _haar_samples(n_qubits, reduce, n_samples, seed, workers)
     return _estimate(entropies, n_samples, seed)
 
 

@@ -199,13 +199,13 @@ class Circuit:
             if parts[0].lower() == "qubits":
                 if len(parts) != 2:
                     raise ValueError(f"expected 'qubits N', got {raw!r}")
-                n_qubits = int(parts[1])
+                n_qubits = _int_field(parts[1], "qubit count", raw)
                 continue
             kind = parts[0]
             if kind not in _KINDS:
                 raise ValueError(f"unknown gate kind {kind!r} in line {raw!r}")
             n_sites = _KINDS[kind][0]
-            sites = tuple(int(p) for p in parts[1 : 1 + n_sites])
+            sites = tuple(_int_field(p, "site", raw) for p in parts[1 : 1 + n_sites])
             rest = parts[1 + n_sites :]
             if len(rest) > 1:
                 raise ValueError(f"unexpected tokens {rest[1:]} in line {raw!r}")
@@ -214,6 +214,14 @@ class Circuit:
         if n_qubits is None:
             n_qubits = max((max(g.sites) + 1 for g in gates), default=0)
         return cls(n_qubits, tuple(gates))
+
+
+def _int_field(token: str, field: str, raw: str) -> int:
+    """An integer field of a text circuit line; a bad token names the field and line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{field} must be an integer, got {token!r} in line {raw!r}") from None
 
 
 def _compile(xs: list, zs: list, rows: int, gates: Sequence[Gate]) -> tuple[int, list]:

@@ -34,20 +34,23 @@ def pauli_probs(operator: SparseOperator) -> np.ndarray:
     return np.fromiter(operator.terms.values(), float, len(operator)) ** 2
 
 
-def renyi_purity(probs: np.ndarray, alpha: float) -> float:
-    """Generalized purity sum_i p_i^alpha of a probability vector.
+def renyi_purity(probs: np.ndarray, alpha: float) -> float | np.ndarray:
+    """Generalized purity sum_i p_i^alpha over the last axis of probabilities.
 
-    alpha = 0 counts the probabilities above PROB_FLOOR and alpha = inf
-    gives the largest one.
+    A vector gives a float and a stack of vectors an array, one purity per
+    vector. alpha = 0 counts the probabilities above PROB_FLOOR and
+    alpha = inf gives the largest one.
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     p = np.asarray(probs, dtype=float)
     if alpha == 0:
-        return float(np.count_nonzero(p > PROB_FLOOR))
-    if math.isinf(alpha):
-        return float(np.max(p))
-    return float(np.sum(p**alpha))
+        out = np.count_nonzero(p > PROB_FLOOR, axis=-1).astype(float)
+    elif math.isinf(alpha):
+        out = np.max(p, axis=-1)
+    else:
+        out = np.sum(p**alpha, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def renyi_entropy(probs: np.ndarray, alpha: float) -> float:

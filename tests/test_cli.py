@@ -244,6 +244,21 @@ class TestHaarAvgCommand:
         assert float(zero_row[3]) == 15.0
         assert inf_row[5:] == zero_row[5:] == ["", ""]
 
+    def test_golden_four_indices_one_pass(self, tmp_path):
+        # mc_mean and stderr recorded when each index drew its own unitaries
+        # one at a time; the batched pass that serves all four must match
+        out = tmp_path / "h.csv"
+        assert main(
+            ["haar-avg", "--n", "4", "--alpha", "2,3,4,5", "--samples", "2000",
+             "--seed", "1", "--workers", "2", "--out", str(out)]
+        ) == 0
+        assert [row[1:5] for row in read_csv_rows(out)[1:]] == [
+            ["2", "2000", "0.011753815802502725", "2.7200885644363833e-05"],
+            ["3", "2000", "0.0002300810785255769", "1.7075815488328785e-06"],
+            ["4", "2000", "6.307909587825003e-06", "1.0600184420408472e-07"],
+            ["5", "2000", "2.2208889670488967e-07", "7.066050193836152e-09"],
+        ]
+
 
 class TestOtherCommands:
     def test_doped_scan(self, tmp_path):
@@ -412,6 +427,21 @@ class TestExitCodes:
         assert main(["evolve", "--circuit", str(path), "--seed-op", "X", "--out", str(out)]) == 1
         assert "RZ 0 0.3 junk" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,needles",
+        [
+            ("qubits two\nH 0\n", ["qubit count", "'two'", "'qubits two'"]),
+            ("qubits 2\nH x\n", ["site", "'x'", "'H x'"]),
+            ("qubits 2\nCNOT 0 1.5\n", ["site", "'1.5'", "'CNOT 0 1.5'"]),
+        ],
+    )
+    def test_non_integer_field_in_text_circuit(self, tmp_path, capsys, text, needles):
+        path = tmp_path / "circ.txt"
+        path.write_text(text)
+        assert main(["ose", "--circuit", str(path), "--seed-op", "XX"]) == 1
+        err = capsys.readouterr().err
+        assert all(needle in err for needle in needles), err
 
     def test_negative_alpha_in_haar_avg(self, capsys):
         assert main(["haar-avg", "--n", "2", "--alpha", "-1", "--samples", "50"]) == 1

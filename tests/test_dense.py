@@ -108,6 +108,19 @@ class TestPauliMatrixAndCoefficients:
             pauli_coefficients(np.eye(4, dtype=complex), 3)
         with pytest.raises(ValueError, match="shape"):
             pauli_coefficients(np.zeros((4, 8), dtype=complex), 2)
+        with pytest.raises(ValueError, match="shape"):
+            pauli_coefficients(np.zeros((3, 4, 8), dtype=complex), 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_coefficients_equal_per_matrix_calls(self, n):
+        rng = np.random.default_rng(41 + n)
+        dim = 1 << n
+        stack = rng.normal(size=(2, 3, dim, dim)) + 1j * rng.normal(size=(2, 3, dim, dim))
+        got = pauli_coefficients(stack, n)
+        assert got.shape == (2, 3, 4**n)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(got[i, j], pauli_coefficients(stack[i, j], n))
 
 
 class TestPauliSpectrum:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from opmagic.haar import (
     closed_form_avg_purity,
     double_factorial,
     mc_average_ose,
+    mc_average_purities,
     mc_average_purity,
     relative_fluctuation,
     sample_haar_unitary,
@@ -40,6 +42,81 @@ class TestSampler:
         )
         stderr = samples.std(ddof=1) / math.sqrt(len(samples))
         assert abs(samples.mean() - 1.0 / dim) < 3 * stderr
+
+
+class TestBatchedPass:
+    ALPHAS = (0, 0.5, 2, math.inf)
+
+    @staticmethod
+    def batch(n):
+        from opmagic.haar import _BATCH_ELEMENTS
+
+        return max(1, _BATCH_ELEMENTS // 4**n)
+
+    @pytest.mark.parametrize("size", [1, 5, 16])
+    def test_sampler_is_the_batch_of_one(self, size):
+        from opmagic.haar import _haar_batch
+
+        batch = _haar_batch(8, size, np.random.default_rng(23))
+        rng = np.random.default_rng(23)
+        for u in batch:
+            np.testing.assert_array_equal(u, sample_haar_unitary(8, rng))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_pass_equals_per_index_calls(self, n, workers):
+        # two batches and a partial one per worker, so no count is a multiple
+        total = workers * (2 * self.batch(n) + 3)
+        one_pass = mc_average_purities(n, self.ALPHAS, total, seed=31, workers=workers)
+        for alpha, est in zip(self.ALPHAS, one_pass):
+            assert est == mc_average_purity(n, alpha, total, seed=31, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_pass_equals_one_at_a_time_loop(self, n, workers):
+        from opmagic.dense import pauli_coefficients, pauli_matrix
+        from opmagic.measures import renyi_purity
+        from opmagic.paulis import single_site_pauli
+
+        total = workers * (self.batch(n) + 1) + 1
+        x0 = pauli_matrix(single_site_pauli(0, "X", n))
+        counts = [total // workers + (w < total % workers) for w in range(workers)]
+        purities = []
+        for count, stream in zip(counts, np.random.SeedSequence(37).spawn(workers)):
+            rng = np.random.default_rng(stream)
+            for _ in range(count):
+                u = sample_haar_unitary(1 << n, rng)
+                probs = pauli_coefficients(u.conj().T @ x0 @ u, n).real ** 2
+                purities.append([renyi_purity(probs, a) for a in self.ALPHAS])
+        purities = np.array(purities).T
+        one_pass = mc_average_purities(n, self.ALPHAS, total, seed=37, workers=workers)
+        for row, est in zip(purities, one_pass):
+            assert est.mean == float(np.mean(row))
+            assert est.stderr == float(np.std(row, ddof=1) / math.sqrt(total))
+
+    def test_reduction_must_keep_the_sample_axis(self):
+        from opmagic.haar import _haar_samples
+
+        with pytest.raises(ValueError, match="shape"):
+            _haar_samples(2, lambda p: np.sum(p**2), 10, seed=1, workers=1)
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # only the output grows: 8 bytes per sample per index. 40 samples
+        # over 2 workers fill batches of up to 20, so a batch that grew with
+        # the sample count, or a fixed one above 20 at n = 4, would add
+        # hundreds of kilobytes between these two runs.
+        alphas = (2, 3, 4, 5)
+        mc_average_purities(4, alphas, 40)  # table caches and imports
+        peaks = {}
+        for total in (40, 4000):
+            tracemalloc.start()
+            try:
+                mc_average_purities(4, alphas, total, seed=1, workers=2)
+                peaks[total] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        output_growth = 8 * len(alphas) * (4000 - 40)
+        assert peaks[4000] - peaks[40] <= output_growth + 16 * 1024
 
 
 class TestClosedForms:
@@ -200,7 +277,7 @@ class TestFluctuations:
         # essentially no sample strays beyond 10x the mean purity
         from opmagic.haar import _haar_samples
 
-        purities = _haar_samples(5, lambda p: np.sum(p**2), 400, seed=127, workers=1)
+        purities = _haar_samples(5, lambda p: np.sum(p**2, axis=-1), 400, seed=127, workers=1)
         mean = closed_form_avg_purity(32, 2)
         fraction = np.mean(np.abs(purities - mean) > 10 * mean)
         assert fraction < 0.01

@@ -285,6 +285,20 @@ class TestSerialization:
         assert c.gates[0].theta == pytest.approx(math.pi / 8)
         assert c.gates[1].kind == "CNOT"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("qubits two\nH 0\n", "qubit count must be an integer, got 'two' in line 'qubits two'"),
+            ("qubits 2.0\n", "qubit count must be an integer, got '2.0' in line 'qubits 2.0'"),
+            ("qubits 2\nH x\n", "site must be an integer, got 'x' in line 'H x'"),
+            ("qubits 2\nRZZ 0 one pi/8\n", "site must be an integer, got 'one' in line 'RZZ 0 one pi/8'"),
+        ],
+    )
+    def test_text_non_integer_field_named(self, text, message):
+        with pytest.raises(ValueError) as info:
+            Circuit.from_text(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("line", ["RZ 0 0.3 junk", "T 0 pi/8 1", "CNOT 0 1 2 3"])
     def test_text_trailing_tokens_rejected(self, line):
         with pytest.raises(ValueError, match=line):

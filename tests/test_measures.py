@@ -91,6 +91,17 @@ class TestRenyiLimits:
         with pytest.raises(ValueError, match="non-negative"):
             renyi_entropy(self.PROBS, alpha)
 
+    @pytest.mark.parametrize("alpha", [0, 0.5, 1, 2, 3, math.inf])
+    def test_matrix_reduces_row_by_row(self, alpha):
+        rng = np.random.default_rng(29)
+        probs = rng.dirichlet(np.ones(64), size=9)
+        probs[2, :5] = [PROB_FLOOR, 0.0, 0.0, 0.0, 0.0]
+        got = renyi_purity(probs, alpha)
+        assert isinstance(got, np.ndarray) and got.shape == (9,)
+        want = [renyi_purity(row, alpha) for row in probs]
+        assert all(isinstance(w, float) for w in want)
+        assert got.tolist() == want
+
     def test_large_index_does_not_underflow(self):
         # 0.6^2000 + 0.4^2000 underflows to 0, so the direct sum gives log2(0)
         value = renyi_entropy([0.6, 0.4], 2000)
