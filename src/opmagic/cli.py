@@ -227,6 +227,8 @@ def _cmd_truncate_study(args) -> None:
 
 
 def _cmd_nullity(args) -> None:
+    if args.sre_samples < 0:
+        raise CliError(f"--sre-samples must be at least 0, got {args.sre_samples}")
     circuit = load_circuit(args.circuit)
     u = circuit_unitary(circuit)
     report = stabilizer_nullity(u)

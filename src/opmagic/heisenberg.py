@@ -18,8 +18,9 @@ few int operations on all rows at once. The Clifford opcodes are H, S,
 CNOT, SWAP and one Pauli sign rule, on site indices. `_rotate` then applies
 the rotations to the operator, held as canonically sorted uint64 words and
 float64 coefficients, and splits the rows that anticommute with each
-generator. The rows come out checked, pruned and sorted, and become the
-returned operator's terms through `SparseOperator._trusted`. Each gate kind
+generator. These are the arrays a `SparseOperator` holds: the engine reads
+the seed's rows as they are and returns its final rows as the evolved
+operator, checked, pruned and sorted, with no conversion. Each gate kind
 is one `_KINDS` row, and each `Gate` carries its compiled opcodes. A new
 kind takes a row, a `dense.gate_matrix` case and a `tests/conftest.py`
 entry.
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .paulis import PRUNE_TOL, SparseOperator, as_integer, json_fields
+from .paulis import PRUNE_TOL, SparseOperator, as_integer, bits_of_xz, json_fields, xz_of_bits
 
 # Opcodes of compiled gates, in dispatch order: the doped ensemble draws H,
 # S and CNOT, and the XXZ brick holds an RZZ and a SWAP. An opcode is
@@ -278,24 +279,9 @@ def _bits(ints: list, width: int) -> np.ndarray:
 
 def _ints(bits: np.ndarray) -> list:
     """The inverse of `_bits`: one int per row of a bit matrix."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _words(bits: np.ndarray, w: int) -> np.ndarray:
-    """An (n, rows) bit matrix, one row per site, as (w, rows) uint64 words,
-    word 0 lowest."""
-    padded = np.zeros((bits.shape[1], 64 * w), np.uint8)
-    padded[:, : len(bits)] = bits.T
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8").T
-
-
-def _masks(words: np.ndarray) -> list:
-    """Python int masks from (w, rows) uint64 words, word 0 lowest."""
-    masks = words[0].tolist()
-    for i in range(1, len(words)):
-        masks = [m | h << (64 * i) for m, h in zip(masks, words[i].tolist())]
-    return masks
+    size = (bits.shape[1] + 7) >> 3
+    data = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
 def _rotate(xz, coeff, g, angle, tol):
@@ -348,30 +334,28 @@ def _propagate(operator: SparseOperator, gates: Sequence[Gate], prune_tol: float
     it and prune it at `prune_tol`; input terms below `prune_tol` are
     dropped once, on entry. An exact zero is never kept, even at
     `prune_tol` = 0: the sign of a zero would depend on whether the Clifford
-    gates came before or after it. The operator is a float64 coeff array
-    and a (2w, rows) uint64 array xz, w = ceil(n / 64): the words of each
-    row's x_mask, lowest first, then those of its z_mask. Word-major rows
-    keep every per-row operation on contiguous arrays. They come out
-    checked, pruned and sorted, and become the operator's terms as they are.
+    gates came before or after it. The operator is the `SparseOperator`'s
+    own float64 coeff array and (2w, rows) uint64 array xz, w = ceil(n / 64):
+    the words of each row's x_mask, lowest first, then those of its z_mask.
+    Word-major rows keep every per-row operation on contiguous arrays. They
+    come out checked, pruned and sorted, and are the returned operator.
     """
     n = operator.n_qubits
-    w = (n + 63) >> 6
     tol = max(prune_tol, math.ulp(0.0))
-    seed = [(p, a) for p, a in operator.terms.items() if abs(a) >= tol]
-    xs = _ints(_bits([p.x_mask for p, _ in seed], n).T)
-    zs = _ints(_bits([p.z_mask for p, _ in seed], n).T)
-    sign, angles = _compile(xs, zs, len(seed), gates)
-    rows = len(seed) + len(angles)
-    words = np.concatenate((_words(_bits(xs, rows), w), _words(_bits(zs, rows), w)))
+    keep = np.abs(operator.coeff) >= tol
+    seeds = int(np.count_nonzero(keep))
+    xs, zs = (_ints(bits.T) for bits in bits_of_xz(operator.xz[:, keep], n))
+    sign, angles = _compile(xs, zs, seeds, gates)
+    rows = seeds + len(angles)
+    words = xz_of_bits(_bits(xs, rows).T, _bits(zs, rows).T)
     flip = _bits([sign], rows)[0] == 1
-    coeff = np.array([a for _, a in seed], dtype=float)
-    coeff[flip[: len(seed)]] *= -1.0
-    # lexsort keys the last row first: z's highest word, down to x's lowest
-    order = np.lexsort(words[:, : len(seed)])
+    coeff = operator.coeff[keep]
+    coeff[flip[:seeds]] *= -1.0
+    order = np.lexsort(words[:, :seeds])
     xz, coeff = words[:, order], coeff[order]
-    for r, angle in enumerate(angles, len(seed)):
+    for r, angle in enumerate(angles, seeds):
         xz, coeff = _rotate(xz, coeff, words[:, r], -angle if flip[r] else angle, tol)
-    return SparseOperator._trusted(n, _masks(xz[:w]), _masks(xz[w:]), coeff.tolist())
+    return SparseOperator._of(n, xz, coeff)
 
 
 def conjugate_gate(

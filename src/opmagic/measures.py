@@ -28,10 +28,11 @@ PROB_FLOOR = 1e-30
 
 def pauli_probs(operator: SparseOperator) -> np.ndarray:
     """Probability vector a_i^2 in canonical term order; requires unit weight."""
-    weight = operator.l2_weight()
+    probs = operator.coeff**2
+    weight = float(probs.sum())
     if abs(weight - 1.0) >= _WEIGHT_TOL:
         raise ValueError(f"operator weight {weight} is not 1 within {_WEIGHT_TOL}")
-    return np.fromiter(operator.terms.values(), float, len(operator)) ** 2
+    return probs
 
 
 def renyi_purity(probs: np.ndarray, alpha: float) -> float | np.ndarray:

@@ -12,8 +12,11 @@ into term coefficients by the conjugation engine, so Hermitian operators
 always have real coefficients and the squared coefficients form a
 probability vector.
 
+A SparseOperator holds the propagation engine's arrays, uint64 words and
+float64 coefficients, and builds a dict of PauliStrings only when `terms`
+is read.
 Canonical order is lexicographic on ``(z_mask, x_mask)``. A SparseOperator
-holds its terms in that order from construction, so its probability
+holds its strings in that order from construction, so its probability
 vector, l2 weight and JSON follow it, and truncation, a stable sort on
 |a|, breaks ties by it: reruns are bit-identical.
 """
@@ -22,8 +25,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 # Coefficients below this are treated as exact zeros (e.g. cos(pi/2) from a
 # rotation at a Clifford point), so rank-based quantities stay meaningful.
@@ -35,6 +40,10 @@ _X_BITS = str.maketrans(_LETTERS, "0101")
 _Z_BITS = str.maketrans(_LETTERS, "0011")
 _DIGIT_LETTERS = str.maketrans("0123", _LETTERS)
 _DROP_LETTERS = str.maketrans("", "", _LETTERS)
+# the ASCII code of each digit, and the digit of each ASCII code (4: no letter)
+_LETTERS_ASCII = np.frombuffer(_LETTERS.encode("ascii"), np.uint8)
+_DIGITS = np.full(256, 4, np.uint8)
+_DIGITS[_LETTERS_ASCII] = np.arange(4)
 _AXIS_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _I_POWERS = (1, 1j, -1, -1j)
 
@@ -101,10 +110,6 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({self.label()!r})"
-
-
-# The slot setters of a PauliString, to make one from masks already checked
-_PAULI_SLOTS = (PauliString.n_qubits.__set__, PauliString.x_mask.__set__, PauliString.z_mask.__set__)
 
 
 def single_site_pauli(site: int, axis: str, n_qubits: int) -> PauliString:
@@ -179,16 +184,73 @@ def as_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-class SparseOperator:
-    """Real linear combination of Pauli strings, stored as a sparse map.
+def xz_of_bits(x_bits: np.ndarray, z_bits: np.ndarray) -> np.ndarray:
+    """The (2w, rows) uint64 words of (rows, n) x and z bit matrices, site i
+    at bit i % 64 of word i // 64: the x words lowest first, then the z words."""
+    rows, n = x_bits.shape
+    padded = np.zeros((2, rows, (n + 63) & ~63), np.uint8)
+    padded[0, :, :n] = x_bits
+    padded[1, :, :n] = z_bits
+    words = np.packbits(padded, axis=2, bitorder="little").view("<u8")
+    return np.concatenate(words.transpose(0, 2, 1))
 
-    Terms with |coefficient| below `prune_tol` are dropped on construction;
-    a non-finite coefficient is an error. `terms` is in canonical
-    (z_mask, x_mask) order from construction on, and every reader takes it
-    as stored. Instances are treated as immutable; operations return new objects.
+
+def bits_of_xz(xz: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of `xz_of_bits`: the (rows, n) x and z bit matrices."""
+    bits = np.unpackbits(np.ascontiguousarray(xz.T).view(np.uint8), axis=1, bitorder="little")
+    half = 32 * len(xz)
+    return bits[:, :n_qubits], bits[:, half : half + n_qubits]
+
+
+def _labels(n_qubits: int, xz: np.ndarray) -> list[str]:
+    """The label of every row, from one (rows, n) letter matrix."""
+    x_bits, z_bits = bits_of_xz(xz, n_qubits)
+    text = _LETTERS_ASCII[2 * z_bits + x_bits].tobytes().decode("ascii")
+    return [text[i : i + n_qubits] for i in range(0, len(text), n_qubits)]
+
+
+def _checked(n_qubits: int, labels: list[str], coeffs: list, prune_tol: float):
+    """`xz` and `coeff` of stripped labels and their coefficients, checked,
+    in canonical order, with |a| < prune_tol dropped."""
+    if n_qubits <= 0:
+        raise ValueError("n_qubits must be positive")
+    digits = _DIGITS[np.frombuffer("".join(labels).encode("ascii", "replace"), np.uint8)]
+    if not all(labels) or (digits > 3).any():
+        for label in labels:
+            PauliString.from_label(label)  # raises on the first bad label
+    if any(len(label) != n_qubits for label in labels):
+        raise ValueError("term size mismatch")
+    coeff = np.array(coeffs, float)
+    finite = np.isfinite(coeff)
+    if not finite.all():
+        i = finite.argmin()
+        raise ValueError(f"coefficient of {labels[i]} is not finite: {float(coeff[i])!r}")
+    digits = digits.reshape(len(labels), n_qubits)
+    xz = xz_of_bits(digits & 1, digits >> 1)
+    if len(labels) > 1:  # one row is in order and given once
+        # lexsort keys the last row first: z's highest word, down to x's lowest
+        order = np.lexsort(xz)
+        xz, coeff = xz[:, order], coeff[order]
+        repeated = (xz[:, 1:] == xz[:, :-1]).all(axis=0)
+        if repeated.any():
+            raise ValueError(f"Pauli string {labels[order[repeated.argmax()]]} is given twice")
+    keep = np.abs(coeff) >= prune_tol
+    return xz[:, keep], coeff[keep]
+
+
+class SparseOperator:
+    """Real linear combination of Pauli strings, held as arrays.
+
+    `xz` holds one column of uint64 words per string, w = ceil(n / 64) for
+    its x_mask, lowest first, then w for its z_mask; `coeff` holds the
+    float64 coefficients. The checked constructor rejects a non-finite
+    coefficient and a string given twice, sorts the columns into canonical
+    order and drops |coefficient| below `prune_tol`. `terms` is a read-only
+    {PauliString: coefficient} view, built on first read. Instances are
+    immutable; operations return new objects.
     """
 
-    __slots__ = ("n_qubits", "terms")
+    __slots__ = ("n_qubits", "xz", "coeff", "_view")
 
     def __init__(
         self,
@@ -197,46 +259,34 @@ class SparseOperator:
         *,
         prune_tol: float = PRUNE_TOL,
     ) -> None:
-        if n_qubits <= 0:
-            raise ValueError("n_qubits must be positive")
-        self.n_qubits = n_qubits
-        items = terms.items() if isinstance(terms, Mapping) else (terms or ())
-        kept: dict[PauliString, float] = {}
-        for pauli, coeff in items:
-            if pauli.n_qubits != n_qubits:
-                raise ValueError("term size mismatch")
-            if not math.isfinite(coeff):
-                raise ValueError(f"coefficient of {pauli} is not finite: {coeff!r}")
-            if abs(coeff) >= prune_tol:
-                kept[pauli] = float(coeff)
-        # z << n | x orders as (z, x)
-        self.terms = {p: kept[p] for p in sorted(kept, key=lambda p: p.z_mask << n_qubits | p.x_mask)}
+        items = list(terms.items() if isinstance(terms, Mapping) else (terms or ()))
+        labels = [pauli.label() for pauli, _ in items]
+        self._hold(n_qubits, *_checked(n_qubits, labels, [a for _, a in items], prune_tol))
+
+    def _hold(self, n_qubits: int, xz: np.ndarray, coeff: np.ndarray) -> "SparseOperator":
+        xz.flags.writeable = coeff.flags.writeable = False
+        self.n_qubits, self.xz, self.coeff, self._view = n_qubits, xz, coeff, None
+        return self
 
     @classmethod
-    def _trusted(cls, n_qubits: int, x_masks: list, z_masks: list, coeffs: list) -> "SparseOperator":
-        """The operator over rows that the caller has checked, pruned and put
-        in canonical order: its strings are made once, with no second check."""
-        new = object.__new__
-        set_n, set_x, set_z = _PAULI_SLOTS
-
-        def string(x: int, z: int) -> PauliString:
-            p = new(PauliString)
-            set_n(p, n_qubits)
-            set_x(p, x)
-            set_z(p, z)
-            return p
-
-        op = cls.__new__(cls)
-        op.n_qubits = n_qubits
-        op.terms = dict(zip(map(string, x_masks, z_masks), coeffs))
-        return op
+    def _of(cls, n_qubits: int, xz: np.ndarray, coeff: np.ndarray) -> "SparseOperator":
+        """The operator over rows that are checked, pruned and in canonical order."""
+        return cls.__new__(cls)._hold(n_qubits, xz, coeff)
 
     @classmethod
     def from_pauli(cls, pauli: PauliString, coeff: float = 1.0) -> "SparseOperator":
         return cls(pauli.n_qubits, {pauli: coeff})
 
+    @property
+    def terms(self) -> Mapping[PauliString, float]:
+        """Read-only {string: coefficient} in canonical order, built on first read."""
+        if self._view is None:
+            strings = map(PauliString.from_label, _labels(self.n_qubits, self.xz))
+            self._view = MappingProxyType(dict(zip(strings, self.coeff.tolist())))
+        return self._view
+
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.coeff.size
 
     def __iter__(self) -> Iterator[tuple[PauliString, float]]:
         return iter(self.terms.items())
@@ -249,13 +299,13 @@ class SparseOperator:
 
     def l2_weight(self) -> float:
         """Sum of squared coefficients; 1 for unitarily evolved unit seeds."""
-        return sum(a * a for a in self.terms.values())
+        return float(np.sum(self.coeff**2))
 
     def support(self) -> set[int]:
-        both = 0
-        for pauli in self.terms:
-            both |= pauli.x_mask | pauli.z_mask
-        return {s for s in range(self.n_qubits) if (both >> s) & 1}
+        words = np.bitwise_or.reduce(self.xz, axis=1)
+        w = len(words) >> 1
+        both = int.from_bytes((words[:w] | words[w:]).tobytes(), "little")
+        return {s for s in range(self.n_qubits) if both >> s & 1}
 
     def scaled(self, factor: float) -> "SparseOperator":
         return SparseOperator(
@@ -265,15 +315,11 @@ class SparseOperator:
     def tensor(self, other: "SparseOperator") -> "SparseOperator":
         """Tensor product; `other` occupies sites n_qubits..n_qubits+m-1."""
         n = self.n_qubits + other.n_qubits
-        shift = self.n_qubits
-        out: dict[PauliString, float] = {}
-        for p, a in self.terms.items():
-            for q, b in other.terms.items():
-                s = PauliString(
-                    n, p.x_mask | (q.x_mask << shift), p.z_mask | (q.z_mask << shift)
-                )
-                out[s] = a * b
-        return SparseOperator(n, out)
+        mine = zip(_labels(self.n_qubits, self.xz), self.coeff.tolist())
+        theirs = list(zip(_labels(other.n_qubits, other.xz), other.coeff.tolist()))
+        pairs = [(p + q, a * b) for p, a in mine for q, b in theirs]
+        labels, coeffs = [p for p, _ in pairs], [a for _, a in pairs]
+        return SparseOperator._of(n, *_checked(n, labels, coeffs, PRUNE_TOL))
 
     def relabel_sites(self, mapping: Mapping[int, int]) -> "SparseOperator":
         """Permute site labels; `mapping` must be injective on the support."""
@@ -292,26 +338,25 @@ class SparseOperator:
         return SparseOperator(self.n_qubits, out)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_qubits,
-            "terms": [[p.label(), a] for p, a in self.terms.items()],
-        }
+        labels = _labels(self.n_qubits, self.xz)
+        return {"n": self.n_qubits, "terms": [[p, a] for p, a in zip(labels, self.coeff.tolist())]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparseOperator":
         n, terms = json_fields(data, "an operator", "n", "terms")
         if not isinstance(terms, list):
             raise ValueError(f"operator terms must be a list of [label, number] pairs, got {terms!r}")
-        parsed = {}
         for pair in terms:
             if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
                     and isinstance(pair[1], (int, float)) and not isinstance(pair[1], bool)):
                 raise ValueError(f"operator terms must be [label, number] pairs, got {pair!r}")
-            parsed[PauliString.from_label(pair[0])] = float(pair[1])
-        return cls(as_integer(n, "operator qubit count n"), parsed)
+        n = as_integer(n, "operator qubit count n")
+        labels = [label.strip() for label, _ in terms]
+        return cls._of(n, *_checked(n, labels, [a for _, a in terms], PRUNE_TOL))
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{a:+.6g}*{p}" for p, a in islice(self.terms.items(), 4))
+        shown = zip(_labels(self.n_qubits, self.xz[:, :4]), self.coeff[:4].tolist())
+        body = " + ".join(f"{a:+.6g}*{label}" for label, a in shown)
         more = "" if len(self) <= 4 else f" ... ({len(self)} terms)"
         return f"SparseOperator({body}{more})"
 
@@ -391,14 +436,15 @@ def truncate_top(operator: SparseOperator, chi: int) -> TruncationResult:
     weight = operator.l2_weight()
     if abs(weight - 1.0) >= 1e-8:
         raise ValueError(f"operator weight {weight} is not 1 within 1e-8")
-    ranked = sorted(operator.terms.items(), key=lambda kv: -abs(kv[1]))
-    kept_terms = dict(ranked[:chi])
-    kept_weight = sum(a * a for a in kept_terms.values())
-    discarded = sum(a * a for _, a in ranked[chi:])
+    coeff = operator.coeff
+    order = np.argsort(-np.abs(coeff), kind="stable")
+    # left-to-right sums over the ranked squares, so epsilon is reproducible
+    ranked = (coeff[order] ** 2).tolist()
+    kept = np.sort(order[:chi])
     return TruncationResult(
-        kept=SparseOperator(operator.n_qubits, kept_terms),
-        epsilon=math.sqrt(discarded),
-        kept_weight=kept_weight,
+        kept=SparseOperator._of(operator.n_qubits, operator.xz[:, kept], coeff[kept]),
+        epsilon=math.sqrt(sum(ranked[chi:])),
+        kept_weight=sum(ranked[:chi]),
     )
 
 

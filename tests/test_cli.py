@@ -408,6 +408,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    def test_negative_sre_samples_is_bad_input(self, tmp_path, capsys):
+        circuit = write_circuit(tmp_path, t_ladder(2))
+        assert main(["nullity", "--circuit", circuit, "--sre-samples", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert "--sre-samples must be at least 0, got -3" in captured.err and captured.out == ""
+        assert main(["nullity", "--circuit", circuit, "--sre-samples", "0"]) == 0
+        assert "avg_linear_sre" not in capsys.readouterr().out
+
     def test_nan_alpha_is_bad_input(self, tmp_path):
         circuit = write_circuit(tmp_path, t_ladder(2))
         assert main(["ose", "--circuit", circuit, "--seed-op", "XX", "--alpha", "nan"]) == 1

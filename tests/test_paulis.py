@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmagic import (
+    Circuit,
+    Gate,
     PauliString,
     SparseOperator,
     commuted_operator,
@@ -22,6 +27,7 @@ from opmagic import (
     single_site_pauli,
     truncate_top,
 )
+from opmagic.xxz import xxz_brickwork
 from conftest import dense_from_label, random_mixed_circuit, random_pauli
 
 
@@ -420,3 +426,94 @@ class TestTruncationExpectationBound:
                     np.vdot(psi, (dense_full - operator_matrix(res.kept)) @ psi).real
                 )
                 assert delta <= expectation_error_bound(res.epsilon) + 1e-9
+
+
+def reference_truncation(op, chi):
+    """truncate_top over the `terms` view: a sorted copy of the (string, a) pairs."""
+    ranked = sorted(op.terms.items(), key=lambda kv: -abs(kv[1]))
+    kept = dict(ranked[:chi])
+    kept_weight = sum(a * a for a in kept.values())
+    epsilon = math.sqrt(sum(a * a for _, a in ranked[chi:]))
+    return sorted(kept.items(), key=lambda kv: (kv[0].z_mask, kv[0].x_mask)), epsilon, kept_weight
+
+
+@st.composite
+def evolved_operators(draw):
+    """An evolved unit-weight operator of a seeded mixed circuit, on 1..6
+    sites, or shifted by 64 sites to n = 65..70, two 64-bit words."""
+    small = draw(st.integers(1, 6))
+    shift = draw(st.sampled_from([0, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circuit = random_mixed_circuit(rng, small, draw(st.integers(0, 25)))
+    paulis = sorted({random_pauli(rng, small) for _ in range(draw(st.integers(1, 4)))})
+    coeffs = rng.normal(size=len(paulis))
+    coeffs /= np.linalg.norm(coeffs)
+    n = small + shift
+    shifted = [PauliString(n, p.x_mask << shift, p.z_mask << shift) for p in paulis]
+    seed = SparseOperator(n, dict(zip(shifted, coeffs.tolist())))
+    gates = (Gate(g.kind, tuple(s + shift for s in g.sites), g.theta) for g in circuit.gates)
+    return evolve_heisenberg(seed, Circuit(n, tuple(gates)))
+
+
+class TestArrayOperator:
+    """The readers reduce the operator's arrays; the `terms` view is the reference."""
+
+    @given(op=evolved_operators(), chi_seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_readers_match_the_terms_view(self, op, chi_seed):
+        terms = op.terms
+        squares = np.array([a * a for a in terms.values()], dtype=float)
+        assert pauli_probs(op).tobytes() == squares.tobytes()
+        assert op.support() == {s for p in terms for s in p.support()}
+        labelled = [[p.label(), a] for p, a in terms.items()]
+        assert op.to_json_dict() == {"n": op.n_qubits, "terms": labelled}
+        chi = 1 + chi_seed % len(op)
+        res = truncate_top(op, chi)
+        kept, epsilon, kept_weight = reference_truncation(op, chi)
+        assert list(res.kept.terms.items()) == kept
+        assert res.epsilon.hex() == epsilon.hex()
+        assert res.kept_weight.hex() == kept_weight.hex()
+
+    def test_xxz_json_is_pinned(self):
+        # recorded at the dict-held operator that these arrays must reproduce
+        t, n = 10, 22
+        evolved = evolve_heisenberg(from_local(t, 0.6, 0.0, 0.8, n), xxz_brickwork(n, t, 0.3))
+        text = json.dumps(evolved.to_json_dict())
+        assert len(evolved) == 1025
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d7ad498a4e64da0e84606a157dde5ca63d31b1e446894621e8346b2e0936b023"
+        )
+        back = SparseOperator.from_json_dict(json.loads(text))
+        for mine, theirs in ((back.xz, evolved.xz), (back.coeff, evolved.coeff)):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_evolved_operator_retains_only_its_arrays(self):
+        t, n = 14, 30
+        seed = from_local(t, 0.6, 0.0, 0.8, n)
+        circuit = xxz_brickwork(n, t, 0.3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evolved = evolve_heisenberg(seed, circuit)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(evolved) == 16385
+        assert retained <= 2 * (evolved.xz.nbytes + evolved.coeff.nbytes)
+
+    def test_repeated_json_label_is_bad_input(self):
+        with pytest.raises(ValueError, match="XZ is given twice"):
+            SparseOperator.from_json_dict({"n": 2, "terms": [["XZ", 0.6], ["XZ", 0.8]]})
+
+    def test_repeated_pair_is_bad_input(self):
+        xz = PauliString.from_label("XZ")
+        with pytest.raises(ValueError, match="XZ is given twice"):
+            SparseOperator(2, [(xz, 0.6), (PauliString.from_label("ZZ"), 0.1), (xz, 0.8)])
+
+    def test_operator_is_read_only(self):
+        op = from_local(0, 0.6, 0.0, 0.8, 2)
+        with pytest.raises(ValueError):
+            op.coeff[0] = 1.0
+        with pytest.raises(TypeError):
+            op.terms[PauliString.from_label("XI")] = 1.0
