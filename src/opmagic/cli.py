@@ -28,9 +28,9 @@ from .paulis import (
     expectation_error_bound,
     parse_pauli_text,
     single_site_pauli,
-    truncate_top,
+    truncation_sweep,
 )
-from .xxz import XxzParams, alpha1_ose, closed_form_ose, simulate_vs_closed
+from .xxz import XxzParams, alpha1_ose, closed_form_ose, simulate_scan
 
 
 class CliError(ValueError):
@@ -158,14 +158,13 @@ def _cmd_xxz_scan(args) -> None:
     alphas = parse_alphas(args.alpha)
     rows = []
     for t in ts:
-        for alpha in alphas:
-            params = XxzParams(j=j, t=t, alpha=alpha, a_x=args.ax, a_y=args.ay, a_z=args.az)
-            closed = alpha1_ose(params) if alpha == 1 else closed_form_ose(params)
-            simulated = diff = ""
-            if args.simulate:
-                comparison = simulate_vs_closed(params)
-                simulated, diff = comparison.simulated, comparison.abs_diff
-            rows.append([j, t, _fmt_alpha(alpha), args.ax, args.ay, args.az, closed, simulated, diff])
+        grid = [XxzParams(j=j, t=t, alpha=a, a_x=args.ax, a_y=args.ay, a_z=args.az) for a in alphas]
+        if args.simulate:
+            cells = [(c.closed, c.simulated, c.abs_diff) for c in simulate_scan(grid)]
+        else:
+            cells = [(alpha1_ose(p) if p.alpha == 1 else closed_form_ose(p), "", "") for p in grid]
+        for alpha, cell in zip(alphas, cells):
+            rows.append([j, t, _fmt_alpha(alpha), args.ax, args.ay, args.az, *cell])
     _emit(args, ["J", "t", "alpha", "a_x", "a_y", "a_z", "closed", "simulated", "diff"], rows)
 
 
@@ -211,18 +210,10 @@ def _cmd_truncate_study(args) -> None:
     seed = _seed_operator(args, circuit)
     evolved = evolve_heisenberg(seed, circuit)
     chis = parse_range(args.chi, "--chi") if args.chi else list(range(1, len(evolved) + 1))
-    rows = []
-    for chi in chis:
-        result = truncate_top(evolved, chi)
-        rows.append(
-            [
-                chi,
-                len(result.kept),
-                result.kept_weight,
-                result.epsilon,
-                expectation_error_bound(result.epsilon),
-            ]
-        )
+    rows = [
+        [chi, kept, kept_weight, epsilon, expectation_error_bound(epsilon)]
+        for chi, (kept, kept_weight, epsilon) in zip(chis, truncation_sweep(evolved, chis))
+    ]
     _emit(args, ["chi", "kept_terms", "kept_weight", "epsilon", "error_bound"], rows)
 
 

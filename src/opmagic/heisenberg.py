@@ -18,12 +18,14 @@ few int operations on all rows at once. The Clifford opcodes are H, S,
 CNOT, SWAP and one Pauli sign rule, on site indices. `_rotate` then applies
 the rotations to the operator, held as canonically sorted uint64 words and
 float64 coefficients, and splits the rows that anticommute with each
-generator. These are the arrays a `SparseOperator` holds: the engine reads
-the seed's rows as they are and returns its final rows as the evolved
-operator, checked, pruned and sorted, with no conversion. Each gate kind
-is one `_KINDS` row, and each `Gate` carries its compiled opcodes. A new
-kind takes a row, a `dense.gate_matrix` case and a `tests/conftest.py`
-entry.
+generator; a rotation whose generator misses the rows' support commutes
+with all of them and is skipped before any numpy call, so a local seed
+pays only for the rotations in its light cone. These are the arrays a
+`SparseOperator` holds: the engine reads the seed's rows as they are and
+returns its final rows as the evolved operator, checked, pruned and
+sorted, with no conversion. Each gate kind is one `_KINDS` row, and each
+`Gate` carries its compiled opcodes. A new kind takes a row, a
+`dense.gate_matrix` case and a `tests/conftest.py` entry.
 """
 from __future__ import annotations
 
@@ -292,17 +294,20 @@ def _rotate(xz, coeff, g, angle, tol):
     cos(angle) P + sign sin(angle) R with G P = i^k R, where sign is -1
     exactly when the `pauli_mul` exponent k is 1 mod 4. R anticommutes with
     G too, so only split rows merge, each string with at most two
-    contributions, whose float sum does not depend on their order. The
-    merge sorts the rows into canonical order again, sums equal strings
-    and prunes below `tol`.
+    contributions. The merge sorts the rows into canonical order again,
+    where a string's two rows are adjacent, adds the second coefficient of
+    each pair into the first (the float sum of two values does not depend
+    on their order), and keeps the first row of every string at or above
+    `tol`. Columns are gathered with `take`.
     """
     w = len(g) >> 1
     x_g, z_g = g[:w, None], g[w:, None]
     # the symplectic form: the parity of x.z_g + z.x_g over every word
     hit = (np.bitwise_count(np.bitwise_xor.reduce((xz[:w] & z_g) ^ (xz[w:] & x_g))) & 1).view(bool)
-    if not hit.any():
+    split = hit.nonzero()[0]
+    if not split.size:
         return xz, coeff
-    xz_a, a = xz[:, hit], coeff[hit]
+    xz_a, a = xz.take(split, axis=1), coeff.take(split)
     r = xz_a ^ g[:, None]
     # popcounts per word in uint8, whose wrap-around keeps k mod 4
     k = np.bitwise_count(xz_a[:w] & xz_a[w:]) + 2 * np.bitwise_count(z_g & xz_a[:w])
@@ -313,13 +318,16 @@ def _rotate(xz, coeff, g, angle, tol):
     xz = np.concatenate((xz, r), axis=1)
     coeff = np.concatenate((np.where(hit, coeff * math.cos(angle), coeff), b))
     order = np.lexsort(xz)
-    xz, coeff = xz[:, order], coeff[order]
-    first = np.ones(len(coeff), bool)
-    first[1:] = (xz[:, 1:] != xz[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(first)
-    coeff = np.add.reduceat(coeff, starts)
-    big = np.abs(coeff) >= tol
-    return xz[:, starts[big]], coeff[big]
+    xz, coeff = xz.take(order, axis=1), coeff.take(order)
+    # repeat[i]: row i + 1 is the second contribution to row i's string
+    repeat = (xz[:, 1:] == xz[:, :-1]).all(axis=0)
+    pair = repeat.nonzero()[0]
+    if pair.size:
+        coeff[pair] += coeff[pair + 1]
+    keep = np.abs(coeff) >= tol
+    keep[1:] &= ~repeat
+    keep = keep.nonzero()[0]
+    return xz.take(keep, axis=1), coeff.take(keep)
 
 
 def _propagate(operator: SparseOperator, gates: Sequence[Gate], prune_tol: float) -> SparseOperator:
@@ -332,29 +340,46 @@ def _propagate(operator: SparseOperator, gates: Sequence[Gate], prune_tol: float
     sign of Q_k moves onto its angle 2 theta_k. The conjugated seed is then
     sorted once into canonical order, and the rotations, last first, act on
     it and prune it at `prune_tol`; input terms below `prune_tol` are
-    dropped once, on entry. An exact zero is never kept, even at
-    `prune_tol` = 0: the sign of a zero would depend on whether the Clifford
-    gates came before or after it. The operator is the `SparseOperator`'s
-    own float64 coeff array and (2w, rows) uint64 array xz, w = ceil(n / 64):
-    the words of each row's x_mask, lowest first, then those of its z_mask.
-    Word-major rows keep every per-row operation on contiguous arrays. They
-    come out checked, pruned and sorted, and are the returned operator.
+    dropped once, on entry. One int holds supersets sx and sz of the OR of
+    the rows' x masks and of their z masks, starting from the conjugated
+    seed's exact ORs. Rotation k is skipped when x_k & sz and z_k & sx are
+    both 0: its symplectic product with every row is then 0, and `_rotate`
+    would return its input. After a rotation that runs, sx |= x_k and
+    sz |= z_k: a split row is P XOR G_k, and pruning only removes rows. An
+    exact zero is never kept, even at `prune_tol` = 0: the sign of a zero
+    would depend on whether the Clifford gates came before or after it.
+    The operator is the `SparseOperator`'s own float64 coeff array and
+    (2w, rows) uint64 array xz, w = ceil(n / 64): the words of each row's
+    x_mask, lowest first, then those of its z_mask. Word-major rows keep
+    every per-row operation on contiguous arrays, and every column gather
+    is a `take`. They come out checked, pruned and sorted, and are the
+    returned operator.
     """
     n = operator.n_qubits
     tol = max(prune_tol, math.ulp(0.0))
-    keep = np.abs(operator.coeff) >= tol
-    seeds = int(np.count_nonzero(keep))
-    xs, zs = (_ints(bits.T) for bits in bits_of_xz(operator.xz[:, keep], n))
+    keep = (np.abs(operator.coeff) >= tol).nonzero()[0]
+    seeds = keep.size
+    xs, zs = (_ints(bits.T) for bits in bits_of_xz(operator.xz.take(keep, axis=1), n))
     sign, angles = _compile(xs, zs, seeds, gates)
     rows = seeds + len(angles)
-    words = xz_of_bits(_bits(xs, rows).T, _bits(zs, rows).T)
-    flip = _bits([sign], rows)[0] == 1
-    coeff = operator.coeff[keep]
+    # row r's x bits, then its z bits, then its sign bit
+    bits = _bits(xs + zs + [sign], rows).T
+    words = xz_of_bits(bits[:, :n], bits[:, n : 2 * n])
+    flip = bits[:, 2 * n] == 1
+    coeff = operator.coeff.take(keep)
     coeff[flip[:seeds]] *= -1.0
     order = np.lexsort(words[:, :seeds])
-    xz, coeff = words[:, order], coeff[order]
-    for r, angle in enumerate(angles, seeds):
-        xz, coeff = _rotate(xz, coeff, words[:, r], -angle if flip[r] else angle, tol)
+    xz, coeff = words.take(order, axis=1), coeff.take(order)
+    # a generator is the int x_g | z_g << n, and support = sz | sx << n for
+    # supersets sx, sz of the OR of the rows' x and z masks: g & support is 0
+    # exactly when x_g & sz and z_g & sx are, and then G commutes with every row
+    seed_rows = (1 << seeds) - 1
+    support = sum(1 << q for q, v in enumerate(zs + xs) if v & seed_rows)
+    low = (1 << n) - 1
+    for r, (g, angle) in enumerate(zip(_ints(bits[seeds:, : 2 * n]), angles), seeds):
+        if g & support:
+            xz, coeff = _rotate(xz, coeff, words[:, r], -angle if flip[r] else angle, tol)
+            support |= g >> n | (g & low) << n
     return SparseOperator._of(n, xz, coeff)
 
 
@@ -387,7 +412,8 @@ def brickwork_circuit(n_qubits: int, layers: int, brick: Sequence[Gate]) -> Circ
 
     Even layers couple (0,1),(2,3),...; odd layers (1,2),(3,4),....
     `brick` is a gate template on abstract sites {0, 1}, instantiated on
-    each coupled pair.
+    each coupled pair. The two layers are built once and shared by every
+    layer of their parity; a `Gate` is immutable.
     """
     if n_qubits % 2 != 0:
         raise ValueError("brickwork needs an even qubit count")
@@ -397,13 +423,15 @@ def brickwork_circuit(n_qubits: int, layers: int, brick: Sequence[Gate]) -> Circ
     for g in brick:
         if any(s > 1 for s in g.sites):
             raise ValueError("brick template gates must act on sites 0 and 1")
-    gates: list[Gate] = []
-    for layer in range(layers):
-        start = layer % 2
-        for left in range(start, n_qubits - 1, 2):
-            for g in brick:
-                gates.append(Gate(g.kind, tuple(left + s for s in g.sites), g.theta))
-    return Circuit(n_qubits, tuple(gates))
+    even, odd = (
+        tuple(
+            Gate(g.kind, tuple(left + s for s in g.sites), g.theta)
+            for left in range(start, n_qubits - 1, 2)
+            for g in brick
+        )
+        for start in (0, 1)
+    )
+    return Circuit(n_qubits, (even + odd) * (layers // 2) + even * (layers % 2))
 
 
 def mixing_depth(n_qubits: int) -> int:

@@ -22,11 +22,12 @@ vector, l2 weight and JSON follow it, and truncation, a stable sort on
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -230,12 +231,12 @@ def _checked(n_qubits: int, labels: list[str], coeffs: list, prune_tol: float):
     if len(labels) > 1:  # one row is in order and given once
         # lexsort keys the last row first: z's highest word, down to x's lowest
         order = np.lexsort(xz)
-        xz, coeff = xz[:, order], coeff[order]
+        xz, coeff = xz.take(order, axis=1), coeff.take(order)
         repeated = (xz[:, 1:] == xz[:, :-1]).all(axis=0)
         if repeated.any():
             raise ValueError(f"Pauli string {labels[order[repeated.argmax()]]} is given twice")
-    keep = np.abs(coeff) >= prune_tol
-    return xz[:, keep], coeff[keep]
+    keep = (np.abs(coeff) >= prune_tol).nonzero()[0]
+    return xz.take(keep, axis=1), coeff.take(keep)
 
 
 class SparseOperator:
@@ -431,21 +432,39 @@ def truncate_top(operator: SparseOperator, chi: int) -> TruncationResult:
     discarded coefficients, which equals sqrt(1 - kept_weight) for unit
     weight input.
     """
-    if chi < 1:
+    order, [(kept_weight, epsilon)] = _ranked_cuts(operator, [chi])
+    kept = np.sort(order[:chi])
+    xz, coeff = operator.xz.take(kept, axis=1), operator.coeff.take(kept)
+    return TruncationResult(
+        kept=SparseOperator._of(operator.n_qubits, xz, coeff),
+        epsilon=epsilon,
+        kept_weight=kept_weight,
+    )
+
+
+def truncation_sweep(
+    operator: SparseOperator, chis: Sequence[int]
+) -> list[tuple[int, float, float]]:
+    """(kept terms, kept_weight, epsilon) of `truncate_top(operator, chi)`
+    for every chi, bit for bit, from one weight check and one ranking."""
+    _, cuts = _ranked_cuts(operator, chis)
+    return [(min(chi, len(operator)), *cut) for chi, cut in zip(chis, cuts)]
+
+
+def _ranked_cuts(operator: SparseOperator, chis: Sequence[int]) -> tuple[np.ndarray, list]:
+    """The stable ranking of a unit-weight operator's terms by -|a|, and
+    (kept_weight, epsilon) for keeping the first chi of them, per chi."""
+    if any(chi < 1 for chi in chis):
         raise ValueError("chi must be a positive integer")
     weight = operator.l2_weight()
     if abs(weight - 1.0) >= 1e-8:
         raise ValueError(f"operator weight {weight} is not 1 within 1e-8")
     coeff = operator.coeff
     order = np.argsort(-np.abs(coeff), kind="stable")
-    # left-to-right sums over the ranked squares, so epsilon is reproducible
+    # left-to-right sums over the ranked squares, so every cut is reproducible
     ranked = (coeff[order] ** 2).tolist()
-    kept = np.sort(order[:chi])
-    return TruncationResult(
-        kept=SparseOperator._of(operator.n_qubits, operator.xz[:, kept], coeff[kept]),
-        epsilon=math.sqrt(sum(ranked[chi:])),
-        kept_weight=sum(ranked[:chi]),
-    )
+    kept = list(itertools.accumulate(ranked[: max(chis, default=0)]))
+    return order, [(kept[min(chi, len(kept)) - 1], math.sqrt(sum(ranked[chi:]))) for chi in chis]
 
 
 def expectation_error_bound(epsilon: float) -> float:

@@ -25,8 +25,8 @@ zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,6 +85,10 @@ class XxzParams:
             raise ValueError("t must be a non-negative integer")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        for name in ("a_x", "a_y", "a_z"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"seed coefficient {name} must be finite, got {value!r}")
         norm = self.a_x**2 + self.a_y**2 + self.a_z**2
         if abs(norm - 1.0) >= 1e-10:
             raise ValueError(f"seed coefficients not normalized: |a|^2 = {norm}")
@@ -232,6 +236,15 @@ def simulate_vs_closed(params: XxzParams, seed_site: int | None = None) -> XxzCo
     Capped at t <= MAX_SIM_LAYERS = 18 layers, where the evolved operator
     holds up to 2^19 + 1 terms; the closed form itself has no depth limit.
     """
+    return simulate_scan([params], seed_site)[0]
+
+
+def simulate_scan(grid: Sequence[XxzParams], seed_site: int | None = None) -> list[XxzComparison]:
+    """`simulate_vs_closed` for every entry of `grid`, which may differ only
+    in alpha: the brickwork is built and evolved once for all of them."""
+    params = grid[0]
+    if any(replace(p, alpha=params.alpha) != params for p in grid):
+        raise ValueError("a scan varies alpha only")
     if params.t > MAX_SIM_LAYERS:
         raise ValueError(f"sparse cross-check capped at t = {MAX_SIM_LAYERS}")
     n = 2 * params.t + 2
@@ -242,9 +255,9 @@ def simulate_vs_closed(params: XxzParams, seed_site: int | None = None) -> XxzCo
     circuit = xxz_brickwork(n, params.t, params.j)
     seed = from_local(seed_site, params.a_x, params.a_y, params.a_z, n)
     evolved = evolve_heisenberg(seed, circuit)
-    if params.alpha == 1:
-        closed = alpha1_ose(params)
-    else:
-        closed = closed_form_ose(params)
-    simulated = ose(evolved, seed, params.alpha).ose
-    return XxzComparison(simulated, closed, abs(simulated - closed))
+    comparisons = []
+    for p in grid:
+        closed = alpha1_ose(p) if p.alpha == 1 else closed_form_ose(p)
+        simulated = ose(evolved, seed, p.alpha).ose
+        comparisons.append(XxzComparison(simulated, closed, abs(simulated - closed)))
+    return comparisons

@@ -214,6 +214,29 @@ class TestXxzScanCommand:
             assert row[6] == "0.0"
 
 
+    def test_simulate_evolves_each_depth_once(self, tmp_path, monkeypatch):
+        from opmagic import xxz
+
+        calls = []
+        evolve = xxz.evolve_heisenberg
+        monkeypatch.setattr(xxz, "evolve_heisenberg", lambda *a: calls.append(1) or evolve(*a))
+        out = tmp_path / "xxz.csv"
+        assert main(
+            ["xxz-scan", "--J", "0.3", "--t", "1..4", "--alpha", "0.5,1,2,inf",
+             "--ax", "0.6", "--az", "0.8", "--simulate", "--out", str(out)]
+        ) == 0
+        assert len(calls) == 4
+        rows = read_csv_rows(out)[1:]
+        assert len(rows) == 16
+        assert all(float(row[8]) < 1e-9 for row in rows)
+
+    @pytest.mark.parametrize("option", ["--ax", "--ay", "--az"])
+    def test_nan_seed_coefficient_is_bad_input(self, option, capsys):
+        assert main(["xxz-scan", "--J", "0.3", "--t", "1", "--alpha", "2", option, "nan"]) == 1
+        captured = capsys.readouterr()
+        assert f"a_{option[-1]} must be finite" in captured.err and captured.out == ""
+
+
 class TestHaarAvgCommand:
     def test_deterministic_output(self, tmp_path):
         args = ["haar-avg", "--n", "1", "--alpha", "2", "--samples", "300", "--seed", "11"]
@@ -283,6 +306,20 @@ class TestOtherCommands:
         assert len(rows) == 8  # rank 2^3
         last = rows[-1]
         assert float(last[3]) == pytest.approx(0.0, abs=1e-12)  # eps at full rank
+
+    def test_truncate_study_ranks_once(self, tmp_path, monkeypatch):
+        from opmagic import paulis
+
+        calls = []
+        ranked_cuts = paulis._ranked_cuts
+        monkeypatch.setattr(paulis, "_ranked_cuts", lambda *a: calls.append(1) or ranked_cuts(*a))
+        circuit = write_circuit(tmp_path, t_ladder(4))
+        out = tmp_path / "trunc.csv"
+        assert main(
+            ["truncate-study", "--circuit", circuit, "--seed-op", "XXXX", "--out", str(out)]
+        ) == 0
+        assert len(read_csv_rows(out)[1:]) == 16
+        assert len(calls) == 1
 
     def test_nullity(self, tmp_path):
         circuit = write_circuit(tmp_path, Circuit(2, (Gate("T", (0,)), Gate("T", (1,)))))

@@ -14,11 +14,13 @@ from opmagic import (
     conjugate_gate,
     doped_circuit,
     evolve_heisenberg,
+    from_local,
     random_clifford_circuit,
 )
 from opmagic import heisenberg
 from opmagic.dense import circuit_unitary, pauli_spectrum
 from opmagic.paulis import enumerate_paulis
+from opmagic.xxz import xxz_brickwork
 from conftest import random_mixed_circuit
 
 # Coefficients (float.hex) of the per-gate, sorted-merge engine this kernel
@@ -263,3 +265,71 @@ class TestCompiledRotations:
         assert [(p.x_mask, p.z_mask, a.hex()) for p, a in wide] == [
             (p.x_mask << shift, p.z_mask << shift, a.hex()) for p, a in narrow
         ]
+
+
+class TestLightCone:
+    """Rotations whose generator meets no row's support are skipped unrun."""
+
+    def count_rotations(self, monkeypatch):
+        calls = []
+        rotate = heisenberg._rotate
+
+        def counted(*args):
+            calls.append(1)
+            return rotate(*args)
+
+        monkeypatch.setattr(heisenberg, "_rotate", counted)
+        return calls
+
+    def test_xxz_enters_the_kernel_once_per_light_cone_rotation(self, monkeypatch):
+        # 868 rotations over t = 1..13; t of them at depth t meet the operator
+        calls = self.count_rotations(monkeypatch)
+        for t in range(1, 14):
+            n = 2 * t + 2
+            evolve_heisenberg(from_local(t, 0.6, 0.0, 0.8, n), xxz_brickwork(n, t, 0.3))
+        assert len(calls) == 91
+
+    def test_doped_circuit_enters_the_kernel_once_per_t_gate(self, monkeypatch):
+        calls = self.count_rotations(monkeypatch)
+        seed = SparseOperator.from_pauli(PauliString(10, 1, 0))
+        evolve_heisenberg(seed, doped_circuit(10, 4, seed=5))
+        assert len(calls) == 4
+
+    def test_local_seed_on_two_words_equals_the_narrow_register(self):
+        # the evolved operator covers sites 0..9 of the narrow register and
+        # 58..67 of the wide one, across the first word's edge; the shift is
+        # even, so every brick that meets it is a narrow-register brick moved
+        t, shift, n = 5, 58, 70
+        narrow = evolve_heisenberg(
+            from_local(t, 0.48, 0.6, 0.64, 2 * t + 2), xxz_brickwork(2 * t + 2, t, 0.3)
+        )
+        wide = evolve_heisenberg(
+            from_local(t + shift, 0.48, 0.6, 0.64, n), xxz_brickwork(n, t, 0.3)
+        )
+        assert len(narrow) == 2 ** (t + 1) + 1
+        assert [(p.x_mask, p.z_mask, a.hex()) for p, a in wide] == [
+            (p.x_mask << shift, p.z_mask << shift, a.hex()) for p, a in narrow
+        ]
+
+    @pytest.mark.parametrize(
+        "a, b, labels",
+        [
+            # Y gets c c - s s, a rounding remainder that is kept at prune_tol 0
+            (math.sin(math.pi / 4), math.cos(math.pi / 4), ["XI", "YI", "ZX"]),
+            # Y gets s c - c s, an exact zero that is never kept
+            (math.cos(math.pi / 4), math.sin(math.pi / 4), ["XI", "ZX"]),
+        ],
+    )
+    def test_split_rows_merge_onto_existing_strings(self, a, b, labels):
+        n = 2
+        seed = SparseOperator(
+            n,
+            {PauliString.from_label("XI"): a, PauliString.from_label("YI"): b,
+             PauliString.from_label("ZX"): 0.5},
+        )
+        circuit = Circuit(n, (Gate("T", (0,)),))
+        evolved = evolve_heisenberg(seed, circuit, prune_tol=0.0)
+        assert [p.label() for p in evolved.terms] == labels
+        spectrum = pauli_spectrum(circuit_unitary(circuit), seed)
+        for k, p in enumerate(enumerate_paulis(n)):
+            assert abs(evolved.coefficient(p) - spectrum[k]) < 1e-10

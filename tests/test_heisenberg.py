@@ -222,6 +222,19 @@ class TestBrickwork:
         assert len(ev.support()) <= 1 + 2 * layers
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("layers", range(4))
+def test_brickwork_equals_gate_by_gate_build(n, layers):
+    brick = (Gate("RZZ", (0, 1), 0.3), Gate("SWAP", (0, 1)), Gate("T", (1,)))
+    gates = [
+        Gate(g.kind, tuple(left + s for s in g.sites), g.theta)
+        for layer in range(layers)
+        for left in range(layer % 2, n - 1, 2)
+        for g in brick
+    ]
+    assert brickwork_circuit(n, layers, brick) == Circuit(n, tuple(gates))
+
+
 class TestRandomCircuits:
     def test_clifford_determinism(self):
         a = random_clifford_circuit(2, 20, seed=7)

@@ -27,6 +27,8 @@ from opmagic import (
     single_site_pauli,
     truncate_top,
 )
+from opmagic import paulis
+from opmagic.paulis import truncation_sweep
 from opmagic.xxz import xxz_brickwork
 from conftest import dense_from_label, random_mixed_circuit, random_pauli
 
@@ -385,6 +387,42 @@ class TestTruncation:
         res = truncate_top(op, 1)
         norm = res.choi_normalized()
         assert norm.l2_weight() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTruncationSweep:
+    """Every chi's truncation from one weight check and one ranking."""
+
+    def evolved(self):
+        t, n = 10, 22
+        return evolve_heisenberg(from_local(t, 0.6, 0.0, 0.8, n), xxz_brickwork(n, t, 0.3))
+
+    def test_rows_equal_a_per_chi_truncation(self):
+        evolved = self.evolved()
+        assert len(evolved) == 1025
+        chis = list(range(1, len(evolved) + 3))
+        swept = [
+            (chi, kept, w.hex(), e.hex())
+            for chi, (kept, w, e) in zip(chis, truncation_sweep(evolved, chis))
+        ]
+        looped = []
+        for chi in chis:
+            res = truncate_top(evolved, chi)
+            looped.append((chi, len(res.kept), res.kept_weight.hex(), res.epsilon.hex()))
+        assert swept == looped
+
+    def test_one_ranking_for_every_chi(self, monkeypatch):
+        calls = []
+        ranked_cuts = paulis._ranked_cuts
+        monkeypatch.setattr(paulis, "_ranked_cuts", lambda *a: calls.append(1) or ranked_cuts(*a))
+        assert len(truncation_sweep(self.evolved(), range(1, 1026))) == 1025
+        assert len(calls) == 1
+
+    def test_errors(self):
+        op = SparseOperator.from_pauli(PauliString.from_label("X"))
+        with pytest.raises(ValueError, match="chi must be a positive integer"):
+            truncation_sweep(op, [1, 0])
+        with pytest.raises(ValueError, match="is not 1"):
+            truncation_sweep(op.scaled(0.5), [1])
 
 
 class TestErrorBound:

@@ -16,9 +16,11 @@ from opmagic.xxz import (
     closed_form_ose,
     commuted_operator,
     saturation_value,
+    simulate_scan,
     simulate_vs_closed,
     xxz_brickwork,
 )
+from opmagic import xxz
 
 MIXED_SEED = (math.sqrt(0.5), math.sqrt(0.2), math.sqrt(0.3))
 
@@ -37,6 +39,14 @@ class TestParams:
             params(0.1, -1, 2)
         with pytest.raises(ValueError):
             XxzParams(j=0.1, t=1, alpha=2, a_x=0.9, a_y=0.0, a_z=0.0)
+
+
+@pytest.mark.parametrize("name", ["a_x", "a_y", "a_z"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_seed_coefficient_rejected(name, bad):
+    a = {"a_x": 0.6, "a_y": 0.0, "a_z": 0.8, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        XxzParams(j=0.3, t=1, alpha=2, **a)
 
 
 class TestClosedForm:
@@ -251,6 +261,26 @@ class TestSimulateVsClosed:
         # rank 2^17 + 1 from a two-component seed
         result = simulate_vs_closed(params(0.3, 16, 2, (0.6, 0.0, 0.8)))
         assert result.abs_diff < 1e-9
+
+
+class TestSimulateScan:
+    ALPHAS = (0.5, 1, 2, 3, math.inf)
+
+    def test_equals_one_comparison_per_index(self):
+        grid = [params(0.3, 5, alpha, MIXED_SEED) for alpha in self.ALPHAS]
+        assert simulate_scan(grid) == [simulate_vs_closed(p) for p in grid]
+
+    def test_evolves_once(self, monkeypatch):
+        calls = []
+        evolve = xxz.evolve_heisenberg
+        monkeypatch.setattr(xxz, "evolve_heisenberg", lambda *a: calls.append(1) or evolve(*a))
+        comparisons = simulate_scan([params(0.3, 4, alpha, MIXED_SEED) for alpha in self.ALPHAS])
+        assert len(calls) == 1
+        assert all(c.abs_diff < 1e-9 for c in comparisons)
+
+    def test_only_alpha_may_vary(self):
+        with pytest.raises(ValueError, match="alpha only"):
+            simulate_scan([params(0.3, 2, 2), params(0.3, 3, 2)])
 
 
 class TestLargeIndex:
