@@ -119,24 +119,22 @@ def _write_out(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _seed_operator(args, circuit: Circuit) -> SparseOperator:
-    pauli, sign = parse_pauli_text(args.seed_op, circuit.n_qubits)
-    return SparseOperator.from_pauli(pauli, sign)
+def _evolved(args) -> tuple[SparseOperator, SparseOperator]:
+    """The --seed-op string and its Heisenberg evolution through --circuit."""
+    circuit = load_circuit(args.circuit)
+    seed = SparseOperator.from_pauli(*parse_pauli_text(args.seed_op, circuit.n_qubits))
+    return seed, evolve_heisenberg(seed, circuit)
 
 
 def _cmd_evolve(args) -> None:
-    circuit = load_circuit(args.circuit)
-    seed = _seed_operator(args, circuit)
-    evolved = evolve_heisenberg(seed, circuit)
+    _, evolved = _evolved(args)
     payload = _meta(args)
     payload["operator"] = evolved.to_json_dict()
     _write_out(args.out, json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_ose(args) -> None:
-    circuit = load_circuit(args.circuit)
-    seed = _seed_operator(args, circuit)
-    evolved = evolve_heisenberg(seed, circuit)
+    seed, evolved = _evolved(args)
     rows = []
     for alpha in parse_alphas(args.alpha):
         rep = ose(evolved, seed, alpha)
@@ -206,9 +204,7 @@ def _cmd_doped_scan(args) -> None:
 
 
 def _cmd_truncate_study(args) -> None:
-    circuit = load_circuit(args.circuit)
-    seed = _seed_operator(args, circuit)
-    evolved = evolve_heisenberg(seed, circuit)
+    _, evolved = _evolved(args)
     chis = parse_range(args.chi, "--chi") if args.chi else list(range(1, len(evolved) + 1))
     rows = [
         [chi, kept, kept_weight, epsilon, expectation_error_bound(epsilon)]

@@ -201,9 +201,10 @@ def stabilizer_nullity(unitary: np.ndarray) -> NullityReport:
 
 
 def avg_linear_ose(unitary: np.ndarray, alpha: float = 2.0) -> float:
-    """Mean of 1 - P^(alpha) over all non-identity Pauli seeds (measures.renyi_purity)."""
+    """Mean of 1 - P^(alpha) over all non-identity Pauli seeds: one
+    measures.renyi_purity call reduces every PTM row."""
     rows = ptm(unitary)[1:]  # row 0 is the identity seed
-    return float(np.mean([1.0 - renyi_purity(row * row, alpha) for row in rows]))
+    return float(np.mean(1.0 - renyi_purity(rows * rows, alpha)))
 
 
 def random_stabilizer_state(n_qubits: int, seed: int = 0) -> np.ndarray:

@@ -52,11 +52,7 @@ class McEstimate:
 
 def double_factorial(k: int) -> int:
     """k!! for k >= -1 (empty product for k <= 0)."""
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return math.prod(range(k, 1, -2))
 
 
 def _haar_batch(dim: int, size: int, rng: np.random.Generator) -> np.ndarray:

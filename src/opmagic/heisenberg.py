@@ -23,9 +23,10 @@ with all of them and is skipped before any numpy call, so a local seed
 pays only for the rotations in its light cone. These are the arrays a
 `SparseOperator` holds: the engine reads the seed's rows as they are and
 returns its final rows as the evolved operator, checked, pruned and
-sorted, with no conversion. Each gate kind is one `_KINDS` row, and each
-`Gate` carries its compiled opcodes. A new kind takes a row, a
-`dense.gate_matrix` case and a `tests/conftest.py` entry.
+sorted, with no conversion. The packers between bit-sliced ints, bit
+matrices and words are those of `paulis`. Each gate kind is one `_KINDS`
+row, and each `Gate` carries its compiled opcodes. A new kind takes a
+row, a `dense.gate_matrix` case and a `tests/conftest.py` entry.
 """
 from __future__ import annotations
 
@@ -37,7 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .paulis import PRUNE_TOL, SparseOperator, as_integer, bits_of_xz, json_fields, xz_of_bits
+from .paulis import (PRUNE_TOL, SparseOperator, as_integer, bits_of_ints, bits_of_xz,
+                     ints_of_bits, json_fields, xz_of_bits)
 
 # Opcodes of compiled gates, in dispatch order: the doped ensemble draws H,
 # S and CNOT, and the XXZ brick holds an RZZ and a SWAP. An opcode is
@@ -272,20 +274,6 @@ def _compile(xs: list, zs: list, rows: int, gates: Sequence[Gate]) -> tuple[int,
     return sign, angles
 
 
-def _bits(ints: list, width: int) -> np.ndarray:
-    """A (len(ints), width) uint8 matrix: row i holds the low bits of ints[i]."""
-    size = (width + 7) >> 3
-    packed = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in ints), np.uint8)
-    return np.unpackbits(packed.reshape(len(ints), size), axis=1, count=width, bitorder="little")
-
-
-def _ints(bits: np.ndarray) -> list:
-    """The inverse of `_bits`: one int per row of a bit matrix."""
-    size = (bits.shape[1] + 7) >> 3
-    data = np.packbits(bits, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
-
-
 def _rotate(xz, coeff, g, angle, tol):
     """exp(-i theta G) on rows in canonical order, for the string G with
     words g = (x_g, z_g) and angle = 2 theta.
@@ -353,17 +341,18 @@ def _propagate(operator: SparseOperator, gates: Sequence[Gate], prune_tol: float
     x_mask, lowest first, then those of its z_mask. Word-major rows keep
     every per-row operation on contiguous arrays, and every column gather
     is a `take`. They come out checked, pruned and sorted, and are the
-    returned operator.
+    returned operator. The seed's words become bit-sliced ints, and the
+    compiled ints become words, through the packers of `paulis`.
     """
     n = operator.n_qubits
     tol = max(prune_tol, math.ulp(0.0))
     keep = (np.abs(operator.coeff) >= tol).nonzero()[0]
     seeds = keep.size
-    xs, zs = (_ints(bits.T) for bits in bits_of_xz(operator.xz.take(keep, axis=1), n))
+    xs, zs = (ints_of_bits(bits.T) for bits in bits_of_xz(operator.xz.take(keep, axis=1), n))
     sign, angles = _compile(xs, zs, seeds, gates)
     rows = seeds + len(angles)
     # row r's x bits, then its z bits, then its sign bit
-    bits = _bits(xs + zs + [sign], rows).T
+    bits = bits_of_ints(xs + zs + [sign], rows).T
     words = xz_of_bits(bits[:, :n], bits[:, n : 2 * n])
     flip = bits[:, 2 * n] == 1
     coeff = operator.coeff.take(keep)
@@ -376,7 +365,7 @@ def _propagate(operator: SparseOperator, gates: Sequence[Gate], prune_tol: float
     seed_rows = (1 << seeds) - 1
     support = sum(1 << q for q, v in enumerate(zs + xs) if v & seed_rows)
     low = (1 << n) - 1
-    for r, (g, angle) in enumerate(zip(_ints(bits[seeds:, : 2 * n]), angles), seeds):
+    for r, (g, angle) in enumerate(zip(ints_of_bits(bits[seeds:, : 2 * n]), angles), seeds):
         if g & support:
             xz, coeff = _rotate(xz, coeff, words[:, r], -angle if flip[r] else angle, tol)
             support |= g >> n | (g & low) << n

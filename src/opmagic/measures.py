@@ -9,6 +9,8 @@ PROB_FLOOR, Shannon, min entropy), negative alpha is rejected, and
 non-integer alpha is accepted and uses |a_i|^(2 alpha), though the
 monotone proofs cover integer alpha only. The Haar averages and the dense
 state stabilizer Renyi entropy reduce their probability vectors here too.
+An operator's probability vector and its unit-weight check,
+`pauli_probs`, live in `paulis`, which truncation shares.
 """
 from __future__ import annotations
 
@@ -18,21 +20,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .paulis import SparseOperator
+from .paulis import SparseOperator, pauli_probs
 
-_WEIGHT_TOL = 1e-8
 # Probabilities at or below this are numerical zeros: they are left out of
 # every entropy and of the alpha = 0 count.
 PROB_FLOOR = 1e-30
-
-
-def pauli_probs(operator: SparseOperator) -> np.ndarray:
-    """Probability vector a_i^2 in canonical term order; requires unit weight."""
-    probs = operator.coeff**2
-    weight = float(probs.sum())
-    if abs(weight - 1.0) >= _WEIGHT_TOL:
-        raise ValueError(f"operator weight {weight} is not 1 within {_WEIGHT_TOL}")
-    return probs
 
 
 def renyi_purity(probs: np.ndarray, alpha: float) -> float | np.ndarray:

@@ -12,6 +12,11 @@ into term coefficients by the conjugation engine, so Hermitian operators
 always have real coefficients and the squared coefficients form a
 probability vector.
 
+One codec maps letters and bits: `_LETTERS` is the letter of the digit
+2 z + x, and `_DIGITS` the digit of a letter's ASCII code. The row packers
+live here too: `xz_of_bits`/`bits_of_xz` between bit matrices and uint64
+words, `bits_of_ints`/`ints_of_bits` between bit matrices and Python ints.
+
 A SparseOperator holds the propagation engine's arrays, uint64 words and
 float64 coefficients, and builds a dict of PauliStrings only when `terms`
 is read.
@@ -35,17 +40,14 @@ import numpy as np
 # rotation at a Clifford point), so rank-based quantities stay meaningful.
 PRUNE_TOL = 1e-14
 
+# A unit-weight operator's squared coefficients must sum to 1 within this.
+_WEIGHT_TOL = 1e-8
+
 _LETTERS = "IXZY"  # indexed by the digit 2*z_bit + x_bit
-# str.translate tables between letters and bits, for whole labels at once
-_X_BITS = str.maketrans(_LETTERS, "0101")
-_Z_BITS = str.maketrans(_LETTERS, "0011")
-_DIGIT_LETTERS = str.maketrans("0123", _LETTERS)
-_DROP_LETTERS = str.maketrans("", "", _LETTERS)
 # the ASCII code of each digit, and the digit of each ASCII code (4: no letter)
 _LETTERS_ASCII = np.frombuffer(_LETTERS.encode("ascii"), np.uint8)
 _DIGITS = np.full(256, 4, np.uint8)
 _DIGITS[_LETTERS_ASCII] = np.arange(4)
-_AXIS_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _I_POWERS = (1, 1j, -1, -1j)
 
 
@@ -72,10 +74,10 @@ class PauliString:
     def from_label(cls, label: str) -> "PauliString":
         """Parse 'IXZY...' with site 0 as the leftmost character."""
         label = label.strip()
-        if not label or label.translate(_DROP_LETTERS):
+        digits = _DIGITS[np.frombuffer(label.encode("ascii", "replace"), np.uint8)]
+        if not label or (digits > 3).any():
             raise ValueError(f"invalid Pauli label {label!r}")
-        bits = label[::-1]  # site 0 is the lowest bit
-        return cls(len(label), int(bits.translate(_X_BITS), 2), int(bits.translate(_Z_BITS), 2))
+        return cls(len(label), *ints_of_bits(np.stack((digits & 1, digits >> 1))))
 
     def letter(self, site: int) -> str:
         if not 0 <= site < self.n_qubits:
@@ -83,9 +85,7 @@ class PauliString:
         return _LETTERS[2 * ((self.z_mask >> site) & 1) + ((self.x_mask >> site) & 1)]
 
     def label(self) -> str:
-        # binary digits read as hex: one bit per hex digit, so each site's digit is 2 z + x
-        digits = int(format(self.x_mask, "b"), 16) + 2 * int(format(self.z_mask, "b"), 16)
-        return format(digits, f"0{self.n_qubits}x").translate(_DIGIT_LETTERS)[::-1]
+        return "".join(map(self.letter, range(self.n_qubits)))
 
     @property
     def is_identity(self) -> bool:
@@ -119,8 +119,8 @@ def single_site_pauli(site: int, axis: str, n_qubits: int) -> PauliString:
         raise ValueError(f"site {site} out of range for {n_qubits} qubits")
     if axis not in ("X", "Y", "Z"):
         raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
-    xb, zb = _AXIS_BITS[axis]
-    return PauliString(n_qubits, xb << site, zb << site)
+    digit = _LETTERS.index(axis)
+    return PauliString(n_qubits, (digit & 1) << site, (digit >> 1) << site)
 
 
 def pauli_mul(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
@@ -203,6 +203,20 @@ def bits_of_xz(xz: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return bits[:, :n_qubits], bits[:, half : half + n_qubits]
 
 
+def bits_of_ints(ints: list, width: int) -> np.ndarray:
+    """A (len(ints), width) uint8 matrix: row i holds the low bits of ints[i]."""
+    size = (width + 7) >> 3
+    packed = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in ints), np.uint8)
+    return np.unpackbits(packed.reshape(len(ints), size), axis=1, count=width, bitorder="little")
+
+
+def ints_of_bits(bits: np.ndarray) -> list:
+    """The inverse of `bits_of_ints`: one int per row of a bit matrix."""
+    size = (bits.shape[1] + 7) >> 3
+    data = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
 def _labels(n_qubits: int, xz: np.ndarray) -> list[str]:
     """The label of every row, from one (rows, n) letter matrix."""
     x_bits, z_bits = bits_of_xz(xz, n_qubits)
@@ -210,9 +224,9 @@ def _labels(n_qubits: int, xz: np.ndarray) -> list[str]:
     return [text[i : i + n_qubits] for i in range(0, len(text), n_qubits)]
 
 
-def _checked(n_qubits: int, labels: list[str], coeffs: list, prune_tol: float):
+def _checked(n_qubits: int, labels: list[str], coeffs: list):
     """`xz` and `coeff` of stripped labels and their coefficients, checked,
-    in canonical order, with |a| < prune_tol dropped."""
+    in canonical order, with |a| < PRUNE_TOL dropped."""
     if n_qubits <= 0:
         raise ValueError("n_qubits must be positive")
     digits = _DIGITS[np.frombuffer("".join(labels).encode("ascii", "replace"), np.uint8)]
@@ -235,7 +249,7 @@ def _checked(n_qubits: int, labels: list[str], coeffs: list, prune_tol: float):
         repeated = (xz[:, 1:] == xz[:, :-1]).all(axis=0)
         if repeated.any():
             raise ValueError(f"Pauli string {labels[order[repeated.argmax()]]} is given twice")
-    keep = (np.abs(coeff) >= prune_tol).nonzero()[0]
+    keep = (np.abs(coeff) >= PRUNE_TOL).nonzero()[0]
     return xz.take(keep, axis=1), coeff.take(keep)
 
 
@@ -246,7 +260,7 @@ class SparseOperator:
     its x_mask, lowest first, then w for its z_mask; `coeff` holds the
     float64 coefficients. The checked constructor rejects a non-finite
     coefficient and a string given twice, sorts the columns into canonical
-    order and drops |coefficient| below `prune_tol`. `terms` is a read-only
+    order and drops |coefficient| below PRUNE_TOL. `terms` is a read-only
     {PauliString: coefficient} view, built on first read. Instances are
     immutable; operations return new objects.
     """
@@ -257,12 +271,10 @@ class SparseOperator:
         self,
         n_qubits: int,
         terms: Mapping[PauliString, float] | Iterable[tuple[PauliString, float]] | None = None,
-        *,
-        prune_tol: float = PRUNE_TOL,
     ) -> None:
         items = list(terms.items() if isinstance(terms, Mapping) else (terms or ()))
         labels = [pauli.label() for pauli, _ in items]
-        self._hold(n_qubits, *_checked(n_qubits, labels, [a for _, a in items], prune_tol))
+        self._hold(n_qubits, *_checked(n_qubits, labels, [a for _, a in items]))
 
     def _hold(self, n_qubits: int, xz: np.ndarray, coeff: np.ndarray) -> "SparseOperator":
         xz.flags.writeable = coeff.flags.writeable = False
@@ -282,7 +294,8 @@ class SparseOperator:
     def terms(self) -> Mapping[PauliString, float]:
         """Read-only {string: coefficient} in canonical order, built on first read."""
         if self._view is None:
-            strings = map(PauliString.from_label, _labels(self.n_qubits, self.xz))
+            masks = (ints_of_bits(bits) for bits in bits_of_xz(self.xz, self.n_qubits))
+            strings = map(PauliString, itertools.repeat(self.n_qubits), *masks)
             self._view = MappingProxyType(dict(zip(strings, self.coeff.tolist())))
         return self._view
 
@@ -320,7 +333,7 @@ class SparseOperator:
         theirs = list(zip(_labels(other.n_qubits, other.xz), other.coeff.tolist()))
         pairs = [(p + q, a * b) for p, a in mine for q, b in theirs]
         labels, coeffs = [p for p, _ in pairs], [a for _, a in pairs]
-        return SparseOperator._of(n, *_checked(n, labels, coeffs, PRUNE_TOL))
+        return SparseOperator._of(n, *_checked(n, labels, coeffs))
 
     def relabel_sites(self, mapping: Mapping[int, int]) -> "SparseOperator":
         """Permute site labels; `mapping` must be injective on the support."""
@@ -353,7 +366,7 @@ class SparseOperator:
                 raise ValueError(f"operator terms must be [label, number] pairs, got {pair!r}")
         n = as_integer(n, "operator qubit count n")
         labels = [label.strip() for label, _ in terms]
-        return cls._of(n, *_checked(n, labels, [a for _, a in terms], PRUNE_TOL))
+        return cls._of(n, *_checked(n, labels, [a for _, a in terms]))
 
     def __repr__(self) -> str:
         shown = zip(_labels(self.n_qubits, self.xz[:, :4]), self.coeff[:4].tolist())
@@ -388,7 +401,7 @@ def parse_pauli_text(text: str, n_qubits: int | None = None) -> tuple[PauliStrin
     tokens = text.split()
     if not tokens:
         raise ValueError("empty Pauli text")
-    if len(tokens) == 1 and all(ch in _AXIS_BITS for ch in tokens[0]):
+    if len(tokens) == 1 and all(ch in _LETTERS for ch in tokens[0]):
         p = PauliString.from_label(tokens[0])
         if n_qubits is not None and p.n_qubits != n_qubits:
             raise ValueError(f"label length {p.n_qubits} != n_qubits {n_qubits}")
@@ -407,6 +420,15 @@ def parse_pauli_text(text: str, n_qubits: int | None = None) -> tuple[PauliStrin
             raise ValueError(f"duplicate site {site}")
         letters[site] = axis
     return PauliString.from_label("".join(letters)), sign
+
+
+def pauli_probs(operator: SparseOperator) -> np.ndarray:
+    """Probability vector a_i^2 in canonical term order; requires unit weight."""
+    probs = operator.coeff**2
+    weight = float(probs.sum())
+    if abs(weight - 1.0) >= _WEIGHT_TOL:
+        raise ValueError(f"operator weight {weight} is not 1 within {_WEIGHT_TOL}")
+    return probs
 
 
 @dataclass(frozen=True)
@@ -429,8 +451,8 @@ def truncate_top(operator: SparseOperator, chi: int) -> TruncationResult:
 
     The kept coefficients are not rescaled; `TruncationResult.choi_normalized`
     exposes the sqrt-normalized variant. epsilon is the l2 norm of the
-    discarded coefficients, which equals sqrt(1 - kept_weight) for unit
-    weight input.
+    discarded coefficients, their squares summed from the smallest up, which
+    equals sqrt(1 - kept_weight) for unit weight input.
     """
     order, [(kept_weight, epsilon)] = _ranked_cuts(operator, [chi])
     kept = np.sort(order[:chi])
@@ -453,18 +475,23 @@ def truncation_sweep(
 
 def _ranked_cuts(operator: SparseOperator, chis: Sequence[int]) -> tuple[np.ndarray, list]:
     """The stable ranking of a unit-weight operator's terms by -|a|, and
-    (kept_weight, epsilon) for keeping the first chi of them, per chi."""
+    (kept_weight, epsilon) for keeping the first chi of them, per chi.
+
+    One running sum adds the ranked squares from the largest down for
+    kept_weight, and one adds the discarded tail from the smallest up for
+    epsilon^2, the more accurate order; both serve every chi, reproducibly.
+    """
     if any(chi < 1 for chi in chis):
         raise ValueError("chi must be a positive integer")
-    weight = operator.l2_weight()
-    if abs(weight - 1.0) >= 1e-8:
-        raise ValueError(f"operator weight {weight} is not 1 within 1e-8")
-    coeff = operator.coeff
-    order = np.argsort(-np.abs(coeff), kind="stable")
-    # left-to-right sums over the ranked squares, so every cut is reproducible
-    ranked = (coeff[order] ** 2).tolist()
-    kept = list(itertools.accumulate(ranked[: max(chis, default=0)]))
-    return order, [(kept[min(chi, len(kept)) - 1], math.sqrt(sum(ranked[chi:]))) for chi in chis]
+    probs = pauli_probs(operator)
+    order = np.argsort(-np.abs(operator.coeff), kind="stable")
+    ranked = probs.take(order)
+    # cumsum adds one term at a time: kept[c - 1] is the sum of ranked[:c]
+    # and tails[c] that of ranked[c:], 0 at c = len(ranked)
+    kept = np.cumsum(ranked)
+    tails = np.append(np.cumsum(ranked[::-1])[::-1], 0.0)
+    cuts = [min(chi, len(ranked)) for chi in chis]
+    return order, [(float(kept[c - 1]), math.sqrt(tails[c])) for c in cuts]
 
 
 def expectation_error_bound(epsilon: float) -> float:

@@ -69,6 +69,23 @@ class TestParsers:
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
 
+    def test_only_paulis_packs_bits(self):
+        # the row packers live in one module; every other module calls them
+        import opmagic
+
+        package = Path(opmagic.__file__).parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "paulis.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = [node.attr] if isinstance(node, ast.Attribute) else []
+                if isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                if {"packbits", "unpackbits"} & set(names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
     def test_dense_oracle_does_not_use_the_engine(self):
         # dense.py is the ground truth the engine is checked against, so it
         # names neither the engine's entry points nor its private functions

@@ -70,6 +70,10 @@ class TestPauliString:
         with pytest.raises(ValueError, match="invalid Pauli label"):
             PauliString.from_label(bad)
 
+    def test_non_ascii_label_is_named(self):
+        with pytest.raises(ValueError, match="invalid Pauli label 'XÝ'"):
+            PauliString.from_label("XÝ")
+
     def test_letter_bit_encoding(self):
         p = PauliString.from_label("IXZY")
         assert [p.letter(i) for i in range(4)] == ["I", "X", "Z", "Y"]
@@ -229,6 +233,10 @@ class TestSparseOperator:
             ({"n": 1, "terms": [["X", "1.0"]]}, "operator terms must be"),
             ({"n": 1, "terms": [["X", True]]}, "operator terms must be"),
             ({"n": 1, "terms": [[1, 1.0]]}, "operator terms must be"),
+            ({"n": 2, "terms": [["XQ", 1.0]]}, "invalid Pauli label 'XQ'"),
+            ({"n": 2, "terms": [["XÝ", 1.0]]}, "invalid Pauli label 'XÝ'"),
+            ({"n": 2, "terms": [["XYZ", 1.0]]}, "term size mismatch"),
+            ({"n": 0, "terms": []}, "n_qubits must be positive"),
         ],
     )
     def test_malformed_json_operator(self, data, message):
@@ -417,6 +425,13 @@ class TestTruncationSweep:
         assert len(truncation_sweep(self.evolved(), range(1, 1026))) == 1025
         assert len(calls) == 1
 
+    def test_tail_is_summed_from_the_smallest_square_up(self):
+        evolved = self.evolved()
+        ranked = [a * a for a in sorted(evolved.coeff.tolist(), key=abs, reverse=True)]
+        chis = range(1, len(evolved) + 2)
+        want = [math.sqrt(sum(reversed(ranked[chi:]))).hex() for chi in chis]
+        assert [epsilon.hex() for _, _, epsilon in truncation_sweep(evolved, chis)] == want
+
     def test_errors(self):
         op = SparseOperator.from_pauli(PauliString.from_label("X"))
         with pytest.raises(ValueError, match="chi must be a positive integer"):
@@ -471,7 +486,7 @@ def reference_truncation(op, chi):
     ranked = sorted(op.terms.items(), key=lambda kv: -abs(kv[1]))
     kept = dict(ranked[:chi])
     kept_weight = sum(a * a for a in kept.values())
-    epsilon = math.sqrt(sum(a * a for _, a in ranked[chi:]))
+    epsilon = math.sqrt(sum(a * a for _, a in reversed(ranked[chi:])))
     return sorted(kept.items(), key=lambda kv: (kv[0].z_mask, kv[0].x_mask)), epsilon, kept_weight
 
 
