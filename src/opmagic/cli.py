@@ -169,6 +169,8 @@ def _cmd_xxz_scan(args) -> None:
 def _cmd_haar_avg(args) -> None:
     if args.n < 1:
         raise CliError(f"--n must be at least 1, got {args.n}")
+    if args.workers > args.samples:
+        raise CliError(f"--workers {args.workers} exceeds --samples {args.samples}")
     rows = []
     dim = 1 << args.n
     alphas = parse_alphas(args.alpha)

@@ -6,8 +6,8 @@ here as reference functions and verified by seeded Monte Carlo rather than
 re-deriving the Weingarten sums. Sampling splits into per-worker RNG
 streams spawned from the master seed, so estimates are reproducible for a
 fixed (seed, worker count) and the merge is order independent. `workers`
-only partitions the RNG streams: the streams run one after another in the
-calling process.
+only partitions the RNG streams, at most one per sample: the streams run
+one after another in the calling process.
 
 Sampling is one batched pass. Each stream is walked in batches of at most
 _BATCH_ELEMENTS / D^2 unitaries: one Gaussian draw, one stacked QR and
@@ -119,6 +119,8 @@ def _haar_samples(
         raise ValueError("need at least 2 samples")
     if workers < 1:
         raise ValueError("workers must be positive")
+    if workers > n_samples:  # a stream past the sample count draws nothing
+        raise ValueError(f"{workers} workers exceed {n_samples} samples")
     dim = 1 << n_qubits
     batch = max(1, _BATCH_ELEMENTS // (dim * dim))
     seed_op = pauli_matrix(single_site_pauli(0, "X", n_qubits))

@@ -376,10 +376,7 @@ def conjugate_gate(
     operator: SparseOperator, gate: Gate, *, prune_tol: float = PRUNE_TOL
 ) -> SparseOperator:
     """Return g^dag . O . g with real coefficients; result is pruned."""
-    n = operator.n_qubits
-    if any(s >= n for s in gate.sites):
-        raise ValueError(f"gate {gate} out of range for {n} qubits")
-    return _propagate(operator, (gate,), prune_tol)
+    return evolve_heisenberg(operator, Circuit(operator.n_qubits, (gate,)), prune_tol=prune_tol)
 
 
 def evolve_heisenberg(

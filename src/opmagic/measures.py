@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,12 +88,6 @@ class OseReport:
     linear_ose: float
     rank: int
     support_size: int
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        if math.isinf(self.alpha):
-            d["alpha"] = "inf"
-        return d
 
 
 def ose(evolved: SparseOperator, initial: SparseOperator, alpha: float) -> OseReport:

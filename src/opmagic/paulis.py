@@ -213,6 +213,8 @@ def bits_of_ints(ints: list, width: int) -> np.ndarray:
 def ints_of_bits(bits: np.ndarray) -> list:
     """The inverse of `bits_of_ints`: one int per row of a bit matrix."""
     size = (bits.shape[1] + 7) >> 3
+    if not size:  # no columns: every row is 0
+        return [0] * len(bits)
     data = np.packbits(bits, axis=1, bitorder="little").tobytes()
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 

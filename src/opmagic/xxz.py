@@ -10,13 +10,14 @@ is, in bits,
     A = a_z^(2a) / (a_x^(2a) + a_y^(2a)),
 
 growing near-linearly before saturating at (1/(1-alpha)) log2(A/(A+1))
-for alpha > 1 (for alpha < 1 it grows without bound). Both forms are
-evaluated in log2, with max(a_x^2, a_y^2)^alpha and
-M^alpha = max(cos^2 2J, sin^2 2J)^alpha factored out of their sums, so a
-large finite index neither underflows nor overflows.
-The alpha -> inf limit is log2 p_max - log2 max(a_z^2, m M^t) with
-p_max = max(a_x^2, a_y^2, a_z^2) and m = max(a_x^2, a_y^2): the largest
-weights of the seed and of the evolved operator. The alpha -> 1 limit is
+for alpha > 1 (for alpha < 1 it grows without bound). Every closed form
+is evaluated from three log2 sums of w^alpha: z over the seed's Z weight
+a_z^2, xy over its X/Y weights a_x^2, a_y^2, and brick over one brick's
+branch weights cos^2 2J, sin^2 2J. After t layers the operator's sum is
+2^z + 2^(xy + t brick). Each sum is alpha log2 w_max + log2 sum
+(w / w_max)^alpha, so a large finite index neither underflows nor
+overflows, and at alpha = inf it is log2 w_max, which gives the
+largest-weight limit. The alpha -> 1 limit is
 t (a_x^2 + a_y^2) H2(cos^2 2J) with H2 the binary entropy in bits,
 maximal (coefficient 1) at J = pi/8.
 At J = 0 (pure SWAPs) and J = pi/4 (Clifford point) every index gives
@@ -30,12 +31,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dense import pauli_matrix
 from .heisenberg import Circuit, Gate, brickwork_circuit, evolve_heisenberg
 from .measures import ose
-from .paulis import PauliString, SparseOperator, from_local, single_site_pauli
+from .paulis import PRUNE_TOL, PauliString, SparseOperator, from_local, single_site_pauli
 
 MAX_SIM_LAYERS = 18
-BRANCH_CUT = 1e-28  # PRUNE_TOL^2: a brick branch weight below it is an exact zero
+BRANCH_CUT = PRUNE_TOL**2  # a brick branch weight below it is an exact zero
 
 
 def xxz_brick(j_coupling: float) -> tuple[Gate, Gate]:
@@ -53,18 +55,11 @@ def two_site_unitary(j_coupling: float) -> np.ndarray:
     The three terms commute, so the exponential factorizes exactly; this
     equals SWAP . RZZ(J) up to the global phase exp(-i pi/4).
     """
-    xx = np.kron(_SX, _SX)
-    yy = np.kron(_SY, _SY)
-    zz = np.kron(_SZ, _SZ)
+    xx, yy, zz = (pauli_matrix(PauliString.from_label(label)) for label in ("XX", "YY", "ZZ"))
     out = np.eye(4, dtype=complex)
     for theta, op in ((math.pi / 4, xx), (math.pi / 4, yy), (j_coupling + math.pi / 4, zz)):
         out = out @ (math.cos(theta) * np.eye(4) - 1j * math.sin(theta) * op)
     return out
-
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -104,36 +99,26 @@ def closed_form_ose(params: XxzParams) -> float:
         raise ValueError("alpha = 1 is the replica limit; use alpha1_ose")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
-    p_max, m, big = _max_weights(params)
+    z, xy, brick = _log2_sums(params)
     if params.alpha == math.inf:
-        top = max(_log2(params.a_z**2), math.log2(m) + params.t * math.log2(big))
-        return math.log2(p_max) - top
-    log_a, log_x = _log2_ratios(params, m, big)
-    grown = np.logaddexp2(log_a, params.t * log_x) - np.logaddexp2(log_a, 0.0)
-    # no growth (t = 0, or a Clifford brick: log2 x = 0) is +0.0, not the sign of 1 - alpha
+        return max(z, xy) - max(z, xy + params.t * brick)
+    grown = np.logaddexp2(z - xy, params.t * brick) - np.logaddexp2(z - xy, 0.0)
+    # no growth (t = 0, or a Clifford brick: brick = 0) is +0.0, not the sign of 1 - alpha
     return float(grown) / (1.0 - params.alpha) + 0.0
 
 
 def alpha1_ose(params: XxzParams) -> float:
     """Replica limit alpha -> 1: t (a_x^2 + a_y^2) H2(cos^2 2J) bits.
 
-    H2 is the binary Shannon entropy, so J = 0 and J = pi/4 give 0 and
-    J = pi/8 gives coefficient exactly 1.
+    H2 is the binary Shannon entropy of the branch weights, so J = 0 and
+    J = pi/4 give 0 and J = pi/8 gives coefficient exactly 1.
     """
     if params.alpha != 1:
         raise ValueError(f"alpha1_ose is the alpha = 1 limit, got alpha = {params.alpha}")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
-    q = math.cos(2.0 * params.j) ** 2
-    return params.t * (params.a_x**2 + params.a_y**2) * _binary_entropy(q)
-
-
-def _binary_entropy(q: float) -> float:
-    # branch amplitudes below the engine prune tolerance are exact zeros,
-    # so the Clifford endpoints J = 0, pi/4 give exactly 0
-    if min(q, 1.0 - q) < BRANCH_CUT:
-        return 0.0
-    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+    h2 = sum(-w * math.log2(w) for w in _branch_weights(params.j) if w)
+    return params.t * (params.a_x**2 + params.a_y**2) * h2
 
 
 def saturation_value(params: XxzParams) -> float:
@@ -143,23 +128,14 @@ def saturation_value(params: XxzParams) -> float:
         raise ValueError("alpha = 1 grows linearly and does not saturate")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
-    if 0.0 in _branch_weights(params.j):  # a Clifford brick, as in _log2_ratios
+    if 0.0 in _branch_weights(params.j):  # a Clifford brick
         return 0.0
-    p_max, m, big = _max_weights(params)
-    if params.alpha == math.inf:
-        return math.log2(p_max) - _log2(params.a_z**2)
-    log_a, log_x = _log2_ratios(params, m, big)
-    if log_x > 0.0:  # alpha < 1
+    if params.alpha < 1:
         return math.inf
-    return float(log_a - np.logaddexp2(log_a, 0.0)) / (1.0 - params.alpha)
-
-
-def _max_weights(params: XxzParams) -> tuple[float, float, float]:
-    """p_max = max(a_x^2, a_y^2, a_z^2), m = max(a_x^2, a_y^2) and
-    M = max(cos^2 2J, sin^2 2J): the largest weights of the seed, of its
-    X/Y part and of one brick's split."""
-    m = max(params.a_x**2, params.a_y**2)
-    return max(m, params.a_z**2), m, max(_branch_weights(params.j))
+    z, xy, _ = _log2_sums(params)
+    if params.alpha == math.inf:
+        return max(z, xy) - z
+    return float(z - xy - np.logaddexp2(z - xy, 0.0)) / (1.0 - params.alpha)
 
 
 def _branch_weights(j: float) -> tuple[float, float]:
@@ -168,20 +144,26 @@ def _branch_weights(j: float) -> tuple[float, float]:
     return tuple(w if w >= BRANCH_CUT else 0.0 for w in (math.cos(2.0 * j) ** 2, math.sin(2.0 * j) ** 2))
 
 
-def _log2_ratios(params: XxzParams, m: float, big: float) -> tuple[float, float]:
-    """log2 A and log2 (cos^(2a) 2J + sin^(2a) 2J), with m^alpha and M^alpha
-    factored out of the sums; log2 A is -inf at a_z = 0, and log2 x is 0
-    at J = 0 and pi/4."""
+def _log2_sums(params: XxzParams) -> tuple[float, float, float]:
+    """log2 sum w^alpha over the seed's Z weight, over its X/Y weights and
+    over one brick's branch weights: (z, xy, brick).
+
+    Each sum is alpha log2 w_max + log2 sum (w / w_max)^alpha, with the
+    largest weight factored out before the power, and log2 w_max at
+    alpha = inf. z is -inf at a_z = 0, and brick is 0 at J = 0 and pi/4.
+    """
     alpha = params.alpha
-    c2, s2 = _branch_weights(params.j)
-    log_x = alpha * math.log2(big) + math.log2((c2 / big) ** alpha + (s2 / big) ** alpha)
-    den = (params.a_x**2 / m) ** alpha + (params.a_y**2 / m) ** alpha
-    return alpha * _log2(params.a_z**2 / m) - math.log2(den), log_x
 
+    def log2_sum(weights: Sequence[float]) -> float:
+        top = max(weights)
+        if top == 0.0:
+            return -math.inf
+        if alpha == math.inf:
+            return math.log2(top)
+        return alpha * math.log2(top) + math.log2(sum((w / top) ** alpha for w in weights))
 
-def _log2(value: float) -> float:
-    """log2 with log2(0) = -inf."""
-    return math.log2(value) if value > 0.0 else -math.inf
+    xy = (params.a_x**2, params.a_y**2)
+    return log2_sum((params.a_z**2,)), log2_sum(xy), log2_sum(_branch_weights(params.j))
 
 
 def commuted_operator(
@@ -214,12 +196,8 @@ def commuted_operator(
         else:
             letter = "Y" if k % 2 == 0 else "X"
             sign = -1.0 if (k // 2) % 2 else 1.0
-        z_mask = 0
-        for i in range(t):
-            if (subset >> i) & 1:
-                z_mask |= 1 << (site_j + i)
         base = single_site_pauli(head, letter, n_qubits)
-        terms[PauliString(n_qubits, base.x_mask, base.z_mask | z_mask)] = sign * coeff
+        terms[PauliString(n_qubits, base.x_mask, base.z_mask | subset << site_j)] = sign * coeff
     return SparseOperator(n_qubits, terms)
 
 

@@ -2,12 +2,15 @@ import ast
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from opmagic import Circuit, Gate, SparseOperator
-from opmagic.cli import main, parse_alphas, parse_angle, parse_range
+from opmagic.cli import main, parse_alpha, parse_alphas, parse_angle, parse_range
 
 
 def write_circuit(tmp_path, circuit, name="circuit.json"):
@@ -44,6 +47,10 @@ class TestParsers:
     def test_parse_alpha_rejects_nan(self):
         with pytest.raises(ValueError):
             parse_alphas("2,nan")
+
+    def test_parse_alpha_rejects_text(self):
+        with pytest.raises(ValueError, match="cannot parse alpha 'x'"):
+            parse_alpha("x")
 
     def test_parse_angle_lives_in_the_core(self):
         from opmagic import cli, heisenberg
@@ -505,6 +512,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert all(needle in err for needle in needles), err
 
+    @pytest.mark.parametrize(
+        "argv,needles",
+        [
+            (["xxz-scan", "--J", "0.3", "--t", "1", "--alpha", "0"], ["alpha must be positive"]),
+            (["haar-avg", "--n", "1", "--samples", "1"], ["at least 2 samples"]),
+            (["haar-avg", "--n", "1", "--samples", "20", "--workers", "0"], ["workers must be positive"]),
+            # a stream past the sample count draws nothing but still costs a spawn
+            (["haar-avg", "--n", "1", "--samples", "2000", "--workers", "2001"], ["--workers", "--samples"]),
+        ],
+    )
+    def test_out_of_range_counts_and_indices(self, argv, needles, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert all(needle in err for needle in needles), err
+
     def test_negative_alpha_in_haar_avg(self, capsys):
         assert main(["haar-avg", "--n", "2", "--alpha", "-1", "--samples", "50"]) == 1
         assert "non-negative" in capsys.readouterr().err
@@ -577,3 +599,24 @@ def test_provenance_params_pinned(command, tmp_path, monkeypatch, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["command"] == command
     assert json.dumps(data["params"]) == json_params
+
+
+class TestEntryPoint:
+    """`python -m opmagic` as a process: the exit codes the shell sees."""
+
+    @staticmethod
+    def run(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        return subprocess.run([sys.executable, "-m", "opmagic", *argv], capture_output=True, text=True, env=env)
+
+    def test_version_exits_zero(self):
+        from opmagic import __version__
+
+        done = self.run("--version")
+        assert done.returncode == 0
+        assert __version__ in done.stdout
+
+    def test_unknown_option_exits_one(self):
+        done = self.run("ose", "--nonsense")
+        assert done.returncode == 1
+        assert done.stderr.startswith("opmagic: error:")

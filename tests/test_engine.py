@@ -141,6 +141,27 @@ def test_empty_circuit_returns_the_operator():
     assert evolve_heisenberg(seed, Circuit(5, ())) is seed
 
 
+class TestZeroOperator:
+    """The zero operator evolves to the zero operator."""
+
+    CIRCUIT = Circuit(2, (Gate("T", (0,)), Gate("H", (1,)), Gate("CNOT", (0, 1)), Gate("RZZ", (0, 1), 0.3)))
+
+    @staticmethod
+    def assert_zero(operator):
+        assert operator.n_qubits == 2 and len(operator) == 0
+        assert operator.xz.shape == (2, 0) and dict(operator.terms) == {}
+
+    def test_empty_seed(self):
+        self.assert_zero(evolve_heisenberg(SparseOperator(2, {}), self.CIRCUIT))
+
+    def test_every_seed_term_below_prune_tol(self):
+        seed = SparseOperator(2, {PauliString.from_label("XI"): 1e-4, PauliString.from_label("ZZ"): -1e-5})
+        self.assert_zero(evolve_heisenberg(seed, self.CIRCUIT, prune_tol=1e-3))
+
+    def test_one_gate(self):
+        self.assert_zero(conjugate_gate(SparseOperator(2, {}), Gate("T", (0,))))
+
+
 class TestCliffordSampler:
     """Marginals of random_clifford_circuit's kind, site and pair draws."""
 

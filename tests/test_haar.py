@@ -100,6 +100,12 @@ class TestBatchedPass:
         with pytest.raises(ValueError, match="shape"):
             _haar_samples(2, lambda p: np.sum(p**2), 10, seed=1, workers=1)
 
+    def test_workers_bounded_by_samples(self):
+        from opmagic.haar import _haar_samples
+
+        with pytest.raises(ValueError, match="11 workers exceed 10 samples"):
+            _haar_samples(1, lambda p: np.sum(p**2, axis=-1), 10, seed=1, workers=11)
+
     def test_peak_memory_does_not_grow_with_samples(self):
         # only the output grows: 8 bytes per sample per index. 40 samples
         # over 2 workers fill batches of up to 20, so a batch that grew with

@@ -59,6 +59,18 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Circuit(2, (Gate("H", (2,)),))
 
+    def test_conjugate_gate_range_check(self):
+        with pytest.raises(ValueError, match=r"gate .* out of range for 2 qubits"):
+            conjugate_gate(x_seed(0, 2), Gate("CNOT", (0, 2)))
+
+    def test_circuit_needs_a_qubit(self):
+        with pytest.raises(ValueError, match="n_qubits must be positive"):
+            Circuit(0, ())
+
+    def test_negative_site_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Gate("H", (-1,))
+
 
 class TestGateTable:
     """The gate table, the dense oracle and the test draws name the same kinds."""
@@ -311,6 +323,16 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             Circuit.from_text(text)
         assert str(info.value) == message
+
+    def test_text_without_qubits_line_infers_n(self):
+        c = Circuit.from_text("T 0\nCNOT 1 3\n")
+        assert c.n_qubits == 4
+        assert [g.kind for g in c.gates] == ["T", "CNOT"]
+
+    def test_text_unknown_kind_named(self):
+        with pytest.raises(ValueError) as info:
+            Circuit.from_text("qubits 2\nFOO 0\n")
+        assert str(info.value) == "unknown gate kind 'FOO' in line 'FOO 0'"
 
     @pytest.mark.parametrize("line", ["RZ 0 0.3 junk", "T 0 pi/8 1", "CNOT 0 1 2 3"])
     def test_text_trailing_tokens_rejected(self, line):

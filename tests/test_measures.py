@@ -195,12 +195,6 @@ class TestOse:
         assert rep.support_size == 2
         assert rep.linear_ose == pytest.approx(1.0 - rep.purity)
         assert rep.purity == pytest.approx(0.25)
-        d = rep.to_json_dict()
-        assert d["alpha"] == 2 and d["rank"] == 4
-
-    def test_inf_alpha_serialization(self):
-        evolved, seed = t_ladder(1)
-        assert ose(evolved, seed, math.inf).to_json_dict()["alpha"] == "inf"
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

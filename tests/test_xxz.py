@@ -116,6 +116,15 @@ class TestClosedForm:
         assert saturation_value(params(0.3, 0, 2)) == math.inf
         assert saturation_value(params(0.3, 0, math.inf)) == math.inf
 
+    def test_saturation_at_alpha_one_rejected(self):
+        with pytest.raises(ValueError, match="does not saturate"):
+            saturation_value(params(0.3, 0, 1))
+
+    def test_sigma_z_seed_saturation_and_replica_limit(self):
+        z_seed = (0.0, 0.0, 1.0)
+        assert saturation_value(params(0.3, 0, 2, z_seed)) == 0.0
+        assert alpha1_ose(params(0.3, 5, 1, z_seed)) == 0.0
+
     def test_alpha_inf_saturation(self):
         a = (0.8, 0.0, 0.6)
         limit = saturation_value(params(0.3, 0, math.inf, a))
@@ -314,3 +323,9 @@ class TestLargeIndex:
         values = [closed_form_ose(params(j, t, 0.5, MIXED_SEED)) for t in (10**3, 10**6, 10**8)]
         assert 0.0 < values[0] < values[1] < values[2]
         assert saturation_value(params(j, 0, 0.5, MIXED_SEED)) == math.inf
+
+    @pytest.mark.parametrize("a", [(0.6, 0.0, 0.8), (1.0, 0.0, 0.0)])
+    def test_saturation_below_index_one_near_clifford_point(self, a):
+        # sin^2 2J = 4e-24 is a real branch, but log2(1 + 4e-24^0.9) rounds to 0
+        assert math.sin(2e-12) ** 2 >= xxz.BRANCH_CUT
+        assert saturation_value(params(1e-12, 0, 0.9, a)) == math.inf
