@@ -25,7 +25,7 @@ from .heisenberg import (
     evolve_heisenberg,
     random_clifford_circuit,
 )
-from .measures import OseReport, ose, pauli_probs, purity, renyi_entropy, t_count_lower_bound
+from .measures import OseReport, ose, ose_scan, pauli_probs, purity, renyi_entropy, t_count_lower_bound
 from .xxz import XxzParams, alpha1_ose, closed_form_ose, commuted_operator, simulate_vs_closed
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "random_clifford_circuit",
     "OseReport",
     "ose",
+    "ose_scan",
     "pauli_probs",
     "purity",
     "renyi_entropy",

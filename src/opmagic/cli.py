@@ -4,7 +4,8 @@ Commands: evolve, ose, xxz-scan, haar-avg, doped-scan, truncate-study,
 nullity. Output embeds the tool version, seed and full parameter set in the
 header so any file can be regenerated from its own provenance. Angles are
 radians, with pi-fraction syntax ("pi/8", "3*pi/4") accepted. Exit codes:
-0 ok, 1 bad input, 2 internal error.
+0 ok, 1 bad input (a size too large to allocate included), 2 internal
+error.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from . import __version__
 from .dense import avg_linear_ose, avg_linear_sre, circuit_unitary, stabilizer_nullity
 from .haar import asymptotic_avg_purity, closed_form_avg_purity, mc_average_purities
 from .heisenberg import Circuit, doped_circuit, evolve_heisenberg, parse_angle
-from .measures import ose
+from .measures import ose_scan
 from .paulis import (
     SparseOperator,
     expectation_error_bound,
@@ -135,12 +136,10 @@ def _cmd_evolve(args) -> None:
 
 def _cmd_ose(args) -> None:
     seed, evolved = _evolved(args)
-    rows = []
-    for alpha in parse_alphas(args.alpha):
-        rep = ose(evolved, seed, alpha)
-        rows.append(
-            [_fmt_alpha(alpha), rep.purity, rep.ose, rep.linear_ose, rep.rank, rep.support_size]
-        )
+    rows = [
+        [_fmt_alpha(rep.alpha), rep.purity, rep.ose, rep.linear_ose, rep.rank, rep.support_size]
+        for rep in ose_scan(evolved, seed, parse_alphas(args.alpha))
+    ]
     _emit(args, ["alpha", "purity", "ose", "linear_ose", "rank", "support"], rows)
 
 
@@ -193,15 +192,15 @@ def _cmd_doped_scan(args) -> None:
         raise CliError(f"--circuits must be at least 1, got {args.circuits}")
     rows = []
     rng = np.random.default_rng(args.seed)
+    seed_op = None
     for index in range(args.circuits):
         circuit = doped_circuit(
             args.n, args.tau, clifford_depth=args.clifford_depth, seed=int(rng.integers(2**63 - 1))
         )
-        seed_op = SparseOperator.from_pauli(single_site_pauli(0, "X", args.n))
-        evolved = evolve_heisenberg(seed_op, circuit)
-        for alpha in alphas:
-            rep = ose(evolved, seed_op, alpha)
-            rows.append([index, args.tau, _fmt_alpha(alpha), rep.ose, rep.rank])
+        if seed_op is None:  # after the first build, which reports a bad --n
+            seed_op = SparseOperator.from_pauli(single_site_pauli(0, "X", args.n))
+        for rep in ose_scan(evolve_heisenberg(seed_op, circuit), seed_op, alphas):
+            rows.append([index, args.tau, _fmt_alpha(rep.alpha), rep.ose, rep.rank])
     _emit(args, ["circuit", "tau", "alpha", "ose", "rank"], rows)
 
 
@@ -310,12 +309,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
-        return 0
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
+    except CliError as exc:
+        print(f"opmagic: error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        args.func(args)
+        return 0
     except (ValueError, OSError, KeyError) as exc:  # CliError, JSONDecodeError included
         print(f"opmagic: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a requested size that cannot be allocated is bad input
+        print(f"opmagic: error: {args.command}: not enough memory: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"opmagic: internal error: {exc!r}", file=sys.stderr)

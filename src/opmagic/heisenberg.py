@@ -159,15 +159,30 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        n = as_integer(self.n_qubits, "qubit count n")
-        if n <= 0:
-            raise ValueError("n_qubits must be positive")
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "gates", tuple(self.gates))
+        self._hold(self.n_qubits, tuple(self.gates))
+        n = self.n_qubits
         # one max over the distinct site tuples; the gate is looked up only to name it
         if max(map(max, {g.sites for g in self.gates}), default=-1) >= n:
             bad = next(g for g in self.gates if max(g.sites) >= n)
             raise ValueError(f"gate {bad} out of range for {n} qubits")
+
+    def _hold(self, n_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
+        n = as_integer(n_qubits, "qubit count n")
+        if n <= 0:
+            raise ValueError("n_qubits must be positive")
+        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "gates", gates)
+        return self
+
+    @classmethod
+    def _of(cls, n_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
+        """The circuit of a tuple of gates whose every site is below n_qubits.
+
+        The qubit count is checked as by `Circuit(...)`, but the gates' sites
+        are not: only a builder whose gates are in range by construction may
+        call this, so that the result equals `Circuit(n_qubits, gates)`.
+        """
+        return cls.__new__(cls)._hold(n_qubits, gates)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -398,8 +413,9 @@ def brickwork_circuit(n_qubits: int, layers: int, brick: Sequence[Gate]) -> Circ
 
     Even layers couple (0,1),(2,3),...; odd layers (1,2),(3,4),....
     `brick` is a gate template on abstract sites {0, 1}, instantiated on
-    each coupled pair. The two layers are built once and shared by every
-    layer of their parity; a `Gate` is immutable.
+    each coupled pair, so every site is below n_qubits. The two layers are
+    built once and shared by every layer of their parity; a `Gate` is
+    immutable.
     """
     if n_qubits % 2 != 0:
         raise ValueError("brickwork needs an even qubit count")
@@ -417,7 +433,7 @@ def brickwork_circuit(n_qubits: int, layers: int, brick: Sequence[Gate]) -> Circ
         )
         for start in (0, 1)
     )
-    return Circuit(n_qubits, (even + odd) * (layers // 2) + even * (layers % 2))
+    return Circuit._of(n_qubits, (even + odd) * (layers // 2) + even * (layers % 2))
 
 
 def mixing_depth(n_qubits: int) -> int:
@@ -426,21 +442,23 @@ def mixing_depth(n_qubits: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _clifford_gate_table(n_qubits: int) -> tuple[Gate, ...]:
-    """Interned {H, S, CNOT} gates: H on each site, S on each site, then
-    CNOT on each ordered pair (c, t), c != t, at c (n - 1) + t - (t > c).
+def _gate_table(n_qubits: int) -> tuple[Gate, ...]:
+    """Interned gates of the doped ensemble: H on each site, S on each site,
+    CNOT on each ordered pair (c, t), c != t, at 2 n + c (n - 1) + t - (t > c),
+    then T on each site, from n (n + 1) on.
     """
     sites = range(n_qubits)
     return (
         tuple(Gate("H", (q,)) for q in sites)
         + tuple(Gate("S", (q,)) for q in sites)
         + tuple(Gate("CNOT", (c, t)) for c in sites for t in sites if t != c)
+        + tuple(Gate("T", (q,)) for q in sites)
     )
 
 
-def _clifford_gates(n_qubits: int, depth: int, seed: int) -> list[Gate]:
-    """`depth` gates of the mixing ensemble from three vectorized draws:
-    kind, site, and an ordered CNOT pair.
+def _clifford_indices(n_qubits: int, depth: int, seed: int) -> np.ndarray:
+    """`_gate_table` indices of `depth` gates of the mixing ensemble, from
+    three vectorized draws: kind, site, and an ordered CNOT pair.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -448,9 +466,12 @@ def _clifford_gates(n_qubits: int, depth: int, seed: int) -> list[Gate]:
     kind = rng.integers(3 if n_qubits >= 2 else 2, size=depth)
     site = rng.integers(n_qubits, size=depth)
     pair = rng.integers(max(n_qubits * (n_qubits - 1), 1), size=depth)
-    index = np.where(kind == 2, 2 * n_qubits + pair, kind * n_qubits + site)
-    table = _clifford_gate_table(n_qubits)
-    return [table[i] for i in index.tolist()]
+    return np.where(kind == 2, 2 * n_qubits + pair, kind * n_qubits + site)
+
+
+def _table_circuit(n_qubits: int, index: np.ndarray) -> Circuit:
+    """The circuit of `_gate_table` entries, which are in range by construction."""
+    return Circuit._of(n_qubits, tuple(map(_gate_table(n_qubits).__getitem__, index.tolist())))
 
 
 def random_clifford_circuit(
@@ -466,7 +487,7 @@ def random_clifford_circuit(
     """
     if depth is None:
         depth = mixing_depth(n_qubits)
-    return Circuit(n_qubits, tuple(_clifford_gates(n_qubits, depth, seed)))
+    return _table_circuit(n_qubits, _clifford_indices(n_qubits, depth, seed))
 
 
 def doped_circuit(
@@ -479,7 +500,8 @@ def doped_circuit(
 
     tau = 0 gives a single pure Clifford block. Block k is
     random_clifford_circuit(n_qubits, clifford_depth, seed_k) for a seed
-    drawn from `seed`.
+    drawn from `seed`. The blocks' table indices and the T gates' are
+    joined into one index array, mapped through the table once.
     """
     if n_qubits < 1:
         raise ValueError(f"qubit count n must be positive, got {n_qubits}")
@@ -489,10 +511,8 @@ def doped_circuit(
         clifford_depth = mixing_depth(n_qubits)
     rng = np.random.default_rng(seed)
     block_seeds = rng.integers(0, 2**63 - 1, size=tau + 1)
-    t_sites = rng.integers(0, n_qubits, size=tau) if tau else []
-    gates: list[Gate] = []
-    for k in range(tau):
-        gates += _clifford_gates(n_qubits, clifford_depth, int(block_seeds[k]))
-        gates.append(Gate("T", (int(t_sites[k]),)))
-    gates += _clifford_gates(n_qubits, clifford_depth, int(block_seeds[tau]))
-    return Circuit(n_qubits, tuple(gates))
+    t_sites = rng.integers(0, n_qubits, size=tau)
+    blocks = np.stack([_clifford_indices(n_qubits, clifford_depth, s) for s in block_seeds.tolist()])
+    # each block but the last, then its T gate; T on site q is entry n (n + 1) + q
+    body = np.column_stack((blocks[:-1], n_qubits * (n_qubits + 1) + t_sites))
+    return _table_circuit(n_qubits, np.concatenate((body.ravel(), blocks[-1])))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -98,19 +99,25 @@ def ose(evolved: SparseOperator, initial: SparseOperator, alpha: float) -> OseRe
     renyi_purity of the same probabilities, so at alpha = 0 it is the count
     above PROB_FLOOR: the rank of any operator pruned at PRUNE_TOL.
     """
+    return ose_scan(evolved, initial, (alpha,))[0]
+
+
+def ose_scan(
+    evolved: SparseOperator, initial: SparseOperator, alphas: Sequence[float]
+) -> list[OseReport]:
+    """`ose` at every index of `alphas`: both probability vectors, with their
+    unit-weight checks, and the support are taken once for all of them."""
     if evolved.n_qubits != initial.n_qubits:
         raise ValueError("size mismatch")
-    probs = pauli_probs(evolved)
-    value = renyi_entropy(probs, alpha) - renyi_entropy(pauli_probs(initial), alpha)
-    pur = renyi_purity(probs, alpha)
-    return OseReport(
-        alpha=alpha,
-        purity=pur,
-        ose=value,
-        linear_ose=1.0 - pur,
-        rank=len(evolved),
-        support_size=len(evolved.support()),
-    )
+    probs, seed_probs = pauli_probs(evolved), pauli_probs(initial)
+    rank, support_size = len(evolved), len(evolved.support())
+    reports = []
+    for alpha in alphas:
+        value = renyi_entropy(probs, alpha) - renyi_entropy(seed_probs, alpha)
+        pur = renyi_purity(probs, alpha)
+        reports.append(OseReport(alpha=alpha, purity=pur, ose=value, linear_ose=1.0 - pur,
+                                 rank=rank, support_size=support_size))
+    return reports
 
 
 def t_count_lower_bound(

@@ -189,11 +189,11 @@ def xz_of_bits(x_bits: np.ndarray, z_bits: np.ndarray) -> np.ndarray:
     """The (2w, rows) uint64 words of (rows, n) x and z bit matrices, site i
     at bit i % 64 of word i // 64: the x words lowest first, then the z words."""
     rows, n = x_bits.shape
-    padded = np.zeros((2, rows, (n + 63) & ~63), np.uint8)
-    padded[0, :, :n] = x_bits
-    padded[1, :, :n] = z_bits
-    words = np.packbits(padded, axis=2, bitorder="little").view("<u8")
-    return np.concatenate(words.transpose(0, 2, 1))
+    # each bit matrix packed into the leading bytes of its rows' words
+    packed = np.zeros((2, rows, ((n + 63) >> 6) << 3), np.uint8)
+    for out, bits in zip(packed, (x_bits, z_bits)):
+        out[:, : (n + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
+    return np.concatenate(packed.view("<u8").transpose(0, 2, 1))
 
 
 def bits_of_xz(xz: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:

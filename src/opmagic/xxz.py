@@ -33,11 +33,12 @@ import numpy as np
 
 from .dense import pauli_matrix
 from .heisenberg import Circuit, Gate, brickwork_circuit, evolve_heisenberg
-from .measures import ose
+from .measures import ose_scan
 from .paulis import PRUNE_TOL, PauliString, SparseOperator, from_local, single_site_pauli
 
 MAX_SIM_LAYERS = 18
 BRANCH_CUT = PRUNE_TOL**2  # a brick branch weight below it is an exact zero
+_LN2 = math.log(2.0)
 
 
 def xxz_brick(j_coupling: float) -> tuple[Gate, Gate]:
@@ -100,11 +101,12 @@ def closed_form_ose(params: XxzParams) -> float:
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
     z, xy, brick = _log2_sums(params)
+    grown = params.t * brick
     if params.alpha == math.inf:
-        return max(z, xy) - max(z, xy + params.t * brick)
-    grown = np.logaddexp2(z - xy, params.t * brick) - np.logaddexp2(z - xy, 0.0)
+        # max(z, xy) - max(z, xy + grown) for grown <= 0, without rounding xy + grown
+        return max(0.0, min(xy - z, -grown))
     # no growth (t = 0, or a Clifford brick: brick = 0) is +0.0, not the sign of 1 - alpha
-    return float(grown) / (1.0 - params.alpha) + 0.0
+    return _log2_growth(z - xy, grown) / (1.0 - params.alpha) + 0.0
 
 
 def alpha1_ose(params: XxzParams) -> float:
@@ -117,7 +119,8 @@ def alpha1_ose(params: XxzParams) -> float:
         raise ValueError(f"alpha1_ose is the alpha = 1 limit, got alpha = {params.alpha}")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
-    h2 = sum(-w * math.log2(w) for w in _branch_weights(params.j) if w)
+    small, log2_large = _branch_weights(params.j)
+    h2 = 0.0 - (1.0 - small) * log2_large - (small * math.log2(small) if small else 0.0)
     return params.t * (params.a_x**2 + params.a_y**2) * h2
 
 
@@ -128,20 +131,30 @@ def saturation_value(params: XxzParams) -> float:
         raise ValueError("alpha = 1 grows linearly and does not saturate")
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
-    if 0.0 in _branch_weights(params.j):  # a Clifford brick
+    if _branch_weights(params.j)[0] == 0.0:  # a Clifford brick
         return 0.0
     if params.alpha < 1:
         return math.inf
     z, xy, _ = _log2_sums(params)
     if params.alpha == math.inf:
-        return max(z, xy) - z
-    return float(z - xy - np.logaddexp2(z - xy, 0.0)) / (1.0 - params.alpha)
+        return max(0.0, xy - z)
+    # -log2(2^z / (2^z + 2^xy)) / (alpha - 1), z = -inf for a Pauli-like seed
+    return float(np.logaddexp2(0.0, xy - z)) / (params.alpha - 1.0)
 
 
 def _branch_weights(j: float) -> tuple[float, float]:
-    """cos^2 2J and sin^2 2J, one brick's split weights; a weight below
-    BRANCH_CUT is an exact 0, so one of them is 0 at J = 0 and pi/4."""
-    return tuple(w if w >= BRANCH_CUT else 0.0 for w in (math.cos(2.0 * j) ** 2, math.sin(2.0 * j) ** 2))
+    """One brick's split weights cos^2 2J and sin^2 2J, as the smaller one
+    and log2 of the larger one.
+
+    The smaller is taken directly, not as 1 minus the larger, and the
+    larger's log2 is log1p(-smaller) / ln 2, so neither rounds near a
+    Clifford point. A smaller weight below BRANCH_CUT is an exact 0, and
+    so it is at J = 0 and pi/4.
+    """
+    small = min(math.cos(2.0 * j) ** 2, math.sin(2.0 * j) ** 2)
+    if small < BRANCH_CUT:
+        return 0.0, 0.0
+    return small, math.log1p(-small) / _LN2
 
 
 def _log2_sums(params: XxzParams) -> tuple[float, float, float]:
@@ -150,7 +163,9 @@ def _log2_sums(params: XxzParams) -> tuple[float, float, float]:
 
     Each sum is alpha log2 w_max + log2 sum (w / w_max)^alpha, with the
     largest weight factored out before the power, and log2 w_max at
-    alpha = inf. z is -inf at a_z = 0, and brick is 0 at J = 0 and pi/4.
+    alpha = inf. The brick's second term is the log1p of its smaller
+    weight's ratio, so a brick near a Clifford point keeps its relative
+    accuracy. z is -inf at a_z = 0, and brick is 0 at J = 0 and pi/4.
     """
     alpha = params.alpha
 
@@ -162,8 +177,36 @@ def _log2_sums(params: XxzParams) -> tuple[float, float, float]:
             return math.log2(top)
         return alpha * math.log2(top) + math.log2(sum((w / top) ** alpha for w in weights))
 
+    small, log2_large = _branch_weights(params.j)
+    brick = log2_large
+    if alpha != math.inf:
+        brick = alpha * log2_large + math.log1p((small / (1.0 - small)) ** alpha) / _LN2
     xy = (params.a_x**2, params.a_y**2)
-    return log2_sum((params.a_z**2,)), log2_sum(xy), log2_sum(_branch_weights(params.j))
+    return log2_sum((params.a_z**2,)), log2_sum(xy), brick
+
+
+def _log2_growth(d: float, g: float) -> float:
+    """log2(2^d + 2^g) - log2(2^d + 1): how far t layers move the log2 sum,
+    for d = z - xy and g = t brick.
+
+    It is log2(1 + q), q = (2^g - 1) / (2^d + 1), formed through log2 |q| so
+    that no power overflows, and through log1p (in `np.logaddexp2` too) so
+    that a small g, a brick near a Clifford point, keeps its relative
+    accuracy: the difference of the two logs would cancel it. Only for
+    q < -1/2, where the result is at least 1 in size, is that difference
+    taken as it stands.
+    """
+    den = float(np.logaddexp2(d, 0.0))
+    if g > 0.0:
+        # log2(2^g - 1): by expm1 at small g, where 2^g - 1 cancels
+        num = math.log2(math.expm1(g * _LN2)) if g < 1.0 else g + math.log1p(-(2.0**-g)) / _LN2
+        return float(np.logaddexp2(0.0, num - den))
+    if g == 0.0:
+        return 0.0
+    q = -(2.0 ** (math.log2(-math.expm1(g * _LN2)) - den))
+    if q >= -0.5:
+        return math.log1p(q) / _LN2
+    return float(np.logaddexp2(d, g)) - den
 
 
 def commuted_operator(
@@ -231,8 +274,7 @@ def simulate_scan(grid: Sequence[XxzParams]) -> list[XxzComparison]:
     seed = from_local(params.t, params.a_x, params.a_y, params.a_z, n)
     evolved = evolve_heisenberg(seed, circuit)
     comparisons = []
-    for p in grid:
+    for p, report in zip(grid, ose_scan(evolved, seed, [p.alpha for p in grid])):
         closed = alpha1_ose(p) if p.alpha == 1 else closed_form_ose(p)
-        simulated = ose(evolved, seed, p.alpha).ose
-        comparisons.append(XxzComparison(simulated, closed, abs(simulated - closed)))
+        comparisons.append(XxzComparison(report.ose, closed, abs(report.ose - closed)))
     return comparisons

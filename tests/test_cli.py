@@ -319,6 +319,55 @@ class TestOtherCommands:
         for row in rows:
             assert float(row[3]) <= 2.0 + 1e-9
 
+    # recorded from the builders that made one Gate list per block, scored one index at a time
+    DOPED_PINS = {
+        "n6-seed11": (
+            ["doped-scan", "--n", "6", "--tau", "3", "--circuits", "4", "--alpha", "0,1,2,inf",
+             "--seed", "11"],
+            (
+                '# tool=opmagic\n'
+                '# version=0.1.0\n'
+                '# command=doped-scan\n'
+                '# params={"alpha": "0,1,2,inf", "circuits": 4, "clifford_depth": null, "n": 6, "seed": 11, "tau": 3}\n'
+                'circuit,tau,alpha,ose,rank\n'
+                '0,3,0,2.584962500721156,6\n'
+                '0,3,1,2.5,6\n'
+                '0,3,2,2.415037499278844,6\n'
+                '0,3,inf,2.0,6\n'
+                '1,3,0,1.0,2\n'
+                '1,3,1,1.0,2\n'
+                '1,3,2,1.0,2\n'
+                '1,3,inf,0.9999999999999997,2\n'
+                '2,3,0,2.0,4\n'
+                '2,3,1,1.75,4\n'
+                '2,3,2,1.5405683813627031,4\n'
+                '2,3,inf,1.0000000000000002,4\n'
+                '3,3,0,1.584962500721156,3\n'
+                '3,3,1,1.4999999999999998,3\n'
+                '3,3,2,1.4150374992788437,3\n'
+                '3,3,inf,0.9999999999999997,3\n'
+            ),
+        ),
+        "n70-depth40": (
+            ["doped-scan", "--n", "70", "--tau", "2", "--circuits", "2", "--clifford-depth", "40"],
+            (
+                '# tool=opmagic\n'
+                '# version=0.1.0\n'
+                '# command=doped-scan\n'
+                '# params={"alpha": "2", "circuits": 2, "clifford_depth": 40, "n": 70, "seed": 0, "tau": 2}\n'
+                'circuit,tau,alpha,ose,rank\n'
+                '0,2,2,0.0,1\n'
+                '1,2,2,0.0,1\n'
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", DOPED_PINS)
+    def test_doped_scan_pinned_byte_for_byte(self, capsys, name):
+        argv, want = self.DOPED_PINS[name]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
     def test_truncate_study(self, tmp_path):
         circuit = write_circuit(tmp_path, t_ladder(3))
         out = tmp_path / "trunc.csv"
@@ -468,6 +517,21 @@ class TestExitCodes:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    # sizes whose arrays (745 GiB, 7.3 TiB) are refused at once; never a size that could be granted
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["doped-scan", "--n", "3", "--tau", "100000000000"],
+            ["haar-avg", "--n", "2", "--samples", "1000000000000", "--alpha", "2"],
+        ],
+        ids=["doped-tau", "haar-samples"],
+    )
+    def test_size_that_cannot_be_allocated_is_bad_input(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"opmagic: error: {argv[0]}: not enough memory" in captured.err
+        assert "internal error" not in captured.err and captured.out == ""
 
     def test_negative_sre_samples_is_bad_input(self, tmp_path, capsys):
         circuit = write_circuit(tmp_path, t_ladder(2))

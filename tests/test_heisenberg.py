@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opmagic import (
     Circuit,
@@ -281,6 +284,57 @@ class TestRandomCircuits:
 
     def test_doped_determinism(self):
         assert doped_circuit(4, 3, seed=5).gates == doped_circuit(4, 3, seed=5).gates
+
+
+def _gates_digest(circuits):
+    h = hashlib.sha256()
+    for c in circuits:
+        h.update(repr((c.n_qubits, [(g.kind, g.sites, g.theta) for g in c.gates])).encode())
+    return h.hexdigest()
+
+
+# (n, clifford depth, seed) of the builder pins, and their sha256 digests of every
+# gate's (kind, sites, theta), recorded from the list-building builders: a seed must
+# keep naming the same circuits
+BUILD_GRID = [(n, depth, seed) for n in (1, 2, 5, 10, 70) for depth in (None, 1, 7) for seed in (0, 99)]
+
+
+class TestBuilderPins:
+    def test_doped_circuits_pinned(self):
+        circuits = (doped_circuit(n, tau, depth, seed) for n, depth, seed in BUILD_GRID for tau in (0, 1, 4))
+        assert _gates_digest(circuits) == "34677dc06b8dc253ddbb349341d87ebab96e8b0a3b2d48a84b0824c5fbb07f07"
+
+    def test_random_clifford_circuits_pinned(self):
+        circuits = (random_clifford_circuit(n, depth, seed) for n, depth, seed in BUILD_GRID)
+        assert _gates_digest(circuits) == "009ec806f96543129664ac9df4f08c66bfdfdafbd790762694f666ae5f314c4d"
+
+
+_BRICK_GATES = st.sampled_from(
+    [Gate("RZZ", (0, 1), 0.3), Gate("SWAP", (0, 1)), Gate("CNOT", (1, 0)), Gate("T", (1,)), Gate("H", (0,))]
+)
+
+
+@st.composite
+def built_circuits(draw):
+    """A circuit from each builder that makes its gates in range by construction."""
+    builder = draw(st.sampled_from(["doped", "clifford", "brickwork"]))
+    seed = draw(st.integers(0, 2**32))
+    depth = draw(st.one_of(st.none(), st.integers(1, 12)))
+    if builder == "doped":
+        return doped_circuit(draw(st.integers(1, 8)), draw(st.integers(0, 4)), depth, seed)
+    if builder == "clifford":
+        return random_clifford_circuit(draw(st.integers(1, 8)), depth, seed)
+    brick = draw(st.lists(_BRICK_GATES, min_size=1, max_size=3))
+    return brickwork_circuit(2 * draw(st.integers(1, 5)), draw(st.integers(0, 4)), brick)
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit=built_circuits())
+def test_builders_pass_every_circuit_check(circuit):
+    # the builders skip the site check (Circuit._of): it must be one they cannot fail
+    checked = Circuit(circuit.n_qubits, circuit.gates)
+    assert checked == circuit
+    assert type(circuit.n_qubits) is int and type(circuit.gates) is tuple
 
 
 class TestSupport:

@@ -10,6 +10,7 @@ from opmagic import (
     SparseOperator,
     evolve_heisenberg,
     ose,
+    ose_scan,
     pauli_probs,
     purity,
     random_clifford_circuit,
@@ -142,6 +143,26 @@ def test_ose_pinned_per_index():
         rep = ose(evolved, seed, alpha)
         assert (rep.purity.hex(), rep.ose.hex(), rep.linear_ose.hex()) == pins
         assert rep.rank == 24
+
+
+
+def test_ose_scan_equals_one_index_at_a_time():
+    # the per-index arithmetic of `ose` before the scan, bit for bit, and `ose` itself
+    circuit = random_mixed_circuit(np.random.default_rng(2), 5, 40)
+    seed = SparseOperator(
+        5, {PauliString.from_label("XIIIZ"): 0.6, PauliString.from_label("YIIII"): 0.8}
+    )
+    evolved = evolve_heisenberg(seed, circuit)
+    alphas = [0, 0.5, 1, 2, 3, math.inf, 2000]
+    reports = ose_scan(evolved, seed, alphas)
+    assert [rep.alpha for rep in reports] == alphas
+    for alpha, rep in zip(alphas, reports):
+        probs = pauli_probs(evolved)
+        value = renyi_entropy(probs, alpha) - renyi_entropy(pauli_probs(seed), alpha)
+        pur = renyi_purity(probs, alpha)
+        want = (value.hex(), pur.hex(), (1.0 - pur).hex(), len(evolved), len(evolved.support()))
+        assert (rep.ose.hex(), rep.purity.hex(), rep.linear_ose.hex(), rep.rank, rep.support_size) == want
+        assert rep == ose(evolved, seed, alpha)
 
 
 class TestOse:

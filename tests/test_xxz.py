@@ -329,3 +329,63 @@ class TestLargeIndex:
         # sin^2 2J = 4e-24 is a real branch, but log2(1 + 4e-24^0.9) rounds to 0
         assert math.sin(2e-12) ** 2 >= xxz.BRANCH_CUT
         assert saturation_value(params(1e-12, 0, 0.9, a)) == math.inf
+
+
+def _mp_closed_form(j, t, alpha, a):
+    """The closed form in 60-digit mpmath, from the exact values of the float inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        two_j = 2 * mpmath.mpf(j)
+        c, s = mpmath.cos(two_j) ** 2, mpmath.sin(two_j) ** 2
+        ax2, ay2, az2 = (mpmath.mpf(v) ** 2 for v in a)
+        if alpha == math.inf:
+            z = mpmath.log(az2, 2) if az2 else -mpmath.inf
+            xy = mpmath.log(max(ax2, ay2), 2)
+            return float(max(0, min(xy - z, -t * mpmath.log(max(c, s), 2))))
+        al = mpmath.mpf(alpha)
+        big_a = az2**al / (ax2**al + ay2**al)
+        grown = mpmath.log1p(((c**al + s**al) ** t - 1) / (big_a + 1)) / mpmath.log(2)
+        return float(grown / (1 - al))
+
+
+class TestNearCliffordPoints:
+    """Relative accuracy where one brick branch is small: log1p, not log2(1 + small)."""
+
+    @pytest.mark.parametrize(
+        "j", [1e-12, 1e-8, 1e-4, 1e-3, math.pi / 4 - 1e-3, math.pi / 4 - 1e-5, math.pi / 4 - 1e-8]
+    )
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 2, 3, 100, math.inf])
+    def test_matches_mpmath(self, j, alpha):
+        for a in ((0.6, 0.0, 0.8), (1.0, 0.0, 0.0)):
+            for t in (1, 10, 1000):
+                want = _mp_closed_form(j, t, alpha, a)
+                got = closed_form_ose(params(j, t, alpha, a))
+                assert abs(got - want) <= 1e-12 * abs(want), (a, t, got, want)
+
+    def test_tiny_branch_below_index_one_grows_linearly(self):
+        # sin^2 2J = 4e-24: log2(1 + 4e-24^0.9) rounded to 0, and the closed form was 0 at every t
+        one = closed_form_ose(params(1e-12, 1, 0.9, (0.6, 0.0, 0.8)))
+        assert one == pytest.approx(4.69208164896e-21, rel=1e-10)
+        for t in (10, 1000):
+            assert closed_form_ose(params(1e-12, t, 0.9, (0.6, 0.0, 0.8))) == pytest.approx(t * one, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [(0.6, 0.0, 0.8), (0.1, 0.0, math.sqrt(0.99))])
+    @pytest.mark.parametrize("alpha", [2, 3, 100])
+    def test_saturation_matches_mpmath(self, a, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            ax2, az2 = mpmath.mpf(a[0]) ** 2, mpmath.mpf(a[2]) ** 2
+            big_a = (az2 / ax2) ** alpha
+            want = float(mpmath.log1p(1 / big_a) / mpmath.log(2) / (alpha - 1))
+        got = saturation_value(params(0.3, 0, alpha, a))
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("j", [1e-12, 1e-4, math.pi / 4 - 1e-8, math.pi / 8])
+    def test_alpha_one_matches_mpmath(self, j):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            two_j = 2 * mpmath.mpf(j)
+            c, s = mpmath.cos(two_j) ** 2, mpmath.sin(two_j) ** 2
+            want = float(-10 * mpmath.mpf(0.6) ** 2 * (c * mpmath.log(c, 2) + s * mpmath.log(s, 2)))
+        got = alpha1_ose(params(j, 10, 1, (0.6, 0.0, 0.8)))
+        assert abs(got - want) <= 1e-12 * want
