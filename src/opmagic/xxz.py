@@ -120,7 +120,7 @@ def alpha1_ose(params: XxzParams) -> float:
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
     small, log2_large = _branch_weights(params.j)
-    h2 = 0.0 - (1.0 - small) * log2_large - (small * math.log2(small) if small else 0.0)
+    h2 = -(small * math.log2(small) + (1.0 - small) * log2_large) if small else 0.0
     return params.t * (params.a_x**2 + params.a_y**2) * h2
 
 
