@@ -22,6 +22,7 @@ from .heisenberg import (
     brickwork_circuit,
     conjugate_gate,
     doped_circuit,
+    evolve_ensemble,
     evolve_heisenberg,
     random_clifford_circuit,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "brickwork_circuit",
     "conjugate_gate",
     "doped_circuit",
+    "evolve_ensemble",
     "evolve_heisenberg",
     "random_clifford_circuit",
     "OseReport",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .dense import avg_linear_ose, avg_linear_sre, circuit_unitary, stabilizer_nullity
 from .haar import asymptotic_avg_purity, closed_form_avg_purity, mc_average_purities
-from .heisenberg import Circuit, doped_circuit, evolve_heisenberg, parse_angle
+from .heisenberg import Circuit, doped_circuit, evolve_ensemble, evolve_heisenberg, parse_angle
 from .measures import ose_scan
 from .paulis import (
     SparseOperator,
@@ -190,17 +191,20 @@ def _cmd_doped_scan(args) -> None:
     alphas = parse_alphas(args.alpha)
     if args.circuits < 1:
         raise CliError(f"--circuits must be at least 1, got {args.circuits}")
-    rows = []
+    if args.clifford_depth is not None and args.clifford_depth < 1:
+        raise CliError(f"--clifford-depth must be at least 1, got {args.clifford_depth}")
     rng = np.random.default_rng(args.seed)
-    seed_op = None
-    for index in range(args.circuits):
-        circuit = doped_circuit(
-            args.n, args.tau, clifford_depth=args.clifford_depth, seed=int(rng.integers(2**63 - 1))
-        )
-        if seed_op is None:  # after the first build, which reports a bad --n
-            seed_op = SparseOperator.from_pauli(single_site_pauli(0, "X", args.n))
-        for rep in ose_scan(evolve_heisenberg(seed_op, circuit), seed_op, alphas):
-            rows.append([index, args.tau, _fmt_alpha(rep.alpha), rep.ose, rep.rank])
+    circuits = (
+        doped_circuit(args.n, args.tau, args.clifford_depth, int(rng.integers(2**63 - 1)))
+        for _ in range(args.circuits)
+    )
+    first = next(circuits)  # built before the seed, so that a bad --n is the builder's to report
+    seed_op = SparseOperator.from_pauli(single_site_pauli(0, "X", args.n))
+    rows = [
+        [index, args.tau, _fmt_alpha(rep.alpha), rep.ose, rep.rank]
+        for index, evolved in enumerate(evolve_ensemble(seed_op, itertools.chain((first,), circuits)))
+        for rep in ose_scan(evolved, seed_op, alphas)
+    ]
     _emit(args, ["circuit", "tau", "alpha", "ose", "rank"], rows)
 
 

@@ -8,33 +8,37 @@ Angle convention: RZ(theta) = exp(-i theta Z) and
 RZZ(theta) = exp(-i theta Z x Z), so conjugation rotates coefficients by
 2*theta and T == RZ(pi/8) exactly.
 
-One engine, `_propagate`, serves `evolve_heisenberg` and `conjugate_gate`.
-It works in the symplectic form of Aaronson and Gottesman, on the circuit
-compiled to Pauli rotations, in three steps. `_compile` moves every
-Clifford gate to the front: it conjugates the seed's terms and the rotation
-generators, held bit-sliced (one int per site for the X bits, one for the
-Z bits, bit r for row r, and one int of sign bits), so each gate costs a
-few int operations on all rows at once. The Clifford opcodes are H, S,
-CNOT, SWAP and one Pauli sign rule, on site indices. `_rotate` then applies
-the rotations to the operator, held as canonically sorted uint64 words and
-float64 coefficients, and splits the rows that anticommute with each
+One engine, `_propagate`, serves `evolve_ensemble`, `evolve_heisenberg`
+(its one-circuit case) and `conjugate_gate`. It works in the symplectic
+form of Aaronson and Gottesman, on the circuit compiled to Pauli
+rotations, in three steps. `_compile` moves every Clifford gate to the
+front: it conjugates the seed's terms and the rotation generators, held
+bit-sliced (one int per site for the X bits, one for the Z bits, bit r
+for row r, and one int of sign bits), so each gate costs a few int
+operations on all rows at once. The Clifford opcodes are H, S, CNOT,
+SWAP and one Pauli sign rule, on site indices. `_rotate` then applies
+the rotations to the operator, held as canonically sorted uint64 words
+and float64 coefficients, and splits the rows that anticommute with each
 generator; a rotation whose generator misses the rows' support commutes
 with all of them and is skipped before any numpy call, so a local seed
 pays only for the rotations in its light cone. These are the arrays a
 `SparseOperator` holds: the engine reads the seed's rows as they are and
 returns its final rows as the evolved operator, checked, pruned and
-sorted, with no conversion. The packers between bit-sliced ints, bit
-matrices and words are those of `paulis`. Each gate kind is one `_KINDS`
-row, and each `Gate` carries its compiled opcodes. A new kind takes a
-row, a `dense.gate_matrix` case and a `tests/conftest.py` entry.
+sorted, with no conversion. A batch of circuits goes through one
+`_rotate` call per rotation index, each row keyed by its circuit. The
+packers between bit-sliced ints, bit matrices and words are those of
+`paulis`. Each gate kind is one `_KINDS` row, and each `Gate` carries
+its compiled opcodes. A new kind takes a row, a `dense.gate_matrix` case
+and a `tests/conftest.py` entry.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -289,12 +293,12 @@ def _compile(xs: list, zs: list, rows: int, gates: Sequence[Gate]) -> tuple[int,
     return sign, angles
 
 
-def _rotate(xz, coeff, g, angle, tol):
+def _rotate(xz, coeff, g, cos, sin, tol):
     """exp(-i theta G) on rows in canonical order, for the string G with
-    words g = (x_g, z_g) and angle = 2 theta.
+    words g and cos(2 theta), sin(2 theta) in lists cos and sin.
 
     A row P that commutes with G is kept; an anticommuting P maps to
-    cos(angle) P + sign sin(angle) R with G P = i^k R, where sign is -1
+    cos(2 theta) P + sign sin(2 theta) R with G P = i^k R, where sign is -1
     exactly when the `pauli_mul` exponent k is 1 mod 4. R anticommutes with
     G too, so only split rows merge, each string with at most two
     contributions. The merge sorts the rows into canonical order again,
@@ -302,24 +306,42 @@ def _rotate(xz, coeff, g, angle, tol):
     each pair into the first (the float sum of two values does not depend
     on their order), and keeps the first row of every string at or above
     `tol`. Columns are gathered with `take`.
+
+    One operator: xz has 2w rows, g is one (2w, 1) column, and cos and sin
+    hold one entry. A batch of operators: xz has one more row, the key, that
+    holds each row's index in the batch; g holds one column per operator,
+    with a zero key row, and cos and sin one entry per operator. Each row
+    meets its own operator's generator. The key is the last, so most
+    significant, sort key and part of every duplicate test, so rows of
+    different operators never merge. A zero column commutes with every
+    row, so that operator's rows come back unchanged.
     """
-    w = len(g) >> 1
-    x_g, z_g = g[:w, None], g[w:, None]
+    w = len(xz) >> 1
+    batch = len(xz) & 1
+    if batch:  # each row takes its own operator's generator, cos and sin
+        key = xz[2 * w]
+        g, cos, sin = g.take(key, axis=1), np.take(cos, key), np.take(sin, key)
+    else:
+        cos, sin = cos[0], sin[0]
+    x_g, z_g = g[:w], g[w : 2 * w]
     # the symplectic form: the parity of x.z_g + z.x_g over every word
-    hit = (np.bitwise_count(np.bitwise_xor.reduce((xz[:w] & z_g) ^ (xz[w:] & x_g))) & 1).view(bool)
+    hit = (np.bitwise_count(np.bitwise_xor.reduce((xz[:w] & z_g) ^ (xz[w : 2 * w] & x_g))) & 1).view(bool)
     split = hit.nonzero()[0]
     if not split.size:
         return xz, coeff
     xz_a, a = xz.take(split, axis=1), coeff.take(split)
-    r = xz_a ^ g[:, None]
+    if batch:
+        g, sin = g.take(split, axis=1), sin.take(split)
+        x_g, z_g = g[:w], g[w : 2 * w]
+    r = xz_a ^ g
     # popcounts per word in uint8, whose wrap-around keeps k mod 4
-    k = np.bitwise_count(xz_a[:w] & xz_a[w:]) + 2 * np.bitwise_count(z_g & xz_a[:w])
-    k = (k - np.bitwise_count(r[:w] & r[w:])).sum(axis=0, dtype=np.uint8)
-    k += int(np.bitwise_count(x_g & z_g).sum()) & 3
-    b = a * math.sin(angle)
+    k = np.bitwise_count(xz_a[:w] & xz_a[w : 2 * w]) + 2 * np.bitwise_count(z_g & xz_a[:w])
+    k = (k - np.bitwise_count(r[:w] & r[w : 2 * w])).sum(axis=0, dtype=np.uint8)
+    k += np.bitwise_count(x_g & z_g).sum(axis=0, dtype=np.uint8)
+    b = a * sin
     b[k & 3 == 1] *= -1.0
     xz = np.concatenate((xz, r), axis=1)
-    coeff = np.concatenate((np.where(hit, coeff * math.cos(angle), coeff), b))
+    coeff = np.concatenate((np.where(hit, coeff * cos, coeff), b))
     order = np.lexsort(xz)
     xz, coeff = xz.take(order, axis=1), coeff.take(order)
     # repeat[i]: row i + 1 is the second contribution to row i's string
@@ -333,58 +355,110 @@ def _rotate(xz, coeff, g, angle, tol):
     return xz.take(keep, axis=1), coeff.take(keep)
 
 
-def _propagate(operator: SparseOperator, gates: Sequence[Gate], prune_tol: float) -> SparseOperator:
-    """The engine: U^dag O U = R^dag (C^dag O C) R.
+# Circuits that `evolve_ensemble` evolves together. A batch's kernel calls
+# take the numpy overhead of small operators off each circuit, and the gain
+# has saturated at 8; a fixed batch keeps memory flat in the ensemble size.
+_BATCH = 16
+
+
+def _propagate(
+    operator: SparseOperator, circuits: Iterable[Sequence[Gate]], prune_tol: float
+) -> Iterator[SparseOperator]:
+    """The engine: U^dag O U = R^dag (C^dag O C) R, for each circuit's gates.
 
     C is every Clifford gate, R = exp(-i theta_m Q_m) ... exp(-i theta_1 Q_1)
     and Q_k = +-E_k^dag P_k E_k, E_k the Clifford gates acting before
     rotation k. `_compile` conjugates the seed's terms and the generators,
     bit-sliced, so its cost does not grow with the evolved operator; the
-    sign of Q_k moves onto its angle 2 theta_k. The conjugated seed is then
-    sorted once into canonical order, and the rotations, last first, act on
-    it and prune it at `prune_tol`; input terms below `prune_tol` are
-    dropped once, on entry. One int holds supersets sx and sz of the OR of
-    the rows' x masks and of their z masks, starting from the conjugated
-    seed's exact ORs. Rotation k is skipped when x_k & sz and z_k & sx are
-    both 0: its symplectic product with every row is then 0, and `_rotate`
-    would return its input. After a rotation that runs, sx |= x_k and
-    sz |= z_k: a split row is P XOR G_k, and pruning only removes rows. An
-    exact zero is never kept, even at `prune_tol` = 0: the sign of a zero
-    would depend on whether the Clifford gates came before or after it.
+    sign of Q_k moves onto its angle 2 theta_k. Circuits are compiled one by
+    one as they arrive and evolved `_BATCH` at a time: the batch's compiled
+    rows are packed once, each circuit's conjugated seed is sorted into
+    canonical order, and for each k one `_rotate` call applies every
+    circuit's rotation k, last first, and prunes at `prune_tol`. Input terms
+    below `prune_tol` are dropped once, on entry. A batch of one circuit
+    carries no key row. Per circuit, one int holds supersets sx and sz of
+    the OR of its rows' x masks and of their z masks, starting from the
+    conjugated seed's exact ORs. Its rotation k is skipped when it has none,
+    or when x_k & sz and z_k & sx are both 0: the symplectic product with
+    every row is then 0, and its rows would come back unchanged. After a
+    rotation that runs, sx |= x_k and sz |= z_k: a split row is P XOR G_k,
+    and pruning only removes rows. An exact zero is never kept, even at
+    `prune_tol` = 0: the sign of a zero would depend on whether the Clifford
+    gates came before or after it. A circuit without gates returns the
+    operator as it is.
+
     The operator is the `SparseOperator`'s own float64 coeff array and
     (2w, rows) uint64 array xz, w = ceil(n / 64): the words of each row's
     x_mask, lowest first, then those of its z_mask. Word-major rows keep
     every per-row operation on contiguous arrays, and every column gather
     is a `take`. They come out checked, pruned and sorted, and are the
-    returned operator. The seed's words become bit-sliced ints, and the
+    returned operators. The seed's words become bit-sliced ints, and the
     compiled ints become words, through the packers of `paulis`.
     """
     n = operator.n_qubits
+    w = (n + 63) >> 6
     tol = max(prune_tol, math.ulp(0.0))
     keep = (np.abs(operator.coeff) >= tol).nonzero()[0]
-    seeds = keep.size
-    xs, zs = (ints_of_bits(bits.T) for bits in bits_of_xz(operator.xz.take(keep, axis=1), n))
-    sign, angles = _compile(xs, zs, seeds, gates)
-    rows = seeds + len(angles)
-    # row r's x bits, then its z bits, then its sign bit
-    bits = bits_of_ints(xs + zs + [sign], rows).T
-    words = xz_of_bits(bits[:, :n], bits[:, n : 2 * n])
-    flip = bits[:, 2 * n] == 1
-    coeff = operator.coeff.take(keep)
-    coeff[flip[:seeds]] *= -1.0
-    order = np.lexsort(words[:, :seeds])
-    xz, coeff = words.take(order, axis=1), coeff.take(order)
-    # a generator is the int x_g | z_g << n, and support = sz | sx << n for
-    # supersets sx, sz of the OR of the rows' x and z masks: g & support is 0
-    # exactly when x_g & sz and z_g & sx are, and then G commutes with every row
+    seeds, seed_coeff = keep.size, operator.coeff.take(keep)
+    seed_xs, seed_zs = (ints_of_bits(bits.T) for bits in bits_of_xz(operator.xz.take(keep, axis=1), n))
     seed_rows = (1 << seeds) - 1
-    support = sum(1 << q for q, v in enumerate(zs + xs) if v & seed_rows)
     low = (1 << n) - 1
-    for r, (g, angle) in enumerate(zip(ints_of_bits(bits[seeds:, : 2 * n]), angles), seeds):
-        if g & support:
-            xz, coeff = _rotate(xz, coeff, words[:, r], -angle if flip[r] else angle, tol)
-            support |= g >> n | (g & low) << n
-    return SparseOperator._of(n, xz, coeff)
+    circuits = iter(circuits)
+    while batch := [
+        (bool(gates), xs, zs, *_compile(xs, zs, seeds, gates))
+        for gates in itertools.islice(circuits, _BATCH)
+        for xs, zs in [(seed_xs[:], seed_zs[:])]
+    ]:
+        # every circuit's rows in one set of bit-sliced ints, circuit c's from bit firsts[c]
+        (_, xs, zs, signs, angles), *rest = batch
+        firsts, rows = [0], seeds + len(angles)
+        for _, cx, cz, sign, angles in rest:
+            xs = [v | u << rows for v, u in zip(xs, cx)]
+            zs = [v | u << rows for v, u in zip(zs, cz)]
+            signs |= sign << rows
+            firsts.append(rows)
+            rows += seeds + len(angles)
+        # row r's x bits, then its z bits, then its sign bit
+        bits = bits_of_ints(xs + zs + [signs], rows).T
+        flip = bits[:, 2 * n] == 1
+        # steps[k]: (circuit, row, signed angle) of each rotation k that runs. A
+        # generator is the int x_g | z_g << n, and support = sz | sx << n: g &
+        # support is 0 exactly when x_g & sz and z_g & sx are
+        gens = ints_of_bits(bits[:, : 2 * n])
+        steps: dict[int, list] = {}
+        for c, (_, cx, cz, _, angles) in enumerate(batch):
+            support = sum(1 << q for q, v in enumerate(cz + cx) if v & seed_rows)
+            first = firsts[c] + seeds
+            for k, g in enumerate(gens[first : first + len(angles)]):
+                if g & support:
+                    support |= g >> n | (g & low) << n
+                    steps.setdefault(k, []).append((c, first + k, -angles[k] if flip[first + k] else angles[k]))
+        words = xz_of_bits(bits[:, :n], bits[:, n : 2 * n])
+        coeff = np.concatenate([seed_coeff] * len(batch))
+        keyed = len(rest) > 0
+        if keyed:  # a zero key row, and a zero last column for a circuit without rotation k
+            words = np.pad(words, ((0, 1), (0, 1)))
+            seed_cols = (np.array(firsts)[:, None] + np.arange(seeds)).ravel()
+            xz = words.take(seed_cols, axis=1)
+            xz[2 * w] = np.arange(len(batch)).repeat(seeds)
+            coeff[flip[seed_cols]] *= -1.0
+        else:
+            xz = words[:, :seeds]
+            coeff[flip[:seeds]] *= -1.0
+        order = np.lexsort(xz)
+        xz, coeff = xz.take(order, axis=1), coeff.take(order)
+        for k in sorted(steps):
+            cols, cos, sin = [rows] * len(batch), [1.0] * len(batch), [0.0] * len(batch)
+            for c, r, angle in steps[k]:
+                cols[c], cos[c], sin[c] = r, math.cos(angle), math.sin(angle)
+            xz, coeff = _rotate(xz, coeff, words.take(cols, axis=1), cos, sin, tol)
+        if not keyed:
+            yield operator if not batch[0][0] else SparseOperator._of(n, xz, coeff)
+            continue
+        bounds = np.searchsorted(xz[2 * w], np.arange(len(batch) + 1, dtype=np.uint64)).tolist()
+        for c, (gated, *_) in enumerate(batch):
+            lo, hi = bounds[c], bounds[c + 1]
+            yield SparseOperator._of(n, xz[: 2 * w, lo:hi].copy(), coeff[lo:hi].copy()) if gated else operator
 
 
 def conjugate_gate(
@@ -399,13 +473,29 @@ def evolve_heisenberg(
 ) -> SparseOperator:
     """U^dag O U for the full circuit: conjugate gates in reverse list order.
 
-    Bit for bit the same as conjugate_gate applied gate by gate.
+    Bit for bit the same as conjugate_gate applied gate by gate. This is the
+    one-circuit case of `evolve_ensemble`.
     """
-    if operator.n_qubits != circuit.n_qubits:
+    return next(_propagate(operator, (_gates_of(operator.n_qubits, circuit),), prune_tol))
+
+
+def evolve_ensemble(
+    operator: SparseOperator, circuits: Iterable[Circuit], *, prune_tol: float = PRUNE_TOL
+) -> Iterator[SparseOperator]:
+    """U^dag O U for each circuit, in order: item i is bit for bit
+    `evolve_heisenberg(operator, circuits[i])`.
+
+    Circuits are taken one at a time from any iterable and evolved in
+    batches of a fixed size, so a lazy iterable keeps memory flat however
+    many circuits it yields.
+    """
+    return _propagate(operator, (_gates_of(operator.n_qubits, c) for c in circuits), prune_tol)
+
+
+def _gates_of(n_qubits: int, circuit: Circuit) -> tuple[Gate, ...]:
+    if circuit.n_qubits != n_qubits:
         raise ValueError("size mismatch")
-    if not circuit.gates:
-        return operator
-    return _propagate(operator, circuit.gates, prune_tol)
+    return circuit.gates
 
 
 def brickwork_circuit(n_qubits: int, layers: int, brick: Sequence[Gate]) -> Circuit:
@@ -442,18 +532,20 @@ def mixing_depth(n_qubits: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _gate_table(n_qubits: int) -> tuple[Gate, ...]:
-    """Interned gates of the doped ensemble: H on each site, S on each site,
-    CNOT on each ordered pair (c, t), c != t, at 2 n + c (n - 1) + t - (t > c),
-    then T on each site, from n (n + 1) on.
+def _gate_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interned gates of the doped ensemble, an object array: H on each site,
+    S on each site, CNOT on each ordered pair (c, t), c != t, at
+    2 n + c (n - 1) + t - (t > c), then T on each site, from n (n + 1) on.
+    A CNOT entry is made on its first draw, so the table's cost follows the
+    pairs drawn; the bool array marks the entries made.
     """
-    sites = range(n_qubits)
-    return (
-        tuple(Gate("H", (q,)) for q in sites)
-        + tuple(Gate("S", (q,)) for q in sites)
-        + tuple(Gate("CNOT", (c, t)) for c in sites for t in sites if t != c)
-        + tuple(Gate("T", (q,)) for q in sites)
-    )
+    n = n_qubits
+    table = np.empty(n * (n + 2), dtype=object)
+    made = np.zeros(table.size, dtype=bool)
+    for start, kind in ((0, "H"), (n, "S"), (n * (n + 1), "T")):
+        table[start : start + n] = [Gate(kind, (q,)) for q in range(n)]
+        made[start : start + n] = True
+    return table, made
 
 
 def _clifford_indices(n_qubits: int, depth: int, seed: int) -> np.ndarray:
@@ -461,7 +553,7 @@ def _clifford_indices(n_qubits: int, depth: int, seed: int) -> np.ndarray:
     three vectorized draws: kind, site, and an ordered CNOT pair.
     """
     if depth < 1:
-        raise ValueError("depth must be at least 1")
+        raise ValueError(f"Clifford depth must be at least 1, got {depth}")
     rng = np.random.default_rng(seed)
     kind = rng.integers(3 if n_qubits >= 2 else 2, size=depth)
     site = rng.integers(n_qubits, size=depth)
@@ -471,7 +563,17 @@ def _clifford_indices(n_qubits: int, depth: int, seed: int) -> np.ndarray:
 
 def _table_circuit(n_qubits: int, index: np.ndarray) -> Circuit:
     """The circuit of `_gate_table` entries, which are in range by construction."""
-    return Circuit._of(n_qubits, tuple(map(_gate_table(n_qubits).__getitem__, index.tolist())))
+    table, made = _gate_table(n_qubits)
+    for i in set(index[~made.take(index)].tolist()):  # CNOT entries drawn for the first time
+        c, t = divmod(i - 2 * n_qubits, n_qubits - 1)
+        table[i] = Gate("CNOT", (c, t + (t >= c)))
+        made[i] = True
+    return Circuit._of(n_qubits, tuple(table.take(index).tolist()))
+
+
+def _check_qubit_count(n_qubits: int) -> None:
+    if n_qubits < 1:
+        raise ValueError(f"qubit count n must be positive, got {n_qubits}")
 
 
 def random_clifford_circuit(
@@ -485,6 +587,7 @@ def random_clifford_circuit(
     sampling; the default depth 3 n^2 is enough for the ensemble averages
     used here.
     """
+    _check_qubit_count(n_qubits)
     if depth is None:
         depth = mixing_depth(n_qubits)
     return _table_circuit(n_qubits, _clifford_indices(n_qubits, depth, seed))
@@ -503,8 +606,7 @@ def doped_circuit(
     drawn from `seed`. The blocks' table indices and the T gates' are
     joined into one index array, mapped through the table once.
     """
-    if n_qubits < 1:
-        raise ValueError(f"qubit count n must be positive, got {n_qubits}")
+    _check_qubit_count(n_qubits)
     if tau < 0:
         raise ValueError("tau must be non-negative")
     if clifford_depth is None:

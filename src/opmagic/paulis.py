@@ -497,7 +497,16 @@ def _ranked_cuts(operator: SparseOperator, chis: Sequence[int]) -> tuple[np.ndar
 
 
 def expectation_error_bound(epsilon: float) -> float:
-    """Worst-case expectation error 1 - sqrt(1 - eps^2) + eps of a truncation."""
+    """1 - sqrt(1 - eps^2) + eps: a bound on ||O - W||_2 / sqrt(D) for a
+    truncation of a unit-weight O that discards l2 weight eps, W its kept
+    part rescaled to unit weight (`TruncationResult.choi_normalized`).
+
+    The cut moves O by eps and the rescaling by 1 - sqrt(1 - eps^2), in the
+    normalized Hilbert-Schmidt norm. So the value bounds |tr[(O - W) Q]| / D
+    for every Q with ||Q||_2 = sqrt(D), every infinite-temperature
+    correlator. It does not bound |<psi|(O - W)|psi>| for every state, which
+    the operator norm of O - W sets and which can be several times larger.
+    """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     return 1.0 - math.sqrt(1.0 - epsilon * epsilon) + epsilon

@@ -1,15 +1,18 @@
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from opmagic import Circuit, Gate, SparseOperator
+from opmagic import Circuit, Gate, SparseOperator, cli, heisenberg
 from opmagic.cli import main, parse_alpha, parse_alphas, parse_angle, parse_range
 
 
@@ -368,6 +371,37 @@ class TestOtherCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == want
 
+    def test_doped_scan_memory_is_flat_in_the_circuit_count(self):
+        # circuits are built, evolved and scored a batch at a time, so the
+        # traced peak at 10 batches exceeds that at 2 by no more than what the
+        # output itself takes, its rows and its CSV text, and 16 KB
+        def peak(work):
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    work()
+                return tracemalloc.get_traced_memory()[1], out.getvalue()
+            finally:
+                tracemalloc.stop()
+
+        def scan(circuits):
+            argv = ["doped-scan", "--n", "6", "--tau", "3", "--circuits", str(circuits)]
+            used, text = peak(lambda: main(argv))
+            # the same rows, held and written as the command holds and writes them
+            cells = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
+            args = cli.build_parser().parse_args(argv)
+            output, again = peak(lambda: cli._emit(args, cells[0], [
+                [int(c), int(t), a, float(v), int(r)] for c, t, a, v, r in cells[1:]
+            ]))
+            assert again == text
+            return used, output
+
+        batch = heisenberg._BATCH
+        scan(batch)  # first-call caches: the gate table, imports
+        small, small_output = scan(2 * batch)
+        large, large_output = scan(10 * batch)
+        assert large - small <= large_output - small_output + 16 * 1024
+
     def test_truncate_study(self, tmp_path):
         circuit = write_circuit(tmp_path, t_ladder(3))
         out = tmp_path / "trunc.csv"
@@ -532,6 +566,11 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert f"opmagic: error: {argv[0]}: not enough memory" in captured.err
         assert "internal error" not in captured.err and captured.out == ""
+
+    def test_zero_clifford_depth_is_named(self, capsys):
+        assert main(["doped-scan", "--n", "3", "--tau", "1", "--clifford-depth", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "--clifford-depth must be at least 1, got 0" in captured.err and captured.out == ""
 
     def test_negative_sre_samples_is_bad_input(self, tmp_path, capsys):
         circuit = write_circuit(tmp_path, t_ladder(2))

@@ -13,13 +13,14 @@ from opmagic import (
     SparseOperator,
     conjugate_gate,
     doped_circuit,
+    evolve_ensemble,
     evolve_heisenberg,
     from_local,
     random_clifford_circuit,
 )
 from opmagic import heisenberg
 from opmagic.dense import circuit_unitary, pauli_spectrum
-from opmagic.paulis import enumerate_paulis
+from opmagic.paulis import PRUNE_TOL, enumerate_paulis
 from opmagic.xxz import xxz_brickwork
 from conftest import random_mixed_circuit
 
@@ -316,6 +317,14 @@ class TestLightCone:
         evolve_heisenberg(seed, doped_circuit(10, 4, seed=5))
         assert len(calls) == 4
 
+    def test_a_batch_enters_the_kernel_once_per_step(self, monkeypatch):
+        # 20 circuits are a full batch and a batch of 4, each with 4 steps
+        calls = self.count_rotations(monkeypatch)
+        seed = SparseOperator.from_pauli(PauliString(10, 1, 0))
+        circuits = [doped_circuit(10, 4, seed=s) for s in range(heisenberg._BATCH + 4)]
+        assert len(list(evolve_ensemble(seed, circuits))) == len(circuits)
+        assert len(calls) == 8
+
     def test_local_seed_on_two_words_equals_the_narrow_register(self):
         # the evolved operator covers sites 0..9 of the narrow register and
         # 58..67 of the wide one, across the first word's edge; the shift is
@@ -354,3 +363,37 @@ class TestLightCone:
         spectrum = pauli_spectrum(circuit_unitary(circuit), seed)
         for k, p in enumerate(enumerate_paulis(n)):
             assert abs(evolved.coefficient(p) - spectrum[k]) < 1e-10
+
+
+@st.composite
+def ensembles(draw):
+    """A seed of 0 to 3 terms, a batch of mixed circuits with rotation counts
+    that differ, empty ones included, and a prune tolerance."""
+    n = draw(st.one_of(st.integers(1, 6), st.integers(62, 70)))
+    top = (1 << n) - 1
+    terms = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)), max_size=3, unique=True))
+    coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(terms), max_size=len(terms)))
+    seed = SparseOperator(n, {PauliString(n, x, z): a for (x, z), a in zip(terms, coeffs)})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(0, 12), max_size=2 * heisenberg._BATCH + 3))
+    circuits = [random_mixed_circuit(rng, n, size) for size in sizes]
+    return seed, circuits, draw(st.sampled_from([PRUNE_TOL, 0.0, 1e-3, 0.2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ensembles())
+def test_ensemble_items_equal_single_circuit_runs(case):
+    seed, circuits, prune_tol = case
+    evolved = list(evolve_ensemble(seed, iter(circuits), prune_tol=prune_tol))
+    assert len(evolved) == len(circuits)
+    for circuit, item in zip(circuits, evolved):
+        alone = evolve_heisenberg(seed, circuit, prune_tol=prune_tol)
+        assert item.n_qubits == alone.n_qubits
+        assert item.xz.tobytes() == alone.xz.tobytes() and item.xz.shape == alone.xz.shape
+        assert item.coeff.tobytes() == alone.coeff.tobytes()
+
+
+def test_ensemble_rejects_a_circuit_of_another_size():
+    seed, circuit = golden_inputs()
+    with pytest.raises(ValueError, match="size mismatch"):
+        list(evolve_ensemble(seed, [circuit, Circuit(4, ())]))

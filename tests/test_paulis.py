@@ -455,6 +455,22 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             expectation_error_bound(1.1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), gates=st.integers(0, 30))
+    def test_bounds_the_normalized_hilbert_schmidt_distance(self, n, seed, gates):
+        # ||O - W||_2 / sqrt(D) <= value, W the kept part rescaled to unit
+        # weight, from the dense oracle at every chi
+        from opmagic.dense import operator_matrix
+
+        rng = np.random.default_rng(seed)
+        circuit = random_mixed_circuit(rng, n, gates)
+        evolved = evolve_heisenberg(SparseOperator.from_pauli(random_pauli(rng, n)), circuit)
+        dense = operator_matrix(evolved)
+        for chi in range(1, len(evolved) + 1):
+            result = truncate_top(evolved, chi)
+            distance = np.linalg.norm(dense - operator_matrix(result.choi_normalized())) / math.sqrt(1 << n)
+            assert distance <= expectation_error_bound(result.epsilon) + 1e-12
+
 
 class TestTruncationExpectationBound:
     def test_raw_truncation_bound_on_stabilizer_states(self):
