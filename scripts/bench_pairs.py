@@ -79,14 +79,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workloads", default=None, help="comma list; every workload if omitted")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     record = {
         "command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds:g} --trace 0",

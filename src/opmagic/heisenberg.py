@@ -358,7 +358,11 @@ def _rotate(xz, coeff, g, cos, sin, tol):
 # Circuits that `evolve_ensemble` evolves together. A batch's kernel calls
 # take the numpy overhead of small operators off each circuit, and the gain
 # has saturated at 8; a fixed batch keeps memory flat in the ensemble size.
+# Once a batch holds more than _BATCH_ROWS rows, its circuits go on one at a
+# time: large operators gain nothing from a shared call, and a batch of them
+# would hold _BATCH operators and their per-row gathers at once.
 _BATCH = 16
+_BATCH_ROWS = 4096
 
 
 def _propagate(
@@ -374,9 +378,11 @@ def _propagate(
     one as they arrive and evolved `_BATCH` at a time: the batch's compiled
     rows are packed once, each circuit's conjugated seed is sorted into
     canonical order, and for each k one `_rotate` call applies every
-    circuit's rotation k, last first, and prunes at `prune_tol`. Input terms
-    below `prune_tol` are dropped once, on entry. A batch of one circuit
-    carries no key row. Per circuit, one int holds supersets sx and sz of
+    circuit's rotation k, last first, and prunes at `prune_tol`. Before a
+    step that would start on more than `_BATCH_ROWS` rows, the batch is cut
+    into its circuits, and each takes its remaining rotations alone, as a
+    batch of one. Input terms below `prune_tol` are dropped once, on entry.
+    A batch of one circuit carries no key row. Per circuit, one int holds supersets sx and sz of
     the OR of its rows' x masks and of their z masks, starting from the
     conjugated seed's exact ORs. Its rotation k is skipped when it has none,
     or when x_k & sz and z_k & sx are both 0: the symplectic product with
@@ -447,18 +453,30 @@ def _propagate(
             coeff[flip[:seeds]] *= -1.0
         order = np.lexsort(xz)
         xz, coeff = xz.take(order, axis=1), coeff.take(order)
-        for k in sorted(steps):
+        ks = sorted(steps)
+        done = 0
+        for k in ks:
+            if keyed and coeff.size > _BATCH_ROWS:
+                break
             cols, cos, sin = [rows] * len(batch), [1.0] * len(batch), [0.0] * len(batch)
             for c, r, angle in steps[k]:
                 cols[c], cos[c], sin[c] = r, math.cos(angle), math.sin(angle)
             xz, coeff = _rotate(xz, coeff, words.take(cols, axis=1), cos, sin, tol)
+            done += 1
         if not keyed:
             yield operator if not batch[0][0] else SparseOperator._of(n, xz, coeff)
             continue
         bounds = np.searchsorted(xz[2 * w], np.arange(len(batch) + 1, dtype=np.uint64)).tolist()
         for c, (gated, *_) in enumerate(batch):
             lo, hi = bounds[c], bounds[c + 1]
-            yield SparseOperator._of(n, xz[: 2 * w, lo:hi].copy(), coeff[lo:hi].copy()) if gated else operator
+            cxz, ccoeff = xz[: 2 * w, lo:hi].copy(), coeff[lo:hi].copy()
+            # past _BATCH_ROWS, each circuit's remaining rotations run alone, unkeyed
+            for k in ks[done:]:
+                for step_c, r, angle in steps[k]:
+                    if step_c == c:
+                        g = words[: 2 * w, r : r + 1]
+                        cxz, ccoeff = _rotate(cxz, ccoeff, g, [math.cos(angle)], [math.sin(angle)], tol)
+            yield SparseOperator._of(n, cxz, ccoeff) if gated else operator
 
 
 def conjugate_gate(
@@ -536,8 +554,9 @@ def _gate_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Interned gates of the doped ensemble, an object array: H on each site,
     S on each site, CNOT on each ordered pair (c, t), c != t, at
     2 n + c (n - 1) + t - (t > c), then T on each site, from n (n + 1) on.
-    A CNOT entry is made on its first draw, so the table's cost follows the
-    pairs drawn; the bool array marks the entries made.
+    A CNOT `Gate` is made on its first draw, so the gates made follow the
+    pairs drawn; the bool array marks the entries made. The two arrays
+    still hold n (n + 2) entries each, 9 bytes an entry.
     """
     n = n_qubits
     table = np.empty(n * (n + 2), dtype=object)

@@ -1,5 +1,6 @@
 """The propagation kernel: golden coefficients, differential checks, sampler marginals."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -325,6 +326,22 @@ class TestLightCone:
         assert len(list(evolve_ensemble(seed, circuits))) == len(circuits)
         assert len(calls) == 8
 
+    def test_a_batch_past_its_row_limit_goes_on_one_circuit_at_a_time(self, monkeypatch):
+        # at a limit of 0 rows every rotation runs on one circuit's rows, without the key row
+        calls = []
+        rotate = heisenberg._rotate
+
+        def unkeyed(xz, *args):
+            calls.append(len(xz))
+            return rotate(xz, *args)
+
+        monkeypatch.setattr(heisenberg, "_rotate", unkeyed)
+        monkeypatch.setattr(heisenberg, "_BATCH_ROWS", 0)
+        seed = SparseOperator.from_pauli(PauliString(10, 1, 0))
+        circuits = [doped_circuit(10, 4, seed=s) for s in range(heisenberg._BATCH + 4)]
+        assert len(list(evolve_ensemble(seed, circuits))) == len(circuits)
+        assert calls == [2] * 4 * len(circuits)
+
     def test_local_seed_on_two_words_equals_the_narrow_register(self):
         # the evolved operator covers sites 0..9 of the narrow register and
         # 58..67 of the wide one, across the first word's edge; the shift is
@@ -368,7 +385,8 @@ class TestLightCone:
 @st.composite
 def ensembles(draw):
     """A seed of 0 to 3 terms, a batch of mixed circuits with rotation counts
-    that differ, empty ones included, and a prune tolerance."""
+    that differ, empty ones included, a prune tolerance, and a batch row
+    limit, small ones to split batches part way through their steps."""
     n = draw(st.one_of(st.integers(1, 6), st.integers(62, 70)))
     top = (1 << n) - 1
     terms = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)), max_size=3, unique=True))
@@ -377,14 +395,16 @@ def ensembles(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(0, 12), max_size=2 * heisenberg._BATCH + 3))
     circuits = [random_mixed_circuit(rng, n, size) for size in sizes]
-    return seed, circuits, draw(st.sampled_from([PRUNE_TOL, 0.0, 1e-3, 0.2]))
+    prune_tol = draw(st.sampled_from([PRUNE_TOL, 0.0, 1e-3, 0.2]))
+    return seed, circuits, prune_tol, draw(st.sampled_from([heisenberg._BATCH_ROWS, 0, 3, 8]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=ensembles())
 def test_ensemble_items_equal_single_circuit_runs(case):
-    seed, circuits, prune_tol = case
-    evolved = list(evolve_ensemble(seed, iter(circuits), prune_tol=prune_tol))
+    seed, circuits, prune_tol, batch_rows = case
+    with mock.patch.object(heisenberg, "_BATCH_ROWS", batch_rows):
+        evolved = list(evolve_ensemble(seed, iter(circuits), prune_tol=prune_tol))
     assert len(evolved) == len(circuits)
     for circuit, item in zip(circuits, evolved):
         alone = evolve_heisenberg(seed, circuit, prune_tol=prune_tol)
