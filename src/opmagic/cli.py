@@ -132,7 +132,7 @@ def _cmd_evolve(args) -> None:
     _, evolved = _evolved(args)
     payload = _meta(args)
     payload["operator"] = evolved.to_json_dict()
-    _write_out(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_out(args.out, json.dumps(payload) + "\n")
 
 
 def _cmd_ose(args) -> None:
@@ -212,10 +212,10 @@ def _cmd_truncate_study(args) -> None:
     _, evolved = _evolved(args)
     chis = parse_range(args.chi, "--chi") if args.chi else list(range(1, len(evolved) + 1))
     rows = [
-        [chi, kept, kept_weight, epsilon, expectation_error_bound(epsilon)]
-        for chi, (kept, kept_weight, epsilon) in zip(chis, truncation_sweep(evolved, chis))
+        [chi, kept, kept_weight, epsilon, expectation_error_bound(epsilon), state_bound]
+        for chi, (kept, kept_weight, epsilon, state_bound) in zip(chis, truncation_sweep(evolved, chis))
     ]
-    _emit(args, ["chi", "kept_terms", "kept_weight", "epsilon", "error_bound"], rows)
+    _emit(args, ["chi", "kept_terms", "kept_weight", "epsilon", "hs_bound", "state_bound"], rows)
 
 
 def _cmd_nullity(args) -> None:

@@ -13,9 +13,14 @@ always have real coefficients and the squared coefficients form a
 probability vector.
 
 One codec maps letters and bits: `_LETTERS` is the letter of the digit
-2 z + x, and `_DIGITS` the digit of a letter's ASCII code. The row packers
-live here too: `xz_of_bits`/`bits_of_xz` between bit matrices and uint64
-words, `bits_of_ints`/`ints_of_bits` between bit matrices and Python ints.
+2 z + x, and `_DIGITS` a `bytes.translate` table from a letter's ASCII code
+to its digit. The row packers live here too: `xz_of_bits`/`bits_of_xz`
+between bit matrices and uint64 words, `bits_of_ints`/`ints_of_bits`
+between bit matrices and Python ints. Each pads its rows to whole bytes
+(not words) and makes one flat `packbits` or `unpackbits` call. A label is
+read back from the bits by arithmetic: the ASCII codes of I, X, Z and Y are
+73 + 16 (x | z) + z - x, so one uint32 matrix of codes, viewed as n-letter
+unicode strings, gives every label of an operator in one `tolist()`.
 
 A SparseOperator holds the propagation engine's arrays, uint64 words and
 float64 coefficients, and builds a dict of PauliStrings only when `terms`
@@ -44,10 +49,8 @@ PRUNE_TOL = 1e-14
 _WEIGHT_TOL = 1e-8
 
 _LETTERS = "IXZY"  # indexed by the digit 2*z_bit + x_bit
-# the ASCII code of each digit, and the digit of each ASCII code (4: no letter)
-_LETTERS_ASCII = np.frombuffer(_LETTERS.encode("ascii"), np.uint8)
-_DIGITS = np.full(256, 4, np.uint8)
-_DIGITS[_LETTERS_ASCII] = np.arange(4)
+# the digit of each ASCII code, 4 where no letter has it (find gives -1)
+_DIGITS = bytes(_LETTERS.find(chr(code)) % 5 for code in range(256))
 _I_POWERS = (1, 1j, -1, -1j)
 
 
@@ -74,7 +77,7 @@ class PauliString:
     def from_label(cls, label: str) -> "PauliString":
         """Parse 'IXZY...' with site 0 as the leftmost character."""
         label = label.strip()
-        digits = _DIGITS[np.frombuffer(label.encode("ascii", "replace"), np.uint8)]
+        digits = np.frombuffer(label.encode("ascii", "replace").translate(_DIGITS), np.uint8)
         if not label or (digits > 3).any():
             raise ValueError(f"invalid Pauli label {label!r}")
         return cls(len(label), *ints_of_bits(np.stack((digits & 1, digits >> 1))))
@@ -185,29 +188,52 @@ def as_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _byte_rows(bits: np.ndarray) -> np.ndarray:
+    """A bit matrix with its rows padded by zero bits to whole bytes, so that a
+    flat `packbits` packs each row into bytes of its own."""
+    rows, width = bits.shape
+    if not width % 8:
+        return bits  # packbits ravels, copying only a strided matrix
+    padded = np.zeros((rows, (width + 7) & ~7), np.uint8)
+    padded[:, :width] = bits
+    return padded
+
+
+def _word_bytes(xz: np.ndarray) -> np.ndarray:
+    """The bytes of (2w, rows) words as a (2, w, rows, 8) view: x or z, word,
+    row, byte, the low byte first."""
+    words, rows = xz.shape
+    return np.ascontiguousarray(xz).view(np.uint8).reshape(2, words >> 1, rows, 8)
+
+
 def xz_of_bits(x_bits: np.ndarray, z_bits: np.ndarray) -> np.ndarray:
     """The (2w, rows) uint64 words of (rows, n) x and z bit matrices, site i
     at bit i % 64 of word i // 64: the x words lowest first, then the z words."""
     rows, n = x_bits.shape
-    # each bit matrix packed into the leading bytes of its rows' words
-    packed = np.zeros((2, rows, ((n + 63) >> 6) << 3), np.uint8)
-    for out, bits in zip(packed, (x_bits, z_bits)):
-        out[:, : (n + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
-    return np.concatenate(packed.view("<u8").transpose(0, 2, 1))
+    size = (n + 7) >> 3  # bytes a row
+    xz = np.zeros((((size + 7) >> 3) << 1, rows), np.uint64)
+    for out, bits in zip(_word_bytes(xz), (x_bits, z_bits)):
+        packed = np.packbits(_byte_rows(bits), bitorder="little").reshape(rows, size)
+        for k, word in enumerate(out):
+            word[:, : size - 8 * k] = packed[:, 8 * k : 8 * k + 8]
+    return xz
 
 
 def bits_of_xz(xz: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """The inverse of `xz_of_bits`: the (rows, n) x and z bit matrices."""
-    bits = np.unpackbits(np.ascontiguousarray(xz.T).view(np.uint8), axis=1, bitorder="little")
-    half = 32 * len(xz)
-    return bits[:, :n_qubits], bits[:, half : half + n_qubits]
+    size, rows = (n_qubits + 7) >> 3, xz.shape[1]
+    packed = np.empty((2, rows, size), np.uint8)
+    for k, word in enumerate(_word_bytes(xz).transpose(1, 0, 2, 3)):
+        packed[:, :, 8 * k : 8 * k + 8] = word[:, :, : size - 8 * k]
+    bits = np.unpackbits(packed, bitorder="little").reshape(2, rows, size << 3)
+    return bits[0, :, :n_qubits], bits[1, :, :n_qubits]
 
 
 def bits_of_ints(ints: list, width: int) -> np.ndarray:
     """A (len(ints), width) uint8 matrix: row i holds the low bits of ints[i]."""
     size = (width + 7) >> 3
     packed = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in ints), np.uint8)
-    return np.unpackbits(packed.reshape(len(ints), size), axis=1, count=width, bitorder="little")
+    return np.unpackbits(packed, bitorder="little").reshape(len(ints), size << 3)[:, :width]
 
 
 def ints_of_bits(bits: np.ndarray) -> list:
@@ -215,15 +241,19 @@ def ints_of_bits(bits: np.ndarray) -> list:
     size = (bits.shape[1] + 7) >> 3
     if not size:  # no columns: every row is 0
         return [0] * len(bits)
-    data = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    data = np.packbits(_byte_rows(bits), bitorder="little").tobytes()
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
 def _labels(n_qubits: int, xz: np.ndarray) -> list[str]:
-    """The label of every row, from one (rows, n) letter matrix."""
+    """The label of every row, from one (rows, n) matrix of letter codes."""
     x_bits, z_bits = bits_of_xz(xz, n_qubits)
-    text = _LETTERS_ASCII[2 * z_bits + x_bits].tobytes().decode("ascii")
-    return [text[i : i + n_qubits] for i in range(0, len(text), n_qubits)]
+    codes = x_bits | z_bits
+    codes <<= 4
+    codes += z_bits
+    codes -= x_bits  # 16 (x | z) + z - x, never below 0
+    codes = np.add(codes, ord("I"), dtype="<u4")
+    return codes.view(f"<U{n_qubits}")[:, 0].tolist()
 
 
 def _checked(n_qubits: int, labels: list[str], coeffs: list):
@@ -231,28 +261,51 @@ def _checked(n_qubits: int, labels: list[str], coeffs: list):
     in canonical order, with |a| < PRUNE_TOL dropped."""
     if n_qubits <= 0:
         raise ValueError("n_qubits must be positive")
-    digits = _DIGITS[np.frombuffer("".join(labels).encode("ascii", "replace"), np.uint8)]
-    if not all(labels) or (digits > 3).any():
+    pad = "I" * (-n_qubits % 8)  # each row padded to whole bytes with the digit 0
+    text = pad.join([*labels, ""]).encode("ascii", "replace")
+    if not all(labels) or text.translate(None, _LETTERS.encode()):  # something is no letter
         for label in labels:
             PauliString.from_label(label)  # raises on the first bad label
-    if any(len(label) != n_qubits for label in labels):
+    if not set(map(len, labels)) <= {n_qubits}:
         raise ValueError("term size mismatch")
     coeff = np.array(coeffs, float)
     finite = np.isfinite(coeff)
     if not finite.all():
         i = finite.argmin()
         raise ValueError(f"coefficient of {labels[i]} is not finite: {float(coeff[i])!r}")
-    digits = digits.reshape(len(labels), n_qubits)
+    text = text.translate(_DIGITS)  # and the letters are let go
+    digits = np.frombuffer(text, np.uint8).reshape(len(labels), n_qubits + len(pad))
     xz = xz_of_bits(digits & 1, digits >> 1)
     if len(labels) > 1:  # one row is in order and given once
         # lexsort keys the last row first: z's highest word, down to x's lowest
         order = np.lexsort(xz)
-        xz, coeff = xz.take(order, axis=1), coeff.take(order)
+        if (order[1:] < order[:-1]).any():  # not given in canonical order
+            xz, coeff = xz.take(order, axis=1), coeff.take(order)
         repeated = (xz[:, 1:] == xz[:, :-1]).all(axis=0)
         if repeated.any():
             raise ValueError(f"Pauli string {labels[order[repeated.argmax()]]} is given twice")
-    keep = (np.abs(coeff) >= PRUNE_TOL).nonzero()[0]
-    return xz.take(keep, axis=1), coeff.take(keep)
+    small = np.abs(coeff) < PRUNE_TOL
+    if small.any():
+        keep = (~small).nonzero()[0]
+        xz, coeff = xz.take(keep, axis=1), coeff.take(keep)
+    return xz, coeff
+
+
+def _label_number_pairs(terms: list) -> tuple[list, list]:
+    """The labels and the numbers of a JSON list of [label, number] pairs.
+
+    Passes over the types and lengths, run in C, accept a well-formed list;
+    only one they reject is walked pair by pair, to name its first bad pair.
+    """
+    if set(map(type, terms)) <= {list} and set(map(len, terms)) <= {2}:
+        labels, coeffs = [pair[0] for pair in terms], [pair[1] for pair in terms]
+        if set(map(type, labels)) <= {str} and set(map(type, coeffs)) <= {int, float}:
+            return labels, coeffs
+    for pair in terms:  # subclasses pass, a bool does not
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+                and isinstance(pair[1], (int, float)) and not isinstance(pair[1], bool)):
+            raise ValueError(f"operator terms must be [label, number] pairs, got {pair!r}")
+    return [pair[0] for pair in terms], [pair[1] for pair in terms]
 
 
 class SparseOperator:
@@ -263,11 +316,12 @@ class SparseOperator:
     float64 coefficients. The checked constructor rejects a non-finite
     coefficient and a string given twice, sorts the columns into canonical
     order and drops |coefficient| below PRUNE_TOL. `terms` is a read-only
-    {PauliString: coefficient} view, built on first read. Instances are
+    {PauliString: coefficient} view, built on first read, and truncation's
+    ranking a read-only index array, made on the first cut. Instances are
     immutable; operations return new objects.
     """
 
-    __slots__ = ("n_qubits", "xz", "coeff", "_view")
+    __slots__ = ("n_qubits", "xz", "coeff", "_view", "_order")
 
     def __init__(
         self,
@@ -280,7 +334,7 @@ class SparseOperator:
 
     def _hold(self, n_qubits: int, xz: np.ndarray, coeff: np.ndarray) -> "SparseOperator":
         xz.flags.writeable = coeff.flags.writeable = False
-        self.n_qubits, self.xz, self.coeff, self._view = n_qubits, xz, coeff, None
+        self.n_qubits, self.xz, self.coeff, self._view, self._order = n_qubits, xz, coeff, None, None
         return self
 
     @classmethod
@@ -362,13 +416,9 @@ class SparseOperator:
         n, terms = json_fields(data, "an operator", "n", "terms")
         if not isinstance(terms, list):
             raise ValueError(f"operator terms must be a list of [label, number] pairs, got {terms!r}")
-        for pair in terms:
-            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
-                    and isinstance(pair[1], (int, float)) and not isinstance(pair[1], bool)):
-                raise ValueError(f"operator terms must be [label, number] pairs, got {pair!r}")
+        labels, coeffs = _label_number_pairs(terms)
         n = as_integer(n, "operator qubit count n")
-        labels = [label.strip() for label, _ in terms]
-        return cls._of(n, *_checked(n, labels, [a for _, a in terms]))
+        return cls._of(n, *_checked(n, list(map(str.strip, labels)), coeffs))
 
     def __repr__(self) -> str:
         shown = zip(_labels(self.n_qubits, self.xz[:, :4]), self.coeff[:4].tolist())
@@ -435,11 +485,19 @@ def pauli_probs(operator: SparseOperator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncationResult:
-    """Outcome of keeping the chi largest terms of a unit-weight operator."""
+    """Outcome of keeping the chi largest terms of a unit-weight operator.
+
+    `state_bound` bounds the operator norm of O - W, W the kept part rescaled
+    to unit weight (`choi_normalized`), so |<psi|(O - W)|psi>| for every
+    state: the cut moves O by at most the l1 norm of the dropped
+    coefficients, and the rescaling by |1/sqrt(kept_weight) - 1| times that
+    of the kept ones.
+    """
 
     kept: SparseOperator
     epsilon: float
     kept_weight: float
+    state_bound: float
 
     def choi_normalized(self) -> SparseOperator:
         """Kept operator rescaled by 1/sqrt(kept_weight) to unit Choi norm."""
@@ -454,46 +512,62 @@ def truncate_top(operator: SparseOperator, chi: int) -> TruncationResult:
     The kept coefficients are not rescaled; `TruncationResult.choi_normalized`
     exposes the sqrt-normalized variant. epsilon is the l2 norm of the
     discarded coefficients, their squares summed from the smallest up, which
-    equals sqrt(1 - kept_weight) for unit weight input.
+    equals sqrt(1 - kept_weight) for unit weight input. The ranking is made
+    once per operator, so cuts of one operator at several chi sort once.
     """
-    order, [(kept_weight, epsilon)] = _ranked_cuts(operator, [chi])
+    order, [(kept_weight, epsilon, state_bound)] = _ranked_cuts(operator, [chi])
     kept = np.sort(order[:chi])
     xz, coeff = operator.xz.take(kept, axis=1), operator.coeff.take(kept)
     return TruncationResult(
         kept=SparseOperator._of(operator.n_qubits, xz, coeff),
         epsilon=epsilon,
         kept_weight=kept_weight,
+        state_bound=state_bound,
     )
 
 
 def truncation_sweep(
     operator: SparseOperator, chis: Sequence[int]
-) -> list[tuple[int, float, float]]:
-    """(kept terms, kept_weight, epsilon) of `truncate_top(operator, chi)`
-    for every chi, bit for bit, from one weight check and one ranking."""
+) -> list[tuple[int, float, float, float]]:
+    """(kept terms, kept_weight, epsilon, state_bound) of
+    `truncate_top(operator, chi)` for every chi, bit for bit, from one weight
+    check and one ranking."""
     _, cuts = _ranked_cuts(operator, chis)
     return [(min(chi, len(operator)), *cut) for chi, cut in zip(chis, cuts)]
 
 
 def _ranked_cuts(operator: SparseOperator, chis: Sequence[int]) -> tuple[np.ndarray, list]:
     """The stable ranking of a unit-weight operator's terms by -|a|, and
-    (kept_weight, epsilon) for keeping the first chi of them, per chi.
+    (kept_weight, epsilon, state_bound) for keeping the first chi of them,
+    per chi.
 
-    One running sum adds the ranked squares from the largest down for
-    kept_weight, and one adds the discarded tail from the smallest up for
-    epsilon^2, the more accurate order; both serve every chi, reproducibly.
+    The ranking is cached on the operator, read-only. Running sums of the
+    ranked squares and of the ranked |a| serve every chi, reproducibly: the
+    kept sums add from the largest down, the dropped ones from the smallest
+    up, the more accurate order for a tail.
     """
     if any(chi < 1 for chi in chis):
         raise ValueError("chi must be a positive integer")
     probs = pauli_probs(operator)
-    order = np.argsort(-np.abs(operator.coeff), kind="stable")
-    ranked = probs.take(order)
-    # cumsum adds one term at a time: kept[c - 1] is the sum of ranked[:c]
-    # and tails[c] that of ranked[c:], 0 at c = len(ranked)
-    kept = np.cumsum(ranked)
-    tails = np.append(np.cumsum(ranked[::-1])[::-1], 0.0)
-    cuts = [min(chi, len(ranked)) for chi in chis]
-    return order, [(float(kept[c - 1]), math.sqrt(tails[c])) for c in cuts]
+    if operator._order is None:
+        operator._order = np.argsort(-np.abs(operator.coeff), kind="stable")
+        operator._order.flags.writeable = False
+    order = operator._order
+    rank = len(order)
+    cuts = [min(chi, rank) for chi in chis]
+    # cumsum adds one term at a time: kept[c] is the sum of ranked[:c], and
+    # dropped[rank - c] that of ranked[c:]
+    (kept2, dropped2), (kept1, dropped1) = [
+        (np.cumsum(np.append(0.0, ranked)), np.cumsum(np.append(0.0, ranked[::-1])))
+        for ranked in (probs.take(order), np.abs(operator.coeff).take(order))
+    ]
+    out = []
+    for c in cuts:
+        kept_weight = float(kept2[c])
+        rescale = abs(1.0 / math.sqrt(kept_weight) - 1.0)
+        state_bound = float(dropped1[rank - c]) + rescale * float(kept1[c])
+        out.append((kept_weight, math.sqrt(dropped2[rank - c]), state_bound))
+    return order, out
 
 
 def expectation_error_bound(epsilon: float) -> float:
@@ -505,7 +579,8 @@ def expectation_error_bound(epsilon: float) -> float:
     normalized Hilbert-Schmidt norm. So the value bounds |tr[(O - W) Q]| / D
     for every Q with ||Q||_2 = sqrt(D), every infinite-temperature
     correlator. It does not bound |<psi|(O - W)|psi>| for every state, which
-    the operator norm of O - W sets and which can be several times larger.
+    the operator norm of O - W sets and which can be several times larger;
+    `TruncationResult.state_bound` does.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")

@@ -414,6 +414,32 @@ class TestOtherCommands:
         last = rows[-1]
         assert float(last[3]) == pytest.approx(0.0, abs=1e-12)  # eps at full rank
 
+    def test_truncate_study_state_bound_covers_the_ghz_witness(self, tmp_path):
+        # RZ(0.1) on each of 6 sites from XXXXXX, chi = 7: the GHZ state, a
+        # stabilizer state, sees an error above hs_bound and below state_bound
+        import numpy as np
+
+        from opmagic import PauliString, evolve_heisenberg, truncate_top
+        from opmagic.dense import operator_matrix
+
+        rz = Circuit(6, tuple(Gate("RZ", (q,), 0.1) for q in range(6)))
+        circuit = write_circuit(tmp_path, rz)
+        out = tmp_path / "trunc.csv"
+        assert main(["truncate-study", "--circuit", circuit, "--seed-op", "XXXXXX",
+                     "--chi", "7", "--out", str(out)]) == 0
+        header, row = read_csv_rows(out)
+        assert header == ["chi", "kept_terms", "kept_weight", "epsilon", "hs_bound", "state_bound"]
+        hs_bound, state_bound = float(row[4]), float(row[5])
+        evolved = evolve_heisenberg(SparseOperator.from_pauli(PauliString.from_label("XXXXXX")), rz)
+        kept = truncate_top(evolved, 7).choi_normalized()
+        ghz = np.zeros(64)
+        ghz[[0, 63]] = math.sqrt(0.5)
+        error = abs(ghz @ (operator_matrix(evolved) - operator_matrix(kept)) @ ghz)
+        assert error == pytest.approx(0.533, abs=5e-4)
+        assert hs_bound == pytest.approx(0.1555, abs=5e-5)
+        assert state_bound == pytest.approx(0.739, abs=5e-4)
+        assert hs_bound < error < state_bound
+
     def test_truncate_study_ranks_once(self, tmp_path, monkeypatch):
         from opmagic import paulis
 

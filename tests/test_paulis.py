@@ -89,6 +89,31 @@ class TestPauliString:
         assert [p.label() for p in ordered] == ["I", "X", "Z", "Y"]
 
 
+class TestCodec:
+    """The packers between bit matrices, uint64 words and labels."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 128])
+    @pytest.mark.parametrize("rows", [0, 1, 1000])
+    def test_words_round_trip(self, n, rows):
+        rng = np.random.default_rng(1000 * n + rows)
+        x, z = rng.integers(0, 2, (2, rows, n), dtype=np.uint8)
+        xz = paulis.xz_of_bits(x, z)
+        assert xz.dtype == np.uint64 and xz.shape == (2 * ((n + 63) // 64), rows)
+        back_x, back_z = paulis.bits_of_xz(xz, n)
+        assert np.array_equal(back_x, x) and np.array_equal(back_z, z)
+        # site i at bit i % 64 of word i // 64, against Python ints
+        w = len(xz) // 2
+        for r in range(min(rows, 3)):
+            for words, bits in ((xz[:w, r], x[r]), (xz[w:, r], z[r])):
+                value = sum(int(v) << (64 * k) for k, v in enumerate(words))
+                assert value == sum(int(b) << i for i, b in enumerate(bits))
+        labels = paulis._labels(n, xz)
+        assert labels == ["".join("IXZY"[2 * b + a] for a, b in zip(xr, zr)) for xr, zr in zip(x, z)]
+        ints = paulis.ints_of_bits(x)
+        assert ints == [sum(int(b) << i for i, b in enumerate(bits)) for bits in x]
+        assert np.array_equal(paulis.bits_of_ints(ints, n), x)
+
+
 class TestPauliMul:
     def test_xz_is_minus_i_y(self):
         phase, r = pauli_mul(PauliString.from_label("X"), PauliString.from_label("Z"))
@@ -242,6 +267,21 @@ class TestSparseOperator:
     def test_malformed_json_operator(self, data, message):
         with pytest.raises(ValueError, match=message):
             SparseOperator.from_json_dict(data)
+
+    def test_numpy_float_coefficient_is_accepted(self):
+        op = SparseOperator.from_json_dict({"n": 1, "terms": [["X", np.float64(0.6)], ["Z", 0.8]]})
+        assert op.coeff.tolist() == [0.6, 0.8]
+
+    def test_tuple_pair_is_rejected(self):
+        with pytest.raises(ValueError, match=r"\[label, number\] pairs, got \('X', 1.0\)"):
+            SparseOperator.from_json_dict({"n": 1, "terms": [("X", 1.0)]})
+
+    def test_bad_pair_deep_in_a_long_list_is_named(self):
+        labels = [PauliString(16, i, 0).label() for i in range(12000)]
+        terms = [[label, 0.01] for label in labels]
+        terms[10000] = [labels[10000], True]
+        with pytest.raises(ValueError, match=rf"got \['{labels[10000]}', True\]"):
+            SparseOperator.from_json_dict(json.loads(json.dumps({"n": 16, "terms": terms})))
 
     def test_json_round_trip_bit_identical(self):
         r = math.sqrt(0.5)
@@ -409,13 +449,14 @@ class TestTruncationSweep:
         assert len(evolved) == 1025
         chis = list(range(1, len(evolved) + 3))
         swept = [
-            (chi, kept, w.hex(), e.hex())
-            for chi, (kept, w, e) in zip(chis, truncation_sweep(evolved, chis))
+            (chi, kept, w.hex(), e.hex(), b.hex())
+            for chi, (kept, w, e, b) in zip(chis, truncation_sweep(evolved, chis))
         ]
         looped = []
         for chi in chis:
             res = truncate_top(evolved, chi)
-            looped.append((chi, len(res.kept), res.kept_weight.hex(), res.epsilon.hex()))
+            looped.append((chi, len(res.kept), res.kept_weight.hex(), res.epsilon.hex(),
+                           res.state_bound.hex()))
         assert swept == looped
 
     def test_one_ranking_for_every_chi(self, monkeypatch):
@@ -430,7 +471,7 @@ class TestTruncationSweep:
         ranked = [a * a for a in sorted(evolved.coeff.tolist(), key=abs, reverse=True)]
         chis = range(1, len(evolved) + 2)
         want = [math.sqrt(sum(reversed(ranked[chi:]))).hex() for chi in chis]
-        assert [epsilon.hex() for _, _, epsilon in truncation_sweep(evolved, chis)] == want
+        assert [epsilon.hex() for _, _, epsilon, _ in truncation_sweep(evolved, chis)] == want
 
     def test_errors(self):
         op = SparseOperator.from_pauli(PauliString.from_label("X"))
@@ -470,6 +511,23 @@ class TestErrorBound:
             result = truncate_top(evolved, chi)
             distance = np.linalg.norm(dense - operator_matrix(result.choi_normalized())) / math.sqrt(1 << n)
             assert distance <= expectation_error_bound(result.epsilon) + 1e-12
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), gates=st.integers(0, 30))
+    def test_state_bound_covers_every_state(self, n, seed, gates):
+        # the largest |eigenvalue| of O - W, the error of the worst state, is
+        # at most state_bound at every chi
+        from opmagic.dense import operator_matrix
+
+        rng = np.random.default_rng(seed)
+        circuit = random_mixed_circuit(rng, n, gates)
+        evolved = evolve_heisenberg(SparseOperator.from_pauli(random_pauli(rng, n)), circuit)
+        dense = operator_matrix(evolved)
+        for chi in range(1, len(evolved) + 1):
+            result = truncate_top(evolved, chi)
+            worst = np.abs(np.linalg.eigvalsh(dense - operator_matrix(result.choi_normalized()))).max()
+            assert worst <= result.state_bound + 1e-12
 
 
 class TestTruncationExpectationBound:
@@ -579,6 +637,19 @@ class TestArrayOperator:
         xz = PauliString.from_label("XZ")
         with pytest.raises(ValueError, match="XZ is given twice"):
             SparseOperator(2, [(xz, 0.6), (PauliString.from_label("ZZ"), 0.1), (xz, 0.8)])
+
+    def test_cuts_at_several_chi_equal_cuts_of_fresh_copies(self):
+        t, n = 8, 18
+        evolved = evolve_heisenberg(from_local(t, 0.6, 0.0, 0.8, n), xxz_brickwork(n, t, 0.3))
+        for chi in (1, 16, 100, 4096, 16):
+            res = truncate_top(evolved, chi)
+            fresh = truncate_top(SparseOperator._of(n, evolved.xz.copy(), evolved.coeff.copy()), chi)
+            assert res.kept.xz.tobytes() == fresh.kept.xz.tobytes()
+            assert res.kept.coeff.tobytes() == fresh.kept.coeff.tobytes()
+            for name in ("epsilon", "kept_weight", "state_bound"):
+                assert getattr(res, name).hex() == getattr(fresh, name).hex()
+        with pytest.raises(ValueError):
+            evolved._order[0] = 1
 
     def test_operator_is_read_only(self):
         op = from_local(0, 0.6, 0.0, 0.8, 2)
