@@ -19,8 +19,9 @@ between bit matrices and uint64 words, `bits_of_ints`/`ints_of_bits`
 between bit matrices and Python ints. Each pads its rows to whole bytes
 (not words) and makes one flat `packbits` or `unpackbits` call. A label is
 read back from the bits by arithmetic: the ASCII codes of I, X, Z and Y are
-73 + 16 (x | z) + z - x, so one uint32 matrix of codes, viewed as n-letter
-unicode strings, gives every label of an operator in one `tolist()`.
+73 + 16 (x | z) + z - x, so a uint32 matrix of codes, viewed as n-letter
+unicode strings, gives the labels of a block of rows in one `tolist()`.
+Labels and bit matrices are made `_BLOCK_ROWS` rows at a time.
 
 A SparseOperator holds the propagation engine's arrays, uint64 words and
 float64 coefficients, and builds a dict of PauliStrings only when `terms`
@@ -52,6 +53,11 @@ _LETTERS = "IXZY"  # indexed by the digit 2*z_bit + x_bit
 # the digit of each ASCII code, 4 where no letter has it (find gives -1)
 _DIGITS = bytes(_LETTERS.find(chr(code)) % 5 for code in range(256))
 _I_POWERS = (1, 1j, -1, -1j)
+
+# Labels and bit matrices, 8 to 32 times the size of an operator's words,
+# are made this many rows at a time: small blocks reuse freed heap memory,
+# where whole-operator temporaries would each take fresh pages.
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,14 +252,18 @@ def ints_of_bits(bits: np.ndarray) -> list:
 
 
 def _labels(n_qubits: int, xz: np.ndarray) -> list[str]:
-    """The label of every row, from one (rows, n) matrix of letter codes."""
-    x_bits, z_bits = bits_of_xz(xz, n_qubits)
-    codes = x_bits | z_bits
-    codes <<= 4
-    codes += z_bits
-    codes -= x_bits  # 16 (x | z) + z - x, never below 0
-    codes = np.add(codes, ord("I"), dtype="<u4")
-    return codes.view(f"<U{n_qubits}")[:, 0].tolist()
+    """The label of every row, from a (rows, n) matrix of letter codes per
+    block of rows."""
+    labels = []
+    for start in range(0, xz.shape[1], _BLOCK_ROWS):
+        x_bits, z_bits = bits_of_xz(xz[:, start : start + _BLOCK_ROWS], n_qubits)
+        codes = x_bits | z_bits
+        codes <<= 4
+        codes += z_bits
+        codes -= x_bits  # 16 (x | z) + z - x, never below 0
+        codes = np.add(codes, ord("I"), dtype="<u4")
+        labels += codes.view(f"<U{n_qubits}")[:, 0].tolist()
+    return labels
 
 
 def _checked(n_qubits: int, labels: list[str], coeffs: list):
@@ -273,9 +283,12 @@ def _checked(n_qubits: int, labels: list[str], coeffs: list):
     if not finite.all():
         i = finite.argmin()
         raise ValueError(f"coefficient of {labels[i]} is not finite: {float(coeff[i])!r}")
-    text = text.translate(_DIGITS)  # and the letters are let go
-    digits = np.frombuffer(text, np.uint8).reshape(len(labels), n_qubits + len(pad))
-    xz = xz_of_bits(digits & 1, digits >> 1)
+    width = n_qubits + len(pad)
+    xz = np.empty((2 * ((width + 63) >> 6), len(labels)), np.uint64)
+    for start in range(0, len(labels), _BLOCK_ROWS):
+        block = text[start * width : (start + _BLOCK_ROWS) * width].translate(_DIGITS)
+        digits = np.frombuffer(block, np.uint8).reshape(-1, width)
+        xz[:, start : start + _BLOCK_ROWS] = xz_of_bits(digits & 1, digits >> 1)
     if len(labels) > 1:  # one row is in order and given once
         # lexsort keys the last row first: z's highest word, down to x's lowest
         order = np.lexsort(xz)

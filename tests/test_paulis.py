@@ -93,7 +93,7 @@ class TestCodec:
     """The packers between bit matrices, uint64 words and labels."""
 
     @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 128])
-    @pytest.mark.parametrize("rows", [0, 1, 1000])
+    @pytest.mark.parametrize("rows", [0, 1, 1000, 2 * paulis._BLOCK_ROWS + 5])
     def test_words_round_trip(self, n, rows):
         rng = np.random.default_rng(1000 * n + rows)
         x, z = rng.integers(0, 2, (2, rows, n), dtype=np.uint8)
@@ -112,6 +112,20 @@ class TestCodec:
         ints = paulis.ints_of_bits(x)
         assert ints == [sum(int(b) << i for i, b in enumerate(bits)) for bits in x]
         assert np.array_equal(paulis.bits_of_ints(ints, n), x)
+
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_json_round_trip_across_blocks(self, shuffled):
+        t, n = 12, 26
+        evolved = evolve_heisenberg(from_local(t, 0.6, 0.0, 0.8, n), xxz_brickwork(n, t, 0.3))
+        assert len(evolved) > 2 * paulis._BLOCK_ROWS
+        data = json.loads(json.dumps(evolved.to_json_dict()))
+        assert [label for label, _ in data["terms"]] == [p.label() for p in evolved.terms]
+        if shuffled:
+            random.Random(7).shuffle(data["terms"])
+        back = SparseOperator.from_json_dict(data)
+        assert back.xz.tobytes() == evolved.xz.tobytes()
+        assert back.coeff.tobytes() == evolved.coeff.tobytes()
 
 
 class TestPauliMul:
