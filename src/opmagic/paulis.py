@@ -54,7 +54,7 @@ _LETTERS = "IXZY"  # indexed by the digit 2*z_bit + x_bit
 _DIGITS = bytes(_LETTERS.find(chr(code)) % 5 for code in range(256))
 _I_POWERS = (1, 1j, -1, -1j)
 
-# Labels and bit matrices, 8 to 32 times the size of an operator's words,
+# Labels and bit matrices, several times the size of an operator's words,
 # are made this many rows at a time: small blocks reuse freed heap memory,
 # where whole-operator temporaries would each take fresh pages.
 _BLOCK_ROWS = 2048
