@@ -8,7 +8,11 @@ script runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0` in the two checkouts one after the other, N pairs in all, and
 swaps which side goes first from one pair to the next, so a slow phase of
 the machine falls on both sides alike. Each run is its own process; none
-run side by side.
+run side by side. Before the first pair, it byte-compiles `src` and
+`perfbench` in both checkouts with bytecode writing on: `run.py`'s
+workers inherit the environment, and where PYTHONDONTWRITEBYTECODE is
+set, a side without current bytecode would compile its modules again in
+every worker, which shows in its `setup_s` and `peak_rss_mb`.
 
 The output holds, per workload: every pair's metrics and failed share of
 operations; each side's median and quartiles per end-to-end metric; the
@@ -22,12 +26,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+
+
+def byte_compile(checkout: Path) -> None:
+    """Write the bytecode of `src` and `perfbench` in a checkout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    cmd = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: compileall exited {done.returncode}: {done.stdout.strip()[-2000:]}")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -87,6 +101,8 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    for checkout in sides.values():
+        byte_compile(checkout)
     record = {
         "command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds:g} --trace 0",
         "pairs": args.pairs,

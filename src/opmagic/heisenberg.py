@@ -30,6 +30,14 @@ packers between bit-sliced ints, bit matrices and words are those of
 `paulis`. Each gate kind is one `_KINDS` row, and each `Gate` carries
 its compiled opcodes. A new kind takes a row, a `dense.gate_matrix` case
 and a `tests/conftest.py` entry.
+
+`_compile` walks one flat list of opcodes per circuit, in walk order. A
+circuit of the doped ensemble carries its list from the build: one
+`take` on the opcode array of `_gate_table`, which holds one opcode per
+gate drawn so far. Any other circuit flattens its gates' steps once,
+when it is evolved. The table's index space has n (n + 2) entries, but
+only its int32 slot array spans it, 4 bytes an entry; its gates and
+opcodes grow with the entries drawn.
 """
 from __future__ import annotations
 
@@ -161,6 +169,8 @@ class Circuit:
 
     n_qubits: int
     gates: tuple[Gate, ...]
+    # the opcode list of a table-built circuit, in walk order; see `_walk`
+    _ops: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._hold(self.n_qubits, tuple(self.gates))
@@ -179,14 +189,19 @@ class Circuit:
         return self
 
     @classmethod
-    def _of(cls, n_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
+    def _of(cls, n_qubits: int, gates: tuple[Gate, ...], ops: list | None = None) -> "Circuit":
         """The circuit of a tuple of gates whose every site is below n_qubits.
 
         The qubit count is checked as by `Circuit(...)`, but the gates' sites
         are not: only a builder whose gates are in range by construction may
         call this, so that the result equals `Circuit(n_qubits, gates)`.
+        `ops`, when given, is the gates' opcodes in walk order, exactly
+        those that `_walk` would flatten.
         """
-        return cls.__new__(cls)._hold(n_qubits, gates)
+        circuit = cls.__new__(cls)._hold(n_qubits, gates)
+        if ops is not None:
+            object.__setattr__(circuit, "_ops", ops)
+        return circuit
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -248,11 +263,14 @@ def _int_field(token: str, field: str, raw: str) -> int:
         raise ValueError(f"{field} must be an integer, got {token!r} in line {raw!r}") from None
 
 
-def _compile(xs: list, zs: list, rows: int, gates: Sequence[Gate]) -> tuple[int, list]:
-    """Walk the gates last first, moving every Clifford gate to the front.
+def _compile(xs: list, zs: list, rows: int, ops: list) -> tuple[int, list]:
+    """Walk a circuit's opcodes, moving every Clifford gate to the front.
 
-    The rows are bit-sliced: bit r of xs[q] and zs[q] is the letter at site q
-    of row r. Rows 0..rows-1 come in as the seed's terms; each rotation met
+    `ops` is one flat list of (code, q, q2) opcodes in walk order, the
+    gates last first and each gate's step in order (`_walk`), so the walk
+    is one loop with one dispatch per opcode. The rows are bit-sliced: bit
+    r of xs[q] and zs[q] is the letter at site q of row r. Rows
+    0..rows-1 come in as the seed's terms; each rotation met
     appends one row, its Z-string generator, so every later Clifford gate
     (an earlier one in list order) conjugates it too. A Clifford gate costs
     a few int operations on all rows at once. Its images of the letters I,
@@ -265,31 +283,30 @@ def _compile(xs: list, zs: list, rows: int, gates: Sequence[Gate]) -> tuple[int,
     """
     sign = 0
     angles = []
-    for gate in reversed(gates):
-        for code, q, q2 in gate.step:
-            if code == _H:
-                sign ^= xs[q] & zs[q]
-                xs[q], zs[q] = zs[q], xs[q]
-            elif code == _S:
-                sign ^= xs[q] & ~zs[q]
-                zs[q] ^= xs[q]
-            elif code == _CNOT:
-                sign ^= xs[q] & zs[q2] & ~(xs[q2] ^ zs[q])
-                xs[q2] ^= xs[q]
-                zs[q] ^= zs[q2]
-            elif code == _SWAP:
-                xs[q], xs[q2] = xs[q2], xs[q]
-                zs[q], zs[q2] = zs[q2], zs[q]
-            elif code == _ROT:  # q holds the sites, q2 the angle
-                for site in q:
-                    zs[site] |= 1 << rows
-                rows += 1
-                angles.append(q2)
-            else:  # _PAULI: q2 is the letter
-                if q2 & 1:
-                    sign ^= zs[q]
-                if q2 & 2:
-                    sign ^= xs[q]
+    for code, q, q2 in ops:
+        if code == _H:
+            sign ^= xs[q] & zs[q]
+            xs[q], zs[q] = zs[q], xs[q]
+        elif code == _S:
+            sign ^= xs[q] & ~zs[q]
+            zs[q] ^= xs[q]
+        elif code == _CNOT:
+            sign ^= xs[q] & zs[q2] & ~(xs[q2] ^ zs[q])
+            xs[q2] ^= xs[q]
+            zs[q] ^= zs[q2]
+        elif code == _SWAP:
+            xs[q], xs[q2] = xs[q2], xs[q]
+            zs[q], zs[q2] = zs[q2], zs[q]
+        elif code == _ROT:  # q holds the sites, q2 the angle
+            for site in q:
+                zs[site] |= 1 << rows
+            rows += 1
+            angles.append(q2)
+        else:  # _PAULI: q2 is the letter
+            if q2 & 1:
+                sign ^= zs[q]
+            if q2 & 2:
+                sign ^= xs[q]
     return sign, angles
 
 
@@ -366,9 +383,10 @@ _BATCH_ROWS = 4096
 
 
 def _propagate(
-    operator: SparseOperator, circuits: Iterable[Sequence[Gate]], prune_tol: float
+    operator: SparseOperator, circuits: Iterable[list], prune_tol: float
 ) -> Iterator[SparseOperator]:
-    """The engine: U^dag O U = R^dag (C^dag O C) R, for each circuit's gates.
+    """The engine: U^dag O U = R^dag (C^dag O C) R, for each circuit's
+    opcode list (`_walk`).
 
     C is every Clifford gate, R = exp(-i theta_m Q_m) ... exp(-i theta_1 Q_1)
     and Q_k = +-E_k^dag P_k E_k, E_k the Clifford gates acting before
@@ -411,8 +429,8 @@ def _propagate(
     low = (1 << n) - 1
     circuits = iter(circuits)
     while batch := [
-        (bool(gates), xs, zs, *_compile(xs, zs, seeds, gates))
-        for gates in itertools.islice(circuits, _BATCH)
+        (bool(ops), xs, zs, *_compile(xs, zs, seeds, ops))
+        for ops in itertools.islice(circuits, _BATCH)
         for xs, zs in [(seed_xs[:], seed_zs[:])]
     ]:
         # every circuit's rows in one set of bit-sliced ints, circuit c's from bit firsts[c]
@@ -494,7 +512,7 @@ def evolve_heisenberg(
     Bit for bit the same as conjugate_gate applied gate by gate. This is the
     one-circuit case of `evolve_ensemble`.
     """
-    return next(_propagate(operator, (_gates_of(operator.n_qubits, circuit),), prune_tol))
+    return next(_propagate(operator, (_walk(operator.n_qubits, circuit),), prune_tol))
 
 
 def evolve_ensemble(
@@ -507,13 +525,18 @@ def evolve_ensemble(
     batches of a fixed size, so a lazy iterable keeps memory flat however
     many circuits it yields.
     """
-    return _propagate(operator, (_gates_of(operator.n_qubits, c) for c in circuits), prune_tol)
+    return _propagate(operator, (_walk(operator.n_qubits, c) for c in circuits), prune_tol)
 
 
-def _gates_of(n_qubits: int, circuit: Circuit) -> tuple[Gate, ...]:
+def _walk(n_qubits: int, circuit: Circuit) -> list:
+    """The circuit's opcodes in walk order: the gates last first, each
+    gate's step in order. A table-built circuit carries this list; any
+    other is flattened here, once per evolution."""
     if circuit.n_qubits != n_qubits:
         raise ValueError("size mismatch")
-    return circuit.gates
+    if circuit._ops is not None:
+        return circuit._ops
+    return [op for gate in reversed(circuit.gates) for op in gate.step]
 
 
 def brickwork_circuit(n_qubits: int, layers: int, brick: Sequence[Gate]) -> Circuit:
@@ -549,45 +572,91 @@ def mixing_depth(n_qubits: int) -> int:
     return 3 * n_qubits * n_qubits
 
 
+class _GateTable:
+    """The gates of the doped ensemble drawn so far, and their opcodes; see
+    `_gate_table`."""
+
+    __slots__ = ("n", "slot", "gates", "ops", "size")
+
+    def __init__(self, n_qubits: int) -> None:
+        self.n = n_qubits
+        self.slot = np.zeros(n_qubits * (n_qubits + 2), dtype=np.int32)
+        self.gates = np.empty(1, dtype=object)
+        self.ops = np.empty(1, dtype=object)
+        self.size = 1
+
+    def gate(self, i: int) -> Gate:
+        """The gate of entry i."""
+        n = self.n
+        if i < 2 * n:
+            return Gate("S" if i >= n else "H", (i % n,))
+        if i >= n * (n + 1):
+            return Gate("T", (i - n * (n + 1),))
+        c, t = divmod(i - 2 * n, n - 1)
+        return Gate("CNOT", (c, t + (t >= c)))
+
+    def circuit(self, index: np.ndarray) -> Circuit:
+        """The circuit of the entries `index`, which are in range by
+        construction, and its opcode list: one `take` on `gates`, and one on
+        `ops` in reverse."""
+        slots = self.slot.take(index)
+        if not slots.all():
+            self._make(sorted(set(index[slots == 0].tolist())))
+            slots = self.slot.take(index)
+        return Circuit._of(self.n, tuple(self.gates.take(slots).tolist()), self.ops.take(slots[::-1]).tolist())
+
+    def _make(self, new: list) -> None:
+        """Make the gates of the entries `new`, drawn for the first time."""
+        start, self.size = self.size, self.size + len(new)
+        if self.size > self.gates.size:
+            grow = np.empty(max(self.size, 2 * self.gates.size) - self.gates.size, dtype=object)
+            self.gates, self.ops = np.concatenate((self.gates, grow)), np.concatenate((self.ops, grow))
+        for place, i in enumerate(new, start):
+            gate = self.gate(i)
+            self.gates[place], self.ops[place] = gate, gate.step[0]
+        self.slot[new] = np.arange(start, self.size, dtype=np.int32)
+
+
 @functools.lru_cache(maxsize=16)
-def _gate_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interned gates of the doped ensemble, an object array: H on each site,
-    S on each site, CNOT on each ordered pair (c, t), c != t, at
-    2 n + c (n - 1) + t - (t > c), then T on each site, from n (n + 1) on.
-    A CNOT `Gate` is made on its first draw, so the gates made follow the
-    pairs drawn; the bool array marks the entries made. The two arrays
-    still hold n (n + 2) entries each, 9 bytes an entry.
+def _gate_table(n_qubits: int) -> _GateTable:
+    """The interned gates of the doped ensemble on n_qubits, made on first
+    draw. Its index space: H on each site q at q, S at n + q, CNOT on each
+    ordered pair (c, t), c != t, at 2 n + c (n - 1) + t - (t > c), then T
+    at n (n + 1) + q, n (n + 2) entries in all. `slot[i]` is 0 until entry
+    i is first drawn, and from then on its place in `gates`, an object
+    array of the `Gate`s drawn so far, and in `ops`, their opcodes: each
+    gate of the table lowers to exactly one. Place 0 stays empty, so a
+    zeroed slot array marks every entry undrawn. Only the int32 slot array
+    spans the index space, 4 bytes an entry; `gates` and `ops` grow, by
+    doubling, with the entries drawn.
     """
-    n = n_qubits
-    table = np.empty(n * (n + 2), dtype=object)
-    made = np.zeros(table.size, dtype=bool)
-    for start, kind in ((0, "H"), (n, "S"), (n * (n + 1), "T")):
-        table[start : start + n] = [Gate(kind, (q,)) for q in range(n)]
-        made[start : start + n] = True
-    return table, made
+    return _GateTable(n_qubits)
 
 
-def _clifford_indices(n_qubits: int, depth: int, seed: int) -> np.ndarray:
-    """`_gate_table` indices of `depth` gates of the mixing ensemble, from
-    three vectorized draws: kind, site, and an ordered CNOT pair.
+def _block_circuit(n_qubits: int, depth: int, seeds: Sequence[int], t_sites: Sequence[int]) -> Circuit:
+    """Mixing blocks of `depth` gates, block k drawn from `seeds[k]` and
+    followed by T on `t_sites[k]`; there is one T site fewer than seeds.
+
+    Each block's generator makes three vectorized draws, kind, site and an
+    ordered CNOT pair, into one (3, blocks, depth + 1) array, and one
+    `where` maps every draw to its `_gate_table` entry: kind n + site for H
+    and S, 2 n + pair for CNOT. Column `depth` holds the T gate after each
+    block as kind 0 at site n (n + 1) + q, T's entry; the last block's
+    column is dropped.
     """
     if depth < 1:
         raise ValueError(f"Clifford depth must be at least 1, got {depth}")
-    rng = np.random.default_rng(seed)
-    kind = rng.integers(3 if n_qubits >= 2 else 2, size=depth)
-    site = rng.integers(n_qubits, size=depth)
-    pair = rng.integers(max(n_qubits * (n_qubits - 1), 1), size=depth)
-    return np.where(kind == 2, 2 * n_qubits + pair, kind * n_qubits + site)
-
-
-def _table_circuit(n_qubits: int, index: np.ndarray) -> Circuit:
-    """The circuit of `_gate_table` entries, which are in range by construction."""
-    table, made = _gate_table(n_qubits)
-    for i in set(index[~made.take(index)].tolist()):  # CNOT entries drawn for the first time
-        c, t = divmod(i - 2 * n_qubits, n_qubits - 1)
-        table[i] = Gate("CNOT", (c, t + (t >= c)))
-        made[i] = True
-    return Circuit._of(n_qubits, tuple(table.take(index).tolist()))
+    n = n_qubits
+    draws = np.zeros((3, len(seeds), depth + 1), dtype=np.int64)
+    for block, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed), without its dispatch
+        draws[0, block, :depth] = rng.integers(3 if n >= 2 else 2, size=depth)
+        draws[1, block, :depth] = rng.integers(n, size=depth)
+        draws[2, block, :depth] = rng.integers(max(n * (n - 1), 1), size=depth)
+    draws[1, :-1, depth] = t_sites
+    draws[1, :-1, depth] += n * (n + 1)
+    kind, site, pair = draws
+    return _gate_table(n).circuit(np.where(kind == 2, 2 * n + pair, kind * n + site).ravel()[:-1])
 
 
 def _check_qubit_count(n_qubits: int) -> None:
@@ -609,7 +678,7 @@ def random_clifford_circuit(
     _check_qubit_count(n_qubits)
     if depth is None:
         depth = mixing_depth(n_qubits)
-    return _table_circuit(n_qubits, _clifford_indices(n_qubits, depth, seed))
+    return _block_circuit(n_qubits, depth, [seed], ())
 
 
 def doped_circuit(
@@ -622,8 +691,9 @@ def doped_circuit(
 
     tau = 0 gives a single pure Clifford block. Block k is
     random_clifford_circuit(n_qubits, clifford_depth, seed_k) for a seed
-    drawn from `seed`. The blocks' table indices and the T gates' are
-    joined into one index array, mapped through the table once.
+    drawn from `seed`, so every seed names the same gates as building
+    the blocks one by one; all blocks are drawn into one array and mapped
+    through the table once (`_block_circuit`).
     """
     _check_qubit_count(n_qubits)
     if tau < 0:
@@ -633,7 +703,4 @@ def doped_circuit(
     rng = np.random.default_rng(seed)
     block_seeds = rng.integers(0, 2**63 - 1, size=tau + 1)
     t_sites = rng.integers(0, n_qubits, size=tau)
-    blocks = np.stack([_clifford_indices(n_qubits, clifford_depth, s) for s in block_seeds.tolist()])
-    # each block but the last, then its T gate; T on site q is entry n (n + 1) + q
-    body = np.column_stack((blocks[:-1], n_qubits * (n_qubits + 1) + t_sites))
-    return _table_circuit(n_qubits, np.concatenate((body.ravel(), blocks[-1])))
+    return _block_circuit(n_qubits, clifford_depth, block_seeds.tolist(), t_sites)

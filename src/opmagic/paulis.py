@@ -25,7 +25,7 @@ Labels and bit matrices are made `_BLOCK_ROWS` rows at a time.
 
 A SparseOperator holds the propagation engine's arrays, uint64 words and
 float64 coefficients, and builds a dict of PauliStrings only when `terms`
-is read.
+is read, its masks straight from the words.
 Canonical order is lexicographic on ``(z_mask, x_mask)``. A SparseOperator
 holds its strings in that order from construction, so its probability
 vector, l2 weight and JSON follow it, and truncation, a stable sort on
@@ -251,6 +251,15 @@ def ints_of_bits(bits: np.ndarray) -> list:
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
+def _ints_of_words(words: np.ndarray) -> list:
+    """One int per column of (w, rows) uint64 words, the lowest word first:
+    one `tolist()` per word, OR-ed in 64 bits up at a time."""
+    ints = words[0].tolist()
+    for k in range(1, len(words)):
+        ints = [v | u << 64 * k for v, u in zip(ints, words[k].tolist())]
+    return ints
+
+
 def _labels(n_qubits: int, xz: np.ndarray) -> list[str]:
     """The label of every row, from a (rows, n) matrix of letter codes per
     block of rows."""
@@ -363,7 +372,8 @@ class SparseOperator:
     def terms(self) -> Mapping[PauliString, float]:
         """Read-only {string: coefficient} in canonical order, built on first read."""
         if self._view is None:
-            masks = (ints_of_bits(bits) for bits in bits_of_xz(self.xz, self.n_qubits))
+            w = self.xz.shape[0] >> 1
+            masks = (_ints_of_words(self.xz[:w]), _ints_of_words(self.xz[w:]))
             strings = map(PauliString, itertools.repeat(self.n_qubits), *masks)
             self._view = MappingProxyType(dict(zip(strings, self.coeff.tolist())))
         return self._view

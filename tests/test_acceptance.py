@@ -226,6 +226,34 @@ def test_criterion_08_truncation_operationalism():
            f"50 pairs, every chi; max (delta - bound) = {worst_slack:.2e}")
 
 
+def test_criterion_08_truncation_worst_case_states():
+    # the draws of criterion 08, seen by the states a random stabilizer state
+    # misses: the GHZ state, and the top eigenvector of O - W, whose error is
+    # the operator norm that `state_bound` bounds
+    rng = np.random.default_rng(1008)
+    worst_ratio = 0.0
+    for _ in range(50):
+        n = int(rng.integers(2, 6))
+        circuit = random_mixed_circuit(rng, n, int(rng.integers(4, 13)))
+        seed = SparseOperator.from_pauli(single_site_pauli(int(rng.integers(n)), "X", n))
+        evolved = evolve_heisenberg(seed, circuit)
+        dense_evolved = operator_matrix(evolved)
+        ghz = np.zeros(2**n)
+        ghz[[0, -1]] = math.sqrt(0.5)
+        for chi in range(1, len(evolved) + 1):
+            result = truncate_top(evolved, chi)
+            diff = dense_evolved - operator_matrix(result.choi_normalized())
+            values, vectors = np.linalg.eigh(diff)
+            top = vectors[:, np.abs(values).argmax()]
+            for psi in (ghz, top):
+                delta = abs(np.vdot(psi, diff @ psi).real)
+                assert delta <= result.state_bound + 1e-9
+                if result.state_bound > 0.0:
+                    worst_ratio = max(worst_ratio, delta / result.state_bound)
+    report("criterion-08 truncation-worst-case",
+           f"50 pairs, every chi, GHZ and top eigenvector; max error / state_bound = {worst_ratio:.3f}")
+
+
 def test_criterion_09_light_cone():
     from opmagic import brickwork_circuit
 

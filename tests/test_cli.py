@@ -322,7 +322,8 @@ class TestOtherCommands:
         for row in rows:
             assert float(row[3]) <= 2.0 + 1e-9
 
-    # recorded from the builders that made one Gate list per block, scored one index at a time
+    # recorded from the builders that made one Gate list per block, scored one index at
+    # a time; n6-seed11-20 from the builder that drew and mapped one block at a time
     DOPED_PINS = {
         "n6-seed11": (
             ["doped-scan", "--n", "6", "--tau", "3", "--circuits", "4", "--alpha", "0,1,2,inf",
@@ -349,6 +350,36 @@ class TestOtherCommands:
                 '3,3,1,1.4999999999999998,3\n'
                 '3,3,2,1.4150374992788437,3\n'
                 '3,3,inf,0.9999999999999997,3\n'
+            ),
+        ),
+        "n6-seed11-20": (
+            ["doped-scan", "--n", "6", "--tau", "3", "--circuits", "20", "--seed", "11"],
+            (
+                '# tool=opmagic\n'
+                '# version=0.1.0\n'
+                '# command=doped-scan\n'
+                '# params={"alpha": "2", "circuits": 20, "clifford_depth": null, "n": 6, "seed": 11, "tau": 3}\n'
+                'circuit,tau,alpha,ose,rank\n'
+                '0,3,2,2.415037499278844,6\n'
+                '1,3,2,1.0,2\n'
+                '2,3,2,1.5405683813627031,4\n'
+                '3,3,2,1.4150374992788437,3\n'
+                '4,3,2,1.0,2\n'
+                '5,3,2,2.4150374992788444,6\n'
+                '6,3,2,2.415037499278844,6\n'
+                '7,3,2,0.0,1\n'
+                '8,3,2,1.415037499278844,3\n'
+                '9,3,2,1.4150374992788437,3\n'
+                '10,3,2,1.0,2\n'
+                '11,3,2,1.415037499278844,3\n'
+                '12,3,2,2.4150374992788435,6\n'
+                '13,3,2,1.415037499278844,3\n'
+                '14,3,2,1.4150374992788437,3\n'
+                '15,3,2,2.0,4\n'
+                '16,3,2,1.5405683813627025,4\n'
+                '17,3,2,1.0,2\n'
+                '18,3,2,1.5405683813627031,4\n'
+                '19,3,2,1.0,2\n'
             ),
         ),
         "n70-depth40": (

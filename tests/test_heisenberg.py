@@ -25,7 +25,7 @@ from opmagic import (
     single_site_pauli,
 )
 from opmagic.dense import circuit_unitary, gate_matrix, pauli_spectrum
-from opmagic.heisenberg import _KINDS, _ROT, CLIFFORD_KINDS, GATE_KINDS, ROTATION_KINDS, _gate_table
+from opmagic.heisenberg import _KINDS, _ROT, CLIFFORD_KINDS, GATE_KINDS, ROTATION_KINDS, _gate_table, _walk
 from opmagic.paulis import enumerate_paulis
 from conftest import ONE_SITE_KINDS, TWO_SITE_KINDS, random_mixed_circuit
 
@@ -300,9 +300,11 @@ class TestRandomCircuits:
         c = random_clifford_circuit(n, 400, seed=3)
         cnots = {g.sites for g in c.gates if g.kind == "CNOT"}
         assert cnots == {(a, b) for a in range(n) for b in range(n) if a != b}
-        table, made = _gate_table(n)
+        table = _gate_table(n)
+        made = table.slot[2 * n : n * (n + 1)]
         assert made.all()
-        assert [g.sites for g in table[2 * n : n * (n + 1)]] == sorted(cnots)
+        assert [g.sites for g in table.gates.take(made)] == sorted(cnots)
+        assert sum(g.kind == "CNOT" for g in table.gates[1 : table.size]) == len(cnots)
 
     def test_a_wide_register_builds_only_the_gates_it_draws(self):
         # the table of every n (n - 1) CNOT gates took 2.2 s and 129 MB at n = 600
@@ -372,6 +374,75 @@ def test_builders_pass_every_circuit_check(circuit):
     checked = Circuit(circuit.n_qubits, circuit.gates)
     assert checked == circuit
     assert type(circuit.n_qubits) is int and type(circuit.gates) is tuple
+
+
+def _eager_table(n):
+    """Every entry of the gate table, made up front in index order."""
+    return (
+        [Gate("H", (q,)) for q in range(n)]
+        + [Gate("S", (q,)) for q in range(n)]
+        + [Gate("CNOT", (c, t)) for c in range(n) for t in range(n) if c != t]
+        + [Gate("T", (q,)) for q in range(n)]
+    )
+
+
+def _block_indices(n, depth, seed):
+    """One block's table indices, drawn as the per-block builder drew them."""
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(3 if n >= 2 else 2, size=depth)
+    site = rng.integers(n, size=depth)
+    pair = rng.integers(max(n * (n - 1), 1), size=depth)
+    return np.where(kind == 2, 2 * n + pair, kind * n + site)
+
+
+def _per_block_doped(n, tau, depth, seed):
+    """The gates of `doped_circuit`, built one block at a time."""
+    rng = np.random.default_rng(seed)
+    block_seeds = rng.integers(0, 2**63 - 1, size=tau + 1)
+    t_sites = rng.integers(0, n, size=tau)
+    blocks = np.stack([_block_indices(n, depth, s) for s in block_seeds.tolist()])
+    body = np.column_stack((blocks[:-1], n * (n + 1) + t_sites))
+    table = _eager_table(n)
+    return [table[i] for i in np.concatenate((body.ravel(), blocks[-1])).tolist()]
+
+
+def _gate_tuples(gates):
+    return [(g.kind, g.sites, g.theta) for g in gates]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 12), tau=st.integers(0, 6), depth=st.integers(1, 40), seed=st.integers(0, 2**63 - 1)
+)
+def test_block_draws_name_the_per_block_gates(n, tau, depth, seed):
+    # all blocks drawn into one array and mapped by one where: the same gates,
+    # and the table's opcode stream is each gate's step, last gate first
+    doped = doped_circuit(n, tau, depth, seed)
+    assert _gate_tuples(doped.gates) == _gate_tuples(_per_block_doped(n, tau, depth, seed))
+    clifford = random_clifford_circuit(n, depth, seed)
+    table = _eager_table(n)
+    assert _gate_tuples(clifford.gates) == _gate_tuples(table[i] for i in _block_indices(n, depth, seed).tolist())
+    for circuit in (doped, clifford):
+        flat = [op for g in reversed(circuit.gates) for op in g.step]
+        assert circuit._ops is not None and circuit._ops == flat
+        rebuilt = Circuit(n, circuit.gates)
+        assert rebuilt._ops is None and _walk(n, rebuilt) == flat
+
+
+def test_gate_table_memory_follows_the_draws():
+    # only the int32 slot array spans the n (n + 2) entries: 36 MB at n = 3000,
+    # where the object and bool arrays of every entry held 80 MB
+    code = (
+        "import tracemalloc\n"
+        "import numpy.random\n"
+        "from opmagic import doped_circuit\n"
+        "tracemalloc.start()\n"
+        "doped_circuit(3000, 1, 5, 0)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert int(done.stdout) <= 40e6
 
 
 class TestSupport:

@@ -113,6 +113,18 @@ class TestCodec:
         assert ints == [sum(int(b) << i for i, b in enumerate(bits)) for bits in x]
         assert np.array_equal(paulis.bits_of_ints(ints, n), x)
 
+    @pytest.mark.parametrize("n", [28, 64, 65, 130])
+    def test_terms_view_is_that_of_the_labels(self, n):
+        # the view's masks come straight from the words, 64 bits a word
+        rng = np.random.default_rng(n)
+        labels = sorted({"".join(row) for row in rng.choice(list("IXZY"), (300, n))} | {"I" * n, "Y" * n})
+        coeffs = rng.normal(size=len(labels))
+        op = SparseOperator.from_json_dict(
+            {"n": n, "terms": [[label, a] for label, a in zip(labels, coeffs.tolist())]}
+        )
+        items = [(PauliString.from_label(label), a) for label, a in op.to_json_dict()["terms"]]
+        assert list(op.terms.items()) == items
+
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_json_round_trip_across_blocks(self, shuffled):
