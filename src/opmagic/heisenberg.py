@@ -32,9 +32,10 @@ its compiled opcodes. A new kind takes a row, a `dense.gate_matrix` case
 and a `tests/conftest.py` entry.
 
 `_compile` walks one flat list of opcodes per circuit, in walk order. A
-circuit of the doped ensemble carries its list from the build: one
-`take` on the opcode array of `_gate_table`, which holds one opcode per
-gate drawn so far. Any other circuit flattens its gates' steps once,
+circuit built from the gate table (`doped_circuit`,
+`random_clifford_circuit`) carries its list from the build: one `take`
+on the opcode array of `_gate_table`, which holds one opcode per gate
+drawn so far. Any other circuit flattens its gates' steps once,
 when it is evolved. The table's index space has n (n + 2) entries, but
 only its int32 slot array spans it, 4 bytes an entry; its gates and
 opcodes grow with the entries drawn.
