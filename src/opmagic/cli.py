@@ -24,7 +24,7 @@ from . import __version__
 from .dense import avg_linear_ose, avg_linear_sre, circuit_unitary, stabilizer_nullity
 from .haar import asymptotic_avg_purity, closed_form_avg_purity, mc_average_purities
 from .heisenberg import Circuit, doped_circuit, evolve_ensemble, evolve_heisenberg, parse_angle
-from .measures import ose_scan
+from .measures import _entropies, _ose_reports, ose_scan
 from .paulis import (
     SparseOperator,
     expectation_error_bound,
@@ -200,10 +200,11 @@ def _cmd_doped_scan(args) -> None:
     )
     first = next(circuits)  # built before the seed, so that a bad --n is the builder's to report
     seed_op = SparseOperator.from_pauli(single_site_pauli(0, "X", args.n))
+    seed_entropies = _entropies(seed_op, alphas)  # every circuit evolves the same seed
     rows = [
         [index, args.tau, _fmt_alpha(rep.alpha), rep.ose, rep.rank]
         for index, evolved in enumerate(evolve_ensemble(seed_op, itertools.chain((first,), circuits)))
-        for rep in ose_scan(evolved, seed_op, alphas)
+        for rep in _ose_reports(evolved, seed_entropies, alphas)
     ]
     _emit(args, ["circuit", "tau", "alpha", "ose", "rank"], rows)
 

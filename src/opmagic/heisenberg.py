@@ -24,12 +24,16 @@ with all of them and is skipped before any numpy call, so a local seed
 pays only for the rotations in its light cone. These are the arrays a
 `SparseOperator` holds: the engine reads the seed's rows as they are and
 returns its final rows as the evolved operator, checked, pruned and
-sorted, with no conversion. A batch of circuits goes through one
-`_rotate` call per rotation index, each row keyed by its circuit. The
-packers between bit-sliced ints, bit matrices and words are those of
-`paulis`. Each gate kind is one `_KINDS` row, and each `Gate` carries
-its compiled opcodes. A new kind takes a row, a `dense.gate_matrix` case
-and a `tests/conftest.py` entry.
+sorted, with no conversion. One loop, `_rotations`, holds the one
+`_rotate` call: a batch of circuits goes through one call per rotation
+index, each row keyed by its circuit, until it would start a step on
+more than `_BATCH_ROWS` rows; it is then cut into its circuits, and each
+goes through the same loop alone, unkeyed, for the rest of its
+rotations. A batch of one circuit carries no key. The packers between
+bit-sliced ints, bit matrices and words are those of `paulis`. Each gate
+kind is one `_KINDS` row, and each `Gate` carries its compiled opcodes.
+A new kind takes a row, a `dense.gate_matrix` case and a
+`tests/conftest.py` entry.
 
 `_compile` walks one flat list of opcodes per circuit, in walk order. A
 circuit built from the gate table (`doped_circuit`,
@@ -396,32 +400,33 @@ def _propagate(
     sign of Q_k moves onto its angle 2 theta_k. Circuits are compiled one by
     one as they arrive and evolved `_BATCH` at a time: the batch's compiled
     rows are packed once, each circuit's conjugated seed is sorted into
-    canonical order, and for each k one `_rotate` call applies every
-    circuit's rotation k, last first, and prunes at `prune_tol`. Before a
-    step that would start on more than `_BATCH_ROWS` rows, the batch is cut
-    into its circuits, and each takes its remaining rotations alone, as a
-    batch of one. Input terms below `prune_tol` are dropped once, on entry.
-    A batch of one circuit carries no key row. Per circuit, one int holds supersets sx and sz of
-    the OR of its rows' x masks and of their z masks, starting from the
-    conjugated seed's exact ORs. Its rotation k is skipped when it has none,
-    or when x_k & sz and z_k & sx are both 0: the symplectic product with
-    every row is then 0, and its rows would come back unchanged. After a
-    rotation that runs, sx |= x_k and sz |= z_k: a split row is P XOR G_k,
-    and pruning only removes rows. An exact zero is never kept, even at
-    `prune_tol` = 0: the sign of a zero would depend on whether the Clifford
-    gates came before or after it. A circuit without gates returns the
-    operator as it is.
+    canonical order, and `_rotations` applies every circuit's plan, in walk
+    order, pruning at `prune_tol`. Input terms below `prune_tol` are
+    dropped once, on entry.
+
+    A circuit's plan maps k to the row of generator Q_k and its signed angle,
+    for the rotations that can change its rows. One int holds supersets sx
+    and sz of the OR of the rows' x masks and of their z masks, starting from
+    the conjugated seed's exact ORs. Rotation k is left out of the plan when
+    x_k & sz and z_k & sx are both 0: the symplectic product with every row
+    is then 0, and the rows would come back unchanged. After a rotation that
+    stays in, sx |= x_k and sz |= z_k: a split row is P XOR G_k, and pruning
+    only removes rows. An exact zero is never kept, even at `prune_tol` = 0:
+    the sign of a zero would depend on whether the Clifford gates came
+    before or after it. A circuit without gates returns the operator as it
+    is.
 
     The operator is the `SparseOperator`'s own float64 coeff array and
     (2w, rows) uint64 array xz, w = ceil(n / 64): the words of each row's
     x_mask, lowest first, then those of its z_mask. Word-major rows keep
     every per-row operation on contiguous arrays, and every column gather
-    is a `take`. They come out checked, pruned and sorted, and are the
-    returned operators. The seed's words become bit-sliced ints, and the
-    compiled ints become words, through the packers of `paulis`.
+    is a `take`. A batch of more than one circuit adds a key row, each row's
+    circuit, and a zero last column to the words. The rows come out checked,
+    pruned and sorted, and are the returned operators. The seed's words
+    become bit-sliced ints, and the compiled ints become words, through the
+    packers of `paulis`.
     """
     n = operator.n_qubits
-    w = (n + 63) >> 6
     tol = max(prune_tol, math.ulp(0.0))
     keep = (np.abs(operator.coeff) >= tol).nonzero()[0]
     seeds, seed_coeff = keep.size, operator.coeff.take(keep)
@@ -435,9 +440,8 @@ def _propagate(
         for xs, zs in [(seed_xs[:], seed_zs[:])]
     ]:
         # every circuit's rows in one set of bit-sliced ints, circuit c's from bit firsts[c]
-        (_, xs, zs, signs, angles), *rest = batch
-        firsts, rows = [0], seeds + len(angles)
-        for _, cx, cz, sign, angles in rest:
+        xs, zs, signs, firsts, rows = [0] * n, [0] * n, 0, [], 0
+        for _, cx, cz, sign, angles in batch:
             xs = [v | u << rows for v, u in zip(xs, cx)]
             zs = [v | u << rows for v, u in zip(zs, cz)]
             signs |= sign << rows
@@ -446,56 +450,66 @@ def _propagate(
         # row r's x bits, then its z bits, then its sign bit
         bits = bits_of_ints(xs + zs + [signs], rows).T
         flip = bits[:, 2 * n] == 1
-        # steps[k]: (circuit, row, signed angle) of each rotation k that runs. A
-        # generator is the int x_g | z_g << n, and support = sz | sx << n: g &
-        # support is 0 exactly when x_g & sz and z_g & sx are
+        # A generator is the int x_g | z_g << n, and support = sz | sx << n:
+        # g & support is 0 exactly when x_g & sz and z_g & sx are
         gens = ints_of_bits(bits[:, : 2 * n])
-        steps: dict[int, list] = {}
-        for c, (_, cx, cz, _, angles) in enumerate(batch):
+        plans = []
+        for first, (_, cx, cz, _, angles) in zip(firsts, batch):
             support = sum(1 << q for q, v in enumerate(cz + cx) if v & seed_rows)
-            first = firsts[c] + seeds
-            for k, g in enumerate(gens[first : first + len(angles)]):
-                if g & support:
-                    support |= g >> n | (g & low) << n
-                    steps.setdefault(k, []).append((c, first + k, -angles[k] if flip[first + k] else angles[k]))
+            plans.append(plan := {})
+            for k, r in enumerate(range(first + seeds, first + seeds + len(angles))):
+                if gens[r] & support:
+                    support |= gens[r] >> n | (gens[r] & low) << n
+                    plan[k] = r, -angles[k] if flip[r] else angles[k]
         words = xz_of_bits(bits[:, :n], bits[:, n : 2 * n])
-        coeff = np.concatenate([seed_coeff] * len(batch))
-        keyed = len(rest) > 0
-        if keyed:  # a zero key row, and a zero last column for a circuit without rotation k
+        seed_cols = (np.array(firsts)[:, None] + np.arange(seeds)).ravel()
+        xz, coeff = words.take(seed_cols, axis=1), np.tile(seed_coeff, len(batch))
+        coeff[flip[seed_cols]] *= -1.0
+        if len(batch) > 1:  # the key row, and a zero last column for a circuit without rotation k
             words = np.pad(words, ((0, 1), (0, 1)))
-            seed_cols = (np.array(firsts)[:, None] + np.arange(seeds)).ravel()
-            xz = words.take(seed_cols, axis=1)
-            xz[2 * w] = np.arange(len(batch)).repeat(seeds)
-            coeff[flip[seed_cols]] *= -1.0
-        else:
-            xz = words[:, :seeds]
-            coeff[flip[:seeds]] *= -1.0
+            xz = np.vstack((xz, np.arange(len(batch), dtype=np.uint64).repeat(seeds)))
         order = np.lexsort(xz)
-        xz, coeff = xz.take(order, axis=1), coeff.take(order)
-        ks = sorted(steps)
-        done = 0
-        for k in ks:
-            if keyed and coeff.size > _BATCH_ROWS:
-                break
-            cols, cos, sin = [rows] * len(batch), [1.0] * len(batch), [0.0] * len(batch)
-            for c, r, angle in steps[k]:
-                cols[c], cos[c], sin[c] = r, math.cos(angle), math.sin(angle)
-            xz, coeff = _rotate(xz, coeff, words.take(cols, axis=1), cos, sin, tol)
-            done += 1
-        if not keyed:
-            yield operator if not batch[0][0] else SparseOperator._of(n, xz, coeff)
-            continue
-        bounds = np.searchsorted(xz[2 * w], np.arange(len(batch) + 1, dtype=np.uint64)).tolist()
-        for c, (gated, *_) in enumerate(batch):
-            lo, hi = bounds[c], bounds[c + 1]
-            cxz, ccoeff = xz[: 2 * w, lo:hi].copy(), coeff[lo:hi].copy()
-            # past _BATCH_ROWS, each circuit's remaining rotations run alone, unkeyed
-            for k in ks[done:]:
-                for step_c, r, angle in steps[k]:
-                    if step_c == c:
-                        g = words[: 2 * w, r : r + 1]
-                        cxz, ccoeff = _rotate(cxz, ccoeff, g, [math.cos(angle)], [math.sin(angle)], tol)
-            yield SparseOperator._of(n, cxz, ccoeff) if gated else operator
+        evolved = _rotations(xz.take(order, axis=1), coeff.take(order), words, plans, tol)
+        for (gated, *_), (xz, coeff) in zip(batch, evolved):
+            yield SparseOperator._of(n, xz, coeff) if gated else operator
+
+
+def _rotations(xz, coeff, words, plans, tol):
+    """Apply each circuit's plan to its rows, and yield each circuit's rows,
+    in order, without the key row.
+
+    For each k in any plan, one `_rotate` call gives every circuit's rows
+    its rotation k; a circuit whose plan has no k meets the zero last column
+    of `words`. Before a step that would start on more than `_BATCH_ROWS`
+    rows, a batch of several circuits is cut into its circuits, and each
+    takes the rest of its plan (from that step on) through this loop again,
+    alone and unkeyed; they are evolved and yielded one at a time.
+    """
+    keyed = len(plans) > 1
+    for k in sorted(set().union(*plans)):
+        if keyed and coeff.size > _BATCH_ROWS:
+            # `next`, not a loop name, hands each circuit its rows, so they are freed at its first rotation
+            parts = _by_circuit(xz, coeff, len(plans))
+            for plan in plans:
+                yield from _rotations(*next(parts), words, [{j: s for j, s in plan.items() if j >= k}], tol)
+            return
+        cols, cos, sin = [-1] * len(plans), [1.0] * len(plans), [0.0] * len(plans)
+        for c, plan in enumerate(plans):
+            if k in plan:
+                cols[c], angle = plan[k]
+                cos[c], sin[c] = math.cos(angle), math.sin(angle)
+        # a circuit cut from its batch has no key row, and takes none from words
+        xz, coeff = _rotate(xz, coeff, words[: len(xz)].take(cols, axis=1), cos, sin, tol)
+    yield from _by_circuit(xz, coeff, len(plans)) if keyed else [(xz, coeff)]
+
+
+def _by_circuit(xz, coeff, count):
+    """The rows of a keyed batch of `count` circuits, one circuit at a
+    time, without the key row: the key is the most significant sort key,
+    so each circuit's rows are one run, found by one `searchsorted`."""
+    bounds = np.searchsorted(xz[-1], np.arange(count + 1, dtype=np.uint64)).tolist()
+    for lo, hi in itertools.pairwise(bounds):
+        yield xz[:-1, lo:hi].copy(), coeff[lo:hi].copy()
 
 
 def conjugate_gate(
@@ -574,8 +588,18 @@ def mixing_depth(n_qubits: int) -> int:
 
 
 class _GateTable:
-    """The gates of the doped ensemble drawn so far, and their opcodes; see
-    `_gate_table`."""
+    """The interned gates of the doped ensemble on n_qubits, made on first
+    draw. Its index space: H on each site q at q, S at n + q, CNOT on each
+    ordered pair (c, t), c != t, at 2 n + c (n - 1) + t - (t > c), then T
+    at n (n + 1) + q, n (n + 2) entries in all. `slot[i]` is 0 until entry
+    i is first drawn, and from then on its place in `gates`, an object
+    array of the `Gate`s drawn so far, and in `ops`, their opcodes: each
+    gate of the table lowers to exactly one. Place 0 stays empty, so a
+    zeroed slot array marks every entry undrawn. Only the int32 slot array
+    spans the index space, 4 bytes an entry; `gates` and `ops` grow, by
+    doubling, with the entries drawn. `_gate_table(n)` is the table of
+    width n, kept for the 16 widths used last.
+    """
 
     __slots__ = ("n", "slot", "gates", "ops", "size")
 
@@ -618,20 +642,7 @@ class _GateTable:
         self.slot[new] = np.arange(start, self.size, dtype=np.int32)
 
 
-@functools.lru_cache(maxsize=16)
-def _gate_table(n_qubits: int) -> _GateTable:
-    """The interned gates of the doped ensemble on n_qubits, made on first
-    draw. Its index space: H on each site q at q, S at n + q, CNOT on each
-    ordered pair (c, t), c != t, at 2 n + c (n - 1) + t - (t > c), then T
-    at n (n + 1) + q, n (n + 2) entries in all. `slot[i]` is 0 until entry
-    i is first drawn, and from then on its place in `gates`, an object
-    array of the `Gate`s drawn so far, and in `ops`, their opcodes: each
-    gate of the table lowers to exactly one. Place 0 stays empty, so a
-    zeroed slot array marks every entry undrawn. Only the int32 slot array
-    spans the index space, 4 bytes an entry; `gates` and `ops` grow, by
-    doubling, with the entries drawn.
-    """
-    return _GateTable(n_qubits)
+_gate_table = functools.lru_cache(maxsize=16)(_GateTable)
 
 
 def _block_circuit(n_qubits: int, depth: int, seeds: Sequence[int], t_sites: Sequence[int]) -> Circuit:

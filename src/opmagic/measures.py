@@ -109,14 +109,28 @@ def ose_scan(
     unit-weight checks, and the support are taken once for all of them."""
     if evolved.n_qubits != initial.n_qubits:
         raise ValueError("size mismatch")
-    probs, seed_probs = pauli_probs(evolved), pauli_probs(initial)
+    return _ose_reports(evolved, _entropies(initial, alphas), alphas)
+
+
+def _entropies(operator: SparseOperator, alphas: Sequence[float]) -> list[float]:
+    """The Renyi entropy of the operator's probability vector at each index."""
+    probs = pauli_probs(operator)
+    return [renyi_entropy(probs, alpha) for alpha in alphas]
+
+
+def _ose_reports(
+    evolved: SparseOperator, seed_entropies: Sequence[float], alphas: Sequence[float]
+) -> list[OseReport]:
+    """`ose_scan` against a seed whose entropy at alphas[i] is
+    seed_entropies[i] (`_entropies`): a scan of many operators evolved from
+    one seed takes the seed's entropies once."""
+    probs = pauli_probs(evolved)
     rank, support_size = len(evolved), len(evolved.support())
     reports = []
-    for alpha in alphas:
-        value = renyi_entropy(probs, alpha) - renyi_entropy(seed_probs, alpha)
+    for alpha, seed_entropy in zip(alphas, seed_entropies):
         pur = renyi_purity(probs, alpha)
-        reports.append(OseReport(alpha=alpha, purity=pur, ose=value, linear_ose=1.0 - pur,
-                                 rank=rank, support_size=support_size))
+        reports.append(OseReport(alpha=alpha, purity=pur, ose=renyi_entropy(probs, alpha) - seed_entropy,
+                                 linear_ose=1.0 - pur, rank=rank, support_size=support_size))
     return reports
 
 

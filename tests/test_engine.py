@@ -342,6 +342,39 @@ class TestLightCone:
         assert len(list(evolve_ensemble(seed, circuits))) == len(circuits)
         assert calls == [2] * 4 * len(circuits)
 
+    def test_a_real_ensemble_crosses_the_default_row_limit(self, monkeypatch):
+        # 16 circuits of 16 T gates outgrow 4096 rows part way through: the
+        # batch runs keyed, then each circuit's last steps run alone, unkeyed
+        calls = []
+        rotate = heisenberg._rotate
+
+        def keyed(xz, *args):
+            calls.append(len(xz) & 1 == 1)
+            return rotate(xz, *args)
+
+        monkeypatch.setattr(heisenberg, "_rotate", keyed)
+        seed = SparseOperator.from_pauli(PauliString(10, 1, 0))
+        circuits = [doped_circuit(10, 16, seed=s) for s in range(16)]
+        evolved = list(evolve_ensemble(seed, circuits))
+        assert True in calls and False in calls
+        monkeypatch.setattr(heisenberg, "_rotate", rotate)
+        for circuit, item in zip(circuits, evolved, strict=True):
+            alone = evolve_heisenberg(seed, circuit)
+            assert item.xz.tobytes() == alone.xz.tobytes() and item.xz.shape == alone.xz.shape
+            assert item.coeff.tobytes() == alone.coeff.tobytes()
+
+    def test_items_past_the_row_limit_come_out_one_circuit_at_a_time(self, monkeypatch):
+        # each circuit cut from its batch is evolved only when its item is
+        # pulled, so past the cut one large operator is held at a time
+        calls = self.count_rotations(monkeypatch)
+        monkeypatch.setattr(heisenberg, "_BATCH_ROWS", 0)
+        seed = SparseOperator.from_pauli(PauliString(10, 1, 0))
+        items = evolve_ensemble(seed, [doped_circuit(10, 4, seed=s) for s in range(heisenberg._BATCH)])
+        next(items)
+        assert len(calls) == 4
+        next(items)
+        assert len(calls) == 8
+
     def test_local_seed_on_two_words_equals_the_narrow_register(self):
         # the evolved operator covers sites 0..9 of the narrow register and
         # 58..67 of the wide one, across the first word's edge; the shift is
