@@ -128,9 +128,10 @@ def _ose_reports(
     rank, support_size = len(evolved), len(evolved.support())
     reports = []
     for alpha, seed_entropy in zip(alphas, seed_entropies):
+        value = renyi_entropy(probs, alpha) - seed_entropy
         pur = renyi_purity(probs, alpha)
-        reports.append(OseReport(alpha=alpha, purity=pur, ose=renyi_entropy(probs, alpha) - seed_entropy,
-                                 linear_ose=1.0 - pur, rank=rank, support_size=support_size))
+        reports.append(OseReport(alpha=alpha, purity=pur, ose=value, linear_ose=1.0 - pur,
+                                 rank=rank, support_size=support_size))
     return reports
 
 
