@@ -287,30 +287,45 @@ def _checked(n_qubits: int, labels: list[str], coeffs: list):
             PauliString.from_label(label)  # raises on the first bad label
     if not set(map(len, labels)) <= {n_qubits}:
         raise ValueError("term size mismatch")
-    coeff = np.array(coeffs, float)
-    finite = np.isfinite(coeff)
-    if not finite.all():
-        i = finite.argmin()
-        raise ValueError(f"coefficient of {labels[i]} is not finite: {float(coeff[i])!r}")
     width = n_qubits + len(pad)
     xz = np.empty((2 * ((width + 63) >> 6), len(labels)), np.uint64)
     for start in range(0, len(labels), _BLOCK_ROWS):
         block = text[start * width : (start + _BLOCK_ROWS) * width].translate(_DIGITS)
         digits = np.frombuffer(block, np.uint8).reshape(-1, width)
         xz[:, start : start + _BLOCK_ROWS] = xz_of_bits(digits & 1, digits >> 1)
-    if len(labels) > 1:  # one row is in order and given once
+    return _canonical(n_qubits, xz, np.array(coeffs, float))
+
+
+def _canonical(n_qubits: int, xz: np.ndarray, coeff: np.ndarray):
+    """`xz` and `coeff` with every coefficient checked finite and every string
+    given once, in canonical order, with |a| < PRUNE_TOL dropped. A bad row is
+    named by its label."""
+    finite = np.isfinite(coeff)
+    if not finite.all():
+        i = finite.argmin()
+        raise ValueError(f"coefficient of {_labels(n_qubits, xz[:, [i]])[0]} is not finite: {float(coeff[i])!r}")
+    if coeff.size > 1:  # one row is in order and given once
         # lexsort keys the last row first: z's highest word, down to x's lowest
         order = np.lexsort(xz)
         if (order[1:] < order[:-1]).any():  # not given in canonical order
             xz, coeff = xz.take(order, axis=1), coeff.take(order)
         repeated = (xz[:, 1:] == xz[:, :-1]).all(axis=0)
         if repeated.any():
-            raise ValueError(f"Pauli string {labels[order[repeated.argmax()]]} is given twice")
+            raise ValueError(f"Pauli string {_labels(n_qubits, xz[:, [repeated.argmax()]])[0]} is given twice")
     small = np.abs(coeff) < PRUNE_TOL
     if small.any():
         keep = (~small).nonzero()[0]
         xz, coeff = xz.take(keep, axis=1), coeff.take(keep)
     return xz, coeff
+
+
+def _moved(xz: np.ndarray, n_qubits: int, moves: Mapping[int, int], width: int) -> np.ndarray:
+    """The words of `xz` on `width` sites, the letter at site s moved to site
+    moves[s]; a site not in `moves` is dropped. The targets must differ."""
+    bits = np.zeros((2, xz.shape[1], width), np.uint8)
+    for out, given in zip(bits, bits_of_xz(xz, n_qubits)):
+        out[:, list(moves.values())] = given[:, list(moves)]
+    return xz_of_bits(*bits)
 
 
 def _label_number_pairs(terms: list) -> tuple[list, list]:
@@ -337,7 +352,9 @@ class SparseOperator:
     its x_mask, lowest first, then w for its z_mask; `coeff` holds the
     float64 coefficients. The checked constructor rejects a non-finite
     coefficient and a string given twice, sorts the columns into canonical
-    order and drops |coefficient| below PRUNE_TOL. `terms` is a read-only
+    order and drops |coefficient| below PRUNE_TOL. `scaled`, `tensor` and
+    `relabel_sites` end in the same check (`_canonical`) on the arrays; the
+    two site maps move bit columns with `_moved`. `terms` is a read-only
     {PauliString: coefficient} view, built on first read, and truncation's
     ranking a read-only index array, made on the first cut. Instances are
     immutable; operations return new objects.
@@ -401,34 +418,28 @@ class SparseOperator:
         return {s for s in range(self.n_qubits) if both >> s & 1}
 
     def scaled(self, factor: float) -> "SparseOperator":
-        return SparseOperator(
-            self.n_qubits, {p: a * factor for p, a in self.terms.items()}
-        )
+        return SparseOperator._of(self.n_qubits, *_canonical(self.n_qubits, self.xz, self.coeff * factor))
 
     def tensor(self, other: "SparseOperator") -> "SparseOperator":
         """Tensor product; `other` occupies sites n_qubits..n_qubits+m-1."""
-        n = self.n_qubits + other.n_qubits
-        mine = zip(_labels(self.n_qubits, self.xz), self.coeff.tolist())
-        theirs = list(zip(_labels(other.n_qubits, other.xz), other.coeff.tolist()))
-        pairs = [(p + q, a * b) for p, a in mine for q, b in theirs]
-        labels, coeffs = [p for p, _ in pairs], [a for _, a in pairs]
-        return SparseOperator._of(n, *_checked(n, labels, coeffs))
+        n, m = self.n_qubits, other.n_qubits
+        mine = _moved(self.xz, n, dict(enumerate(range(n))), n + m)
+        theirs = _moved(other.xz, m, dict(enumerate(range(n, n + m))), n + m)
+        xz = (mine[:, :, None] | theirs[:, None, :]).reshape(len(mine), -1)
+        return SparseOperator._of(n + m, *_canonical(n + m, xz, np.outer(self.coeff, other.coeff).ravel()))
 
     def relabel_sites(self, mapping: Mapping[int, int]) -> "SparseOperator":
-        """Permute site labels; `mapping` must be injective on the support."""
-        out: dict[PauliString, float] = {}
-        for p, a in self.terms.items():
-            x = z = 0
-            for s in range(self.n_qubits):
-                t = mapping.get(s, s)
-                if not 0 <= t < self.n_qubits:
-                    raise ValueError(f"site {t} out of range")
-                x |= ((p.x_mask >> s) & 1) << t
-                z |= ((p.z_mask >> s) & 1) << t
-            out[PauliString(self.n_qubits, x, z)] = a
-        if len(out) != len(self.terms):
+        """Move the letter at site s to mapping.get(s, s); the map must be
+        injective on the support."""
+        n = self.n_qubits
+        targets = [mapping.get(s, s) for s in range(n)]
+        for t in targets:
+            if not 0 <= t < n:
+                raise ValueError(f"site {t} out of range")
+        moves = {s: targets[s] for s in self.support()}
+        if len(set(moves.values())) < len(moves):
             raise ValueError("site relabeling is not injective on the support")
-        return SparseOperator(self.n_qubits, out)
+        return SparseOperator._of(n, *_canonical(n, _moved(self.xz, n, moves, n), self.coeff))
 
     def to_json_dict(self) -> dict:
         labels = _labels(self.n_qubits, self.xz)

@@ -77,7 +77,7 @@ class XxzParams:
     def __post_init__(self) -> None:
         if not -1e-12 <= self.j <= math.pi / 4 + 1e-12:
             raise ValueError("J must lie in [0, pi/4]")
-        if self.t < 0 or int(self.t) != self.t:
+        if not 0 <= self.t < math.inf or int(self.t) != self.t:
             raise ValueError("t must be a non-negative integer")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -85,7 +85,7 @@ class XxzParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"seed coefficient {name} must be finite, got {value!r}")
-        norm = self.a_x**2 + self.a_y**2 + self.a_z**2
+        norm = self.a_x * self.a_x + self.a_y * self.a_y + self.a_z * self.a_z
         if abs(norm - 1.0) >= 1e-10:
             raise ValueError(f"seed coefficients not normalized: |a|^2 = {norm}")
 

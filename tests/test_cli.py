@@ -264,6 +264,13 @@ class TestXxzScanCommand:
         assert f"a_{option[-1]} must be finite" in captured.err and captured.out == ""
 
 
+    @pytest.mark.parametrize("seed", [["--ax", "1e155"], ["--ay", "1e200", "--ax", "0"],
+                                      ["--az", "1e200", "--ax", "0"]])
+    def test_huge_seed_coefficient_is_bad_input(self, seed, capsys):
+        assert main(["xxz-scan", "--J", "0.3", "--t", "1", *seed]) == 1
+        captured = capsys.readouterr()
+        assert "not normalized" in captured.err and captured.out == ""
+
 class TestHaarAvgCommand:
     def test_deterministic_output(self, tmp_path):
         args = ["haar-avg", "--n", "1", "--alpha", "2", "--samples", "300", "--seed", "11"]

@@ -683,3 +683,118 @@ class TestArrayOperator:
             op.coeff[0] = 1.0
         with pytest.raises(TypeError):
             op.terms[PauliString.from_label("XI")] = 1.0
+
+
+def dict_scaled(op, factor):
+    """`scaled` as it was before the array maps: through the terms dict."""
+    return SparseOperator(op.n_qubits, {p: a * factor for p, a in op.terms.items()})
+
+
+def label_tensor(a, b):
+    """`tensor` as it was before the array maps: label strings pair by pair."""
+    n = a.n_qubits + b.n_qubits
+    mine = zip(paulis._labels(a.n_qubits, a.xz), a.coeff.tolist())
+    theirs = list(zip(paulis._labels(b.n_qubits, b.xz), b.coeff.tolist()))
+    pairs = [(p + q, x * y) for p, x in mine for q, y in theirs]
+    return SparseOperator._of(n, *paulis._checked(n, [p for p, _ in pairs], [c for _, c in pairs]))
+
+
+def dict_relabel_sites(op, mapping):
+    """`relabel_sites` as it was before the array maps: bit by bit on the masks."""
+    out = {}
+    for p, a in op.terms.items():
+        x = z = 0
+        for s in range(op.n_qubits):
+            t = mapping.get(s, s)
+            x |= ((p.x_mask >> s) & 1) << t
+            z |= ((p.z_mask >> s) & 1) << t
+        out[PauliString(op.n_qubits, x, z)] = a
+    assert len(out) == len(op)
+    return SparseOperator(op.n_qubits, out)
+
+
+def random_operator(rng, n, rank, sites=None):
+    """`rank` distinct strings (fewer if n is too small) with normal
+    coefficients, their letters on `sites` (all sites by default)."""
+    sites = range(n) if sites is None else sites
+    terms = {}
+    for _ in range(rank):
+        x = z = 0
+        for s in sites:
+            x |= int(rng.integers(2)) << s
+            z |= int(rng.integers(2)) << s
+        terms[PauliString(n, x, z)] = float(rng.normal())
+    return SparseOperator(n, terms)
+
+
+def assert_same_arrays(mine, theirs):
+    assert mine.n_qubits == theirs.n_qubits
+    assert mine.xz.shape == theirs.xz.shape and mine.xz.tobytes() == theirs.xz.tobytes()
+    assert mine.coeff.tobytes() == theirs.coeff.tobytes()
+
+
+class TestArrayMaps:
+    """`scaled`, `tensor` and `relabel_sites` on the words equal the dict and
+    label maps they replaced, bit for bit, past one 64-site word."""
+
+    SIZES = (1, 7, 63, 64, 65, 70)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_scaled(self, n):
+        rng = np.random.default_rng(n)
+        for rank in range(41):
+            op = random_operator(rng, n, rank)
+            for factor in (-0.5, 1.0, 3.7, float(rng.normal()), 0.0, 1e-15, 1e-14):
+                assert_same_arrays(op.scaled(factor), dict_scaled(op, factor))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_scaled_by_nan_names_the_first_string(self, n):
+        op = random_operator(np.random.default_rng(n), n, 5)
+        with pytest.raises(ValueError) as theirs:
+            dict_scaled(op, math.nan)
+        with pytest.raises(ValueError, match=r"coefficient of [IXYZ]+ is not finite: nan") as mine:
+            op.scaled(math.nan)
+        assert str(mine.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 63), (64, 1), (1, 64), (40, 40), (65, 70), (63, 7)])
+    def test_tensor(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        for ra, rb in ((0, 3), (3, 0), (1, 1), (40, 40), (17, 5)) + tuple(
+            tuple(rng.integers(0, 41, 2).tolist()) for _ in range(4)
+        ):
+            a, b = random_operator(rng, n, ra), random_operator(rng, m, rb)
+            assert_same_arrays(a.tensor(b), label_tensor(a, b))
+        tiny = random_operator(rng, m, 6).scaled(1e-8)
+        assert_same_arrays(tiny.tensor(tiny), label_tensor(tiny, tiny))  # products pruned
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_relabel_sites(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for rank in range(41):
+            # letters on some sites; the map is injective there, anything elsewhere
+            support = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            op = random_operator(rng, n, rank, support)
+            targets = rng.choice(n, size=len(support), replace=False).tolist()
+            mapping = dict(zip(support, targets))
+            for s in range(n):
+                if s not in mapping and rng.random() < 0.5:
+                    mapping[s] = int(rng.integers(n))
+            assert_same_arrays(op.relabel_sites(mapping), dict_relabel_sites(op, mapping))
+            perm = rng.permutation(n).tolist()
+            assert_same_arrays(op.relabel_sites(dict(enumerate(perm))),
+                               dict_relabel_sites(op, dict(enumerate(perm))))
+
+    def test_a_map_that_merges_two_support_sites_is_rejected(self):
+        xzi = SparseOperator.from_pauli(PauliString.from_label("XZI"))
+        with pytest.raises(ValueError, match="site relabeling is not injective on the support"):
+            xzi.relabel_sites({1: 0})  # X at 0 and Z at 1 would OR into Y
+        r = math.sqrt(0.5)
+        two = SparseOperator(3, {PauliString.from_label("XZI"): r, PauliString.from_label("XXI"): r})
+        with pytest.raises(ValueError, match="site relabeling is not injective on the support"):
+            two.relabel_sites({1: 0})
+
+    def test_a_target_out_of_range_is_rejected_for_an_empty_operator(self):
+        with pytest.raises(ValueError, match="site 3 out of range"):
+            SparseOperator(3).relabel_sites({0: 3})
+        with pytest.raises(ValueError, match="site -1 out of range"):
+            SparseOperator.from_pauli(PauliString.from_label("IX")).relabel_sites({0: -1})

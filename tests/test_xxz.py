@@ -49,6 +49,19 @@ def test_non_finite_seed_coefficient_rejected(name, bad):
         XxzParams(j=0.3, t=1, alpha=2, **a)
 
 
+@pytest.mark.parametrize("a", [(1e155, 0.0, 0.0), (0.0, 1e200, 0.0), (0.0, 0.0, 1e200), (-1e300, 0.0, 0.0)])
+def test_huge_seed_coefficient_is_not_normalized(a):
+    # |a|^2 overflows to inf, not to an OverflowError
+    with pytest.raises(ValueError, match=r"not normalized: \|a\|\^2 = inf"):
+        params(0.3, 1, 2, a)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_depth_rejected(t):
+    with pytest.raises(ValueError, match="t must be a non-negative integer"):
+        XxzParams(j=0.3, t=t, alpha=2)
+
+
 class TestClosedForm:
     def test_pauli_seed_pi_over_8_gives_depth(self):
         for t in range(0, 9):
