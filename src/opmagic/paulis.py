@@ -432,7 +432,7 @@ class SparseOperator:
         """Move the letter at site s to mapping.get(s, s); the map must be
         injective on the support."""
         n = self.n_qubits
-        targets = [mapping.get(s, s) for s in range(n)]
+        targets = [operator.index(mapping.get(s, s)) for s in range(n)]  # a bool is 0 or 1, not a mask
         for t in targets:
             if not 0 <= t < n:
                 raise ValueError(f"site {t} out of range")

@@ -783,6 +783,9 @@ class TestArrayMaps:
             perm = rng.permutation(n).tolist()
             assert_same_arrays(op.relabel_sites(dict(enumerate(perm))),
                                dict_relabel_sites(op, dict(enumerate(perm))))
+        if n > 1:  # bool sites count as 0 and 1
+            op = random_operator(rng, n, 9, [0, 1])
+            assert_same_arrays(op.relabel_sites({0: True, 1: False}), dict_relabel_sites(op, {0: True, 1: False}))
 
     def test_a_map_that_merges_two_support_sites_is_rejected(self):
         xzi = SparseOperator.from_pauli(PauliString.from_label("XZI"))
