@@ -26,7 +26,8 @@ from .heisenberg import (
     evolve_heisenberg,
     random_clifford_circuit,
 )
-from .measures import OseReport, ose, ose_scan, pauli_probs, purity, renyi_entropy, t_count_lower_bound
+from .measures import (OseReport, ose, ose_scan, ose_scans, pauli_probs, purity, renyi_entropy,
+                       t_count_lower_bound)
 from .xxz import XxzParams, alpha1_ose, closed_form_ose, commuted_operator, simulate_vs_closed
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "OseReport",
     "ose",
     "ose_scan",
+    "ose_scans",
     "pauli_probs",
     "purity",
     "renyi_entropy",

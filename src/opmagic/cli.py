@@ -24,7 +24,7 @@ from . import __version__
 from .dense import avg_linear_ose, avg_linear_sre, circuit_unitary, stabilizer_nullity
 from .haar import asymptotic_avg_purity, closed_form_avg_purity, mc_average_purities
 from .heisenberg import Circuit, doped_circuit, evolve_ensemble, evolve_heisenberg, parse_angle
-from .measures import _entropies, _ose_reports, ose_scan
+from .measures import ose_scan, ose_scans
 from .paulis import (
     SparseOperator,
     expectation_error_bound,
@@ -32,7 +32,7 @@ from .paulis import (
     single_site_pauli,
     truncation_sweep,
 )
-from .xxz import XxzParams, alpha1_ose, closed_form_ose, simulate_scan
+from .xxz import XxzParams, closed_form_ose, simulate_scan
 
 
 class CliError(ValueError):
@@ -40,13 +40,11 @@ class CliError(ValueError):
 
 
 def parse_alpha(text: str) -> float:
-    text = text.strip().lower()
-    if text in ("inf", "infinity"):
-        return math.inf
+    """One Renyi index; float() reads inf and infinity in any letter case."""
     try:
         value = float(text)
     except ValueError:
-        raise CliError(f"cannot parse alpha {text!r}") from None
+        raise CliError(f"cannot parse alpha {text.strip()!r}") from None
     if math.isnan(value):
         raise CliError("alpha must not be nan")
     return value
@@ -121,6 +119,12 @@ def _write_out(out: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _evolution_options(p) -> None:
+    """--circuit and --seed-op, which `_evolved` reads."""
+    p.add_argument("--circuit", required=True)
+    p.add_argument("--seed-op", required=True, help='e.g. "X0 X1" or "+XZI"')
+
+
 def _evolved(args) -> tuple[SparseOperator, SparseOperator]:
     """The --seed-op string and its Heisenberg evolution through --circuit."""
     circuit = load_circuit(args.circuit)
@@ -160,7 +164,7 @@ def _cmd_xxz_scan(args) -> None:
         if args.simulate:
             cells = [(c.closed, c.simulated, c.abs_diff) for c in simulate_scan(grid)]
         else:
-            cells = [(alpha1_ose(p) if p.alpha == 1 else closed_form_ose(p), "", "") for p in grid]
+            cells = [(closed_form_ose(p), "", "") for p in grid]
         for alpha, cell in zip(alphas, cells):
             rows.append([j, t, _fmt_alpha(alpha), args.ax, args.ay, args.az, *cell])
     _emit(args, ["J", "t", "alpha", "a_x", "a_y", "a_z", "closed", "simulated", "diff"], rows)
@@ -200,11 +204,11 @@ def _cmd_doped_scan(args) -> None:
     )
     first = next(circuits)  # built before the seed, so that a bad --n is the builder's to report
     seed_op = SparseOperator.from_pauli(single_site_pauli(0, "X", args.n))
-    seed_entropies = _entropies(seed_op, alphas)  # every circuit evolves the same seed
+    evolved = evolve_ensemble(seed_op, itertools.chain((first,), circuits))
     rows = [
         [index, args.tau, _fmt_alpha(rep.alpha), rep.ose, rep.rank]
-        for index, evolved in enumerate(evolve_ensemble(seed_op, itertools.chain((first,), circuits)))
-        for rep in _ose_reports(evolved, seed_entropies, alphas)
+        for index, reports in enumerate(ose_scans(evolved, seed_op, alphas))
+        for rep in reports
     ]
     _emit(args, ["circuit", "tau", "alpha", "ose", "rank"], rows)
 
@@ -253,14 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("evolve", help="Heisenberg-evolve a Pauli seed, emit operator JSON")
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--seed-op", required=True, help='e.g. "X0 X1" or "+XZI"')
+    _evolution_options(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("ose", help="operator stabilizer entropy of an evolved seed")
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--seed-op", required=True)
+    _evolution_options(p)
     p.add_argument("--alpha", default="2", help="comma list, inf allowed")
     common(p)
     p.set_defaults(func=_cmd_ose)
@@ -296,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_doped_scan)
 
     p = sub.add_parser("truncate-study", help="truncation error and bound per chi")
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--seed-op", required=True)
+    _evolution_options(p)
     p.add_argument("--chi", default=None, help="range like 1..16; all ranks if omitted")
     common(p)
     p.set_defaults(func=_cmd_truncate_study)

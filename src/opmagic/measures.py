@@ -3,12 +3,16 @@
 The squared Pauli coefficients of a unit-weight Hermitian operator form a
 probability vector; the operator stabilizer entropy at index alpha is its
 Renyi entropy minus that of the unevolved seed. Base-2 logarithms
-throughout. This module is the one place that maps a Renyi index to its
-evaluation: alpha = 0, 1, inf are taken as limits (count above
-PROB_FLOOR, Shannon, min entropy), negative alpha is rejected, and
-non-integer alpha is accepted and uses |a_i|^(2 alpha), though the
-monotone proofs cover integer alpha only. The Haar averages and the dense
-state stabilizer Renyi entropy reduce their probability vectors here too.
+throughout. Every Renyi index goes through `renyi_purity`, the one code
+that maps an index to its evaluation: alpha = 0 counts the probabilities
+above PROB_FLOOR, alpha = inf takes the largest one, a negative alpha is
+rejected, and any other alpha sums p^alpha (non-integer alpha uses
+|a_i|^(2 alpha), though the monotone proofs cover integer alpha only).
+The entropies are taken from that purity, with the Shannon limit at
+alpha = 1 and the min entropy at alpha = inf. `ose_scans` scores a scan of
+operators evolved from one seed, and `ose_scan` and `ose` are its
+one-operator cases. The Haar averages and the dense state stabilizer
+Renyi entropy reduce their probability vectors here too.
 An operator's probability vector and its unit-weight check,
 `pauli_probs`, live in `paulis`, which truncation shares.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,34 +52,36 @@ def renyi_purity(probs: np.ndarray, alpha: float) -> float | np.ndarray:
 
 
 def renyi_entropy(probs: np.ndarray, alpha: float) -> float:
-    """Renyi-alpha entropy in bits of a probability vector, over p > PROB_FLOOR.
+    """Renyi-alpha entropy in bits of a probability vector, over p > PROB_FLOOR."""
+    p = _above_floor(probs)
+    return _entropy(p, alpha, renyi_purity(p, alpha))
 
-    Where sum_i p_i^alpha is not a positive normal float (a large finite
-    alpha), p_max^alpha is factored out of it in log2.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+
+def _above_floor(probs: np.ndarray) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     p = p[p > PROB_FLOOR]
     if p.size == 0:
         raise ValueError("empty probability vector")
-    if alpha == 0:
-        return math.log2(p.size)
+    return p
+
+
+def _entropy(p: np.ndarray, alpha: float, total: float) -> float:
+    """Renyi-alpha entropy in bits of probabilities p > PROB_FLOOR whose
+    renyi_purity is `total`: log2(total) / (1 - alpha), with the Shannon
+    limit at alpha = 1 and -log2(total) at alpha = inf, where the purity is
+    the largest p. Where total is not a positive normal float (a large
+    finite alpha), p_max^alpha is factored out of it in log2.
+    """
     if alpha == 1:
         return float(-np.sum(p * np.log2(p)))
-    if math.isinf(alpha):
-        return float(-np.log2(np.max(p)))
-    total = np.sum(p**alpha)
     if total >= sys.float_info.min:
-        return float(np.log2(total) / (1.0 - alpha))
+        return float(np.log2(total) / (1.0 - alpha if alpha < math.inf else -1.0))
     p_max = np.max(p)
     return float((alpha * np.log2(p_max) + np.log2(np.sum((p / p_max) ** alpha))) / (1.0 - alpha))
 
 
 def purity(operator: SparseOperator, alpha: float) -> float:
-    """Generalized Pauli purity sum_i a_i^(2 alpha); alpha <= 0 returns the rank."""
-    if alpha <= 0:
-        return float(len(operator))
+    """Generalized Pauli purity sum_i a_i^(2 alpha), by renyi_purity."""
     return renyi_purity(pauli_probs(operator), alpha)
 
 
@@ -96,8 +102,9 @@ def ose(evolved: SparseOperator, initial: SparseOperator, alpha: float) -> OseRe
 
     For a Pauli seed the offset is zero and this is the entropy of the
     distribution {a_i^2}. Bounded by 2 N for any evolution. The purity is
-    renyi_purity of the same probabilities, so at alpha = 0 it is the count
-    above PROB_FLOOR: the rank of any operator pruned at PRUNE_TOL.
+    renyi_purity of the same probabilities, those above PROB_FLOOR: every
+    one of an operator pruned at PRUNE_TOL, so that at alpha = 0 it is the
+    rank.
     """
     return ose_scan(evolved, initial, (alpha,))[0]
 
@@ -105,34 +112,33 @@ def ose(evolved: SparseOperator, initial: SparseOperator, alpha: float) -> OseRe
 def ose_scan(
     evolved: SparseOperator, initial: SparseOperator, alphas: Sequence[float]
 ) -> list[OseReport]:
-    """`ose` at every index of `alphas`: both probability vectors, with their
-    unit-weight checks, and the support are taken once for all of them."""
-    if evolved.n_qubits != initial.n_qubits:
-        raise ValueError("size mismatch")
-    return _ose_reports(evolved, _entropies(initial, alphas), alphas)
+    """`ose` at every index of `alphas`: the one-operator case of `ose_scans`."""
+    return next(ose_scans((evolved,), initial, alphas))
 
 
-def _entropies(operator: SparseOperator, alphas: Sequence[float]) -> list[float]:
-    """The Renyi entropy of the operator's probability vector at each index."""
-    probs = pauli_probs(operator)
-    return [renyi_entropy(probs, alpha) for alpha in alphas]
+def ose_scans(
+    evolved: Iterable[SparseOperator], initial: SparseOperator, alphas: Sequence[float]
+) -> Iterator[list[OseReport]]:
+    """The `ose_scan` reports of each operator of `evolved`, all evolved
+    from `initial`, as they are read.
 
-
-def _ose_reports(
-    evolved: SparseOperator, seed_entropies: Sequence[float], alphas: Sequence[float]
-) -> list[OseReport]:
-    """`ose_scan` against a seed whose entropy at alphas[i] is
-    seed_entropies[i] (`_entropies`): a scan of many operators evolved from
-    one seed takes the seed's entropies once."""
-    probs = pauli_probs(evolved)
-    rank, support_size = len(evolved), len(evolved.support())
-    reports = []
-    for alpha, seed_entropy in zip(alphas, seed_entropies):
-        value = renyi_entropy(probs, alpha) - seed_entropy
-        pur = renyi_purity(probs, alpha)
-        reports.append(OseReport(alpha=alpha, purity=pur, ose=value, linear_ose=1.0 - pur,
-                                 rank=rank, support_size=support_size))
-    return reports
+    The seed's entropies are taken once for the scan. Each operator's
+    probabilities are checked and filtered once, and its entropy at each
+    index comes from the purity summed for its report.
+    """
+    seed = _above_floor(pauli_probs(initial))
+    seed_entropies = [_entropy(seed, alpha, renyi_purity(seed, alpha)) for alpha in alphas]
+    for operator in evolved:
+        if operator.n_qubits != initial.n_qubits:
+            raise ValueError("size mismatch")
+        p = _above_floor(pauli_probs(operator))
+        rank, support_size = len(operator), len(operator.support())
+        reports = []
+        for alpha, seed_entropy in zip(alphas, seed_entropies):
+            pur = renyi_purity(p, alpha)
+            reports.append(OseReport(alpha=alpha, purity=pur, ose=_entropy(p, alpha, pur) - seed_entropy,
+                                     linear_ose=1.0 - pur, rank=rank, support_size=support_size))
+        yield reports
 
 
 def t_count_lower_bound(

@@ -461,13 +461,30 @@ class SparseOperator:
         return f"SparseOperator({body}{more})"
 
 
-def from_local(site: int, a_x: float, a_y: float, a_z: float, n_qubits: int) -> SparseOperator:
-    """Single-site operator a_x X + a_y Y + a_z Z; coefficients must be unit norm."""
-    norm = a_x * a_x + a_y * a_y + a_z * a_z
+def seed_coefficients(a_x: float, a_y: float, a_z: float) -> tuple[float, float, float]:
+    """The coefficients of a local seed a_x X + a_y Y + a_z Z as floats:
+    each finite, and their squares summing to 1 within 1e-10.
+
+    Each is converted with float() first, so that an int past the float
+    range, whose square is past it too, is reported as a norm of inf.
+    """
+    try:
+        coeffs = (float(a_x), float(a_y), float(a_z))
+    except OverflowError:
+        raise ValueError("seed coefficients not normalized: |a|^2 = inf") from None
+    for name, value in zip(("a_x", "a_y", "a_z"), coeffs):
+        if not math.isfinite(value):
+            raise ValueError(f"seed coefficient {name} must be finite, got {value!r}")
+    norm = sum(value * value for value in coeffs)
     if abs(norm - 1.0) >= 1e-10:
-        raise ValueError(f"coefficients not normalized: |a|^2 = {norm}")
+        raise ValueError(f"seed coefficients not normalized: |a|^2 = {norm}")
+    return coeffs
+
+
+def from_local(site: int, a_x: float, a_y: float, a_z: float, n_qubits: int) -> SparseOperator:
+    """Single-site operator a_x X + a_y Y + a_z Z; coefficients as `seed_coefficients` checks them."""
     terms = {}
-    for axis, coeff in (("X", a_x), ("Y", a_y), ("Z", a_z)):
+    for axis, coeff in zip("XYZ", seed_coefficients(a_x, a_y, a_z)):
         if coeff != 0.0:
             terms[single_site_pauli(site, axis, n_qubits)] = coeff
     return SparseOperator(n_qubits, terms)

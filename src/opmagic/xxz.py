@@ -21,7 +21,10 @@ largest-weight limit. The alpha -> 1 limit is
 t (a_x^2 + a_y^2) H2(cos^2 2J) with H2 the binary entropy in bits,
 maximal (coefficient 1) at J = pi/8.
 At J = 0 (pure SWAPs) and J = pi/4 (Clifford point) every index gives
-zero.
+zero. `closed_form_ose` is the one function that picks the closed form
+for every positive index, alpha1_ose at alpha = 1 included; the seed
+coefficients are checked by `paulis.seed_coefficients`, which `from_local`
+shares.
 """
 from __future__ import annotations
 
@@ -34,9 +37,10 @@ import numpy as np
 from .dense import pauli_matrix
 from .heisenberg import Circuit, Gate, brickwork_circuit, evolve_heisenberg
 from .measures import ose_scan
-from .paulis import PRUNE_TOL, PauliString, SparseOperator, from_local, single_site_pauli
+from .paulis import (PRUNE_TOL, PauliString, SparseOperator, from_local, seed_coefficients,
+                     single_site_pauli)
 
-MAX_SIM_LAYERS = 18
+MAX_SIM_LAYERS = 22
 BRANCH_CUT = PRUNE_TOL**2  # a brick branch weight below it is an exact zero
 _LN2 = math.log(2.0)
 
@@ -81,23 +85,18 @@ class XxzParams:
             raise ValueError("t must be a non-negative integer")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        for name in ("a_x", "a_y", "a_z"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"seed coefficient {name} must be finite, got {value!r}")
-        norm = self.a_x * self.a_x + self.a_y * self.a_y + self.a_z * self.a_z
-        if abs(norm - 1.0) >= 1e-10:
-            raise ValueError(f"seed coefficients not normalized: |a|^2 = {norm}")
+        seed_coefficients(self.a_x, self.a_y, self.a_z)
 
 
 def closed_form_ose(params: XxzParams) -> float:
-    """Exact OSE in bits for any depth; alpha = 1 lives in alpha1_ose.
+    """Exact OSE in bits for any depth and every positive index; at
+    alpha = 1 it is the replica limit, alpha1_ose.
 
     A pure sigma_z seed commutes with every gate, and a Clifford brick
     (J = 0, pi/4) splits no string: both return 0.
     """
     if params.alpha == 1:
-        raise ValueError("alpha = 1 is the replica limit; use alpha1_ose")
+        return alpha1_ose(params)
     if params.a_x == 0.0 and params.a_y == 0.0:
         return 0.0
     z, xy, brick = _log2_sums(params)
@@ -255,8 +254,11 @@ def simulate_vs_closed(params: XxzParams) -> XxzComparison:
 
     The seed sits at site t, and the register is sized so that its light
     cone never touches a boundary.
-    Capped at t <= MAX_SIM_LAYERS = 18 layers, where the evolved operator
-    holds up to 2^19 + 1 terms; the closed form itself has no depth limit.
+    Capped at t <= MAX_SIM_LAYERS = 22 layers, where the evolved operator
+    of a three-component seed holds 2^23 + 1 terms; the closed form itself
+    has no depth limit. That worst seed takes 0.4-0.55 s and 264 MB peak
+    RSS at t = 20, and 2.3 s and 906 MB at t = 22 (one process, evolve and
+    score, 2-core Intel Xeon, Python 3.11.7, numpy 2.4.6).
     """
     return simulate_scan([params])[0]
 
@@ -275,6 +277,6 @@ def simulate_scan(grid: Sequence[XxzParams]) -> list[XxzComparison]:
     evolved = evolve_heisenberg(seed, circuit)
     comparisons = []
     for p, report in zip(grid, ose_scan(evolved, seed, [p.alpha for p in grid])):
-        closed = alpha1_ose(p) if p.alpha == 1 else closed_form_ose(p)
+        closed = closed_form_ose(p)
         comparisons.append(XxzComparison(report.ose, closed, abs(report.ose - closed)))
     return comparisons

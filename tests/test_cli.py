@@ -79,6 +79,34 @@ class TestParsers:
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
 
+    def test_no_module_imports_a_private_name_of_another(self):
+        # a name with a leading underscore is its module's own; dunders like __version__ are public
+        import opmagic
+
+        def private(name):
+            return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+        package = Path(opmagic.__file__).parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "opmagic"):
+                    names = [*(node.module or "").split("."), *(a.name for a in node.names)]
+                elif isinstance(node, ast.Import):
+                    names = [part for a in node.names if a.name.split(".")[0] == "opmagic"
+                             for part in a.name.split(".")]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno} {name}" for name in names if private(name)]
+        assert offenders == []
+
+    def test_cli_leaves_the_closed_form_choice_to_xxz(self):
+        assert not hasattr(cli, "alpha1_ose")
+
+    @pytest.mark.parametrize("text", ["inf", "Infinity", " INF ", "iNfInItY", "+inf", "-Infinity", " 2 ", "1e3"])
+    def test_parse_alpha_reads_what_float_reads(self, text):
+        assert parse_alpha(text) == float(text)
+
     def test_only_paulis_packs_bits(self):
         # the row packers live in one module; every other module calls them
         import opmagic
@@ -126,6 +154,15 @@ class TestParsers:
         assert parse_range("1..4") == [1, 2, 3, 4]
         assert parse_range("7") == [7]
         assert parse_range("1,3,5") == [1, 3, 5]
+
+
+@pytest.mark.parametrize("command", ["evolve", "ose", "truncate-study"])
+def test_evolution_options_declared_once(command, capsys):
+    # --circuit and --seed-op come from one helper, with one help text
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert '--circuit CIRCUIT --seed-op SEED_OP' in text
+    assert '--seed-op SEED_OP e.g. "X0 X1" or "+XZI"' in text
 
 
 class TestOseCommand:
@@ -697,6 +734,15 @@ class TestExitCodes:
     def test_negative_alpha_in_haar_avg(self, capsys):
         assert main(["haar-avg", "--n", "2", "--alpha", "-1", "--samples", "50"]) == 1
         assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["2,-1", "0,-inf"])
+    def test_negative_alpha_in_the_ose_scans(self, tmp_path, capsys, alpha):
+        path = write_circuit(tmp_path, t_ladder(2))
+        for argv in (["ose", "--circuit", path, "--seed-op", "XX"],
+                     ["doped-scan", "--n", "3", "--tau", "1", "--circuits", "2"]):
+            assert main([*argv, "--alpha", alpha]) == 1
+            captured = capsys.readouterr()
+            assert "non-negative" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",

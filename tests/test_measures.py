@@ -11,12 +11,14 @@ from opmagic import (
     evolve_heisenberg,
     ose,
     ose_scan,
+    ose_scans,
     pauli_probs,
     purity,
     random_clifford_circuit,
     single_site_pauli,
     t_count_lower_bound,
 )
+from opmagic import measures
 from opmagic.measures import PROB_FLOOR, renyi_entropy, renyi_purity
 from conftest import operator_from_spectrum, random_mixed_circuit, random_pauli
 
@@ -67,7 +69,8 @@ class TestPurity:
 
     def test_alpha_zero_routes_to_rank(self):
         assert purity(uniform_op(8), 0) == 8.0
-        assert purity(uniform_op(8), -1) == 8.0
+        with pytest.raises(ValueError, match="non-negative"):
+            purity(uniform_op(8), -1)
 
 
 class TestRenyiLimits:
@@ -163,6 +166,68 @@ def test_ose_scan_equals_one_index_at_a_time():
         want = (value.hex(), pur.hex(), (1.0 - pur).hex(), len(evolved), len(evolved.support()))
         assert (rep.ose.hex(), rep.purity.hex(), rep.linear_ose.hex(), rep.rank, rep.support_size) == want
         assert rep == ose(evolved, seed, alpha)
+
+
+def _report_bits(rep):
+    return (rep.alpha, rep.purity.hex(), rep.ose.hex(), rep.linear_ose.hex(), rep.rank, rep.support_size)
+
+
+class TestOseScans:
+    ALPHAS = [0, 0.5, 1, 2, 3, math.inf, 2000]
+    SEED = SparseOperator(5, {PauliString.from_label("XIIIZ"): 0.6, PauliString.from_label("YIIII"): 0.8})
+
+    def evolved(self, count):
+        rng = np.random.default_rng(41)
+        return [evolve_heisenberg(self.SEED, random_mixed_circuit(rng, 5, 30)) for _ in range(count)]
+
+    def test_items_equal_one_scan_per_operator(self):
+        evolved = self.evolved(6)
+        scans = list(ose_scans(iter(evolved), self.SEED, self.ALPHAS))
+        assert len(scans) == len(evolved)
+        for operator, reports in zip(evolved, scans):
+            want = ose_scan(operator, self.SEED, self.ALPHAS)
+            assert [_report_bits(rep) for rep in reports] == [_report_bits(rep) for rep in want]
+            probs = pauli_probs(operator)
+            for alpha, rep in zip(self.ALPHAS, reports):
+                value = renyi_entropy(probs, alpha) - renyi_entropy(pauli_probs(self.SEED), alpha)
+                assert (rep.ose.hex(), rep.purity.hex()) == (value.hex(), renyi_purity(probs, alpha).hex())
+
+    def test_seed_probabilities_taken_once(self, monkeypatch):
+        calls = []
+        probs = measures.pauli_probs
+        monkeypatch.setattr(measures, "pauli_probs", lambda op: calls.append(len(op)) or probs(op))
+        evolved = self.evolved(4)
+        list(ose_scans(evolved, self.SEED, self.ALPHAS))
+        assert calls == [2] + [len(op) for op in evolved]
+
+    def test_operators_read_one_at_a_time(self):
+        def operators():
+            yield from self.evolved(2)
+            raise AssertionError("read past the second operator")
+
+        scans = ose_scans(operators(), self.SEED, self.ALPHAS)
+        assert len(next(scans)) == len(next(scans)) == len(self.ALPHAS)
+
+    def test_size_mismatch(self):
+        scans = ose_scans([*self.evolved(1), SparseOperator.from_pauli(single_site_pauli(0, "X", 4))],
+                          self.SEED, [2])
+        next(scans)
+        with pytest.raises(ValueError, match="size mismatch"):
+            next(scans)
+
+    @pytest.mark.parametrize("alpha", [-1, -math.inf])
+    def test_negative_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(ose_scans(self.evolved(1), self.SEED, [2, alpha]))
+
+
+@pytest.mark.parametrize("alpha", [0, 0.5, 1, 2, 2000, math.inf])
+def test_entropy_takes_its_index_through_renyi_purity(monkeypatch, alpha):
+    seen = []
+    purity_of = measures.renyi_purity
+    monkeypatch.setattr(measures, "renyi_purity", lambda p, a: seen.append(a) or purity_of(p, a))
+    renyi_entropy(np.array([0.5, 0.25, 0.25, PROB_FLOOR]), alpha)
+    assert seen == [alpha]
 
 
 class TestOse:

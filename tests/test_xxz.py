@@ -9,7 +9,7 @@ from opmagic import (
     single_site_pauli,
 )
 from opmagic.dense import pauli_coefficients, pauli_matrix
-from opmagic.paulis import PauliString, enumerate_paulis
+from opmagic.paulis import PauliString, enumerate_paulis, from_local
 from opmagic.xxz import (
     XxzParams,
     alpha1_ose,
@@ -56,6 +56,27 @@ def test_huge_seed_coefficient_is_not_normalized(a):
         params(0.3, 1, 2, a)
 
 
+@pytest.mark.parametrize("huge", [10**200, -(10**200), 10**400], ids=["1e200", "-1e200", "1e400"])
+@pytest.mark.parametrize("name", ["a_x", "a_y", "a_z"])
+def test_huge_int_seed_coefficient_is_not_normalized(name, huge):
+    # an int past the float range, or whose square is, is a norm of inf, not an OverflowError
+    a = {"a_x": 0.0, "a_y": 0.0, "a_z": 0.0, name: huge}
+    with pytest.raises(ValueError, match=r"^seed coefficients not normalized: \|a\|\^2 = inf$"):
+        XxzParams(j=0.3, t=1, alpha=2, **a)
+    with pytest.raises(ValueError, match=r"^seed coefficients not normalized: \|a\|\^2 = inf$"):
+        from_local(0, a["a_x"], a["a_y"], a["a_z"], 1)
+
+
+@pytest.mark.parametrize("name", ["a_x", "a_y", "a_z"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_from_local_shares_the_seed_rule(name, bad):
+    a = {"a_x": 0.6, "a_y": 0.0, "a_z": 0.8, name: bad}
+    with pytest.raises(ValueError, match=f"seed coefficient {name} must be finite"):
+        from_local(0, a["a_x"], a["a_y"], a["a_z"], 1)
+    with pytest.raises(ValueError, match=r"^seed coefficients not normalized: \|a\|\^2 = 0.81"):
+        from_local(0, 0.9, 0, 0, 1)
+
+
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_non_finite_depth_rejected(t):
     with pytest.raises(ValueError, match="t must be a non-negative integer"):
@@ -94,9 +115,11 @@ class TestClosedForm:
     def test_sigma_z_seed_degenerate_case(self):
         assert closed_form_ose(XxzParams(j=0.3, t=4, alpha=2, a_x=0, a_y=0, a_z=1)) == 0.0
 
-    def test_alpha_one_rejected(self):
-        with pytest.raises(ValueError):
-            closed_form_ose(params(0.3, 2, 1))
+    def test_alpha_one_is_the_replica_limit(self):
+        for j in (0.0, 0.3, math.pi / 8, math.pi / 4):
+            for a in ((1.0, 0.0, 0.0), MIXED_SEED, (0.0, 0.0, 1.0)):
+                p = params(j, 5, 1, a)
+                assert closed_form_ose(p).hex() == alpha1_ose(p).hex()
 
     def test_mixed_seed_asymptote(self):
         # saturation for this seed at alpha=2: log(38/9), i.e. 1.4404 nats
@@ -276,8 +299,17 @@ class TestSimulateVsClosed:
             assert result.abs_diff < 1e-9
 
     def test_depth_cap(self):
-        with pytest.raises(ValueError):
-            simulate_vs_closed(params(0.3, 19, 2))
+        with pytest.raises(ValueError, match="capped at t = 22"):
+            simulate_vs_closed(params(0.3, 23, 2))
+
+    def test_depth_22_is_evolved(self, monkeypatch):
+        # the cap admits t = 22; the stub stops the run before it evolves
+        def stop(seed, circuit):
+            raise RuntimeError(f"evolving {circuit.n_qubits} qubits")
+
+        monkeypatch.setattr(xxz, "evolve_heisenberg", stop)
+        with pytest.raises(RuntimeError, match="evolving 46 qubits"):
+            simulate_vs_closed(params(0.3, 22, 2))
 
     def test_deep_brickwork(self):
         # rank 2^17 + 1 from a two-component seed
