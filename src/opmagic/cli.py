@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -40,14 +41,12 @@ class CliError(ValueError):
 
 
 def parse_alpha(text: str) -> float:
-    """One Renyi index; float() reads inf and infinity in any letter case."""
+    """One Renyi index; float() reads inf and infinity in any letter case.
+    Its range, nan included, is checked by the code that takes it."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise CliError(f"cannot parse alpha {text.strip()!r}") from None
-    if math.isnan(value):
-        raise CliError("alpha must not be nan")
-    return value
 
 
 def parse_alphas(text: str) -> list[float]:
@@ -241,6 +240,14 @@ def _cmd_nullity(args) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads a token with one leading '-' as a value only when it
+        # matches this pattern. Any such token that is not a registered option
+        # (-h) is a value, so `--alpha -inf`, `--seed-op -XX` and `--ax -6e-1`
+        # reach their own checks. Subparsers are of this class too.
+        self._negative_number_matcher = re.compile(r"-(?!-)")
+
     def error(self, message: str):  # bad flags are user error, exit 1 not 2
         raise CliError(message)
 

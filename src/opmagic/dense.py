@@ -254,6 +254,8 @@ def avg_linear_sre(
     unitary: np.ndarray, n_samples: int, seed: int = 0, alpha: float = 2.0
 ) -> float:
     """MC mean of the linear SRE 1 - zeta_alpha of U|psi> over stabilizer |psi>."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     total = 0.0
     for _ in range(n_samples):

@@ -113,6 +113,8 @@ def _haar_samples(
     shape (..., b); the result has shape (..., n_samples), samples in
     stream order.
     """
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be at least 1, got {n_qubits}")
     if n_qubits > MAX_MC_QUBITS:
         raise ValueError(f"MC path capped at {MAX_MC_QUBITS} qubits")
     if n_samples < 2:

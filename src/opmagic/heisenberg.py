@@ -398,16 +398,19 @@ def _propagate(
     rotation k. `_compile` conjugates the seed's terms and the generators,
     bit-sliced, so its cost does not grow with the evolved operator; the
     sign of Q_k moves onto its angle 2 theta_k. Circuits are compiled one by
-    one as they arrive and evolved `_BATCH` at a time: the batch's compiled
-    rows are packed once, each circuit's conjugated seed is sorted into
-    canonical order, and `_rotations` applies every circuit's plan, in walk
-    order, pruning at `prune_tol`. Input terms below `prune_tol` are
-    dropped once, on entry.
+    one as they arrive and evolved `_BATCH` at a time: each circuit's
+    compiled ints are unpacked once, into one bit row per seed term and per
+    generator, and the batch stacks these rows, circuit after circuit. Each
+    circuit's conjugated seed is sorted into canonical order, and
+    `_rotations` applies every circuit's plan, in walk order, pruning at
+    `prune_tol`. Input terms below `prune_tol` are dropped once, on entry.
 
     A circuit's plan maps k to the row of generator Q_k and its signed angle,
-    for the rotations that can change its rows. One int holds supersets sx
-    and sz of the OR of the rows' x masks and of their z masks, starting from
-    the conjugated seed's exact ORs. Rotation k is left out of the plan when
+    for the rotations that can change its rows. Plans read one layout, the
+    int x | z << n of each stacked row. One int holds supersets sx and sz of
+    the OR of the rows' x masks and of their z masks, starting from the
+    conjugated seed's exact ORs: the OR of its rows' ints, with the x and z
+    halves swapped once. Rotation k is left out of the plan when
     x_k & sz and z_k & sx are both 0: the symplectic product with every row
     is then 0, and the rows would come back unchanged. After a rotation that
     stays in, sx |= x_k and sz |= z_k: a split row is P XOR G_k, and pruning
@@ -431,7 +434,6 @@ def _propagate(
     keep = (np.abs(operator.coeff) >= tol).nonzero()[0]
     seeds, seed_coeff = keep.size, operator.coeff.take(keep)
     seed_xs, seed_zs = (ints_of_bits(bits.T) for bits in bits_of_xz(operator.xz.take(keep, axis=1), n))
-    seed_rows = (1 << seeds) - 1
     low = (1 << n) - 1
     circuits = iter(circuits)
     while batch := [
@@ -439,23 +441,19 @@ def _propagate(
         for ops in itertools.islice(circuits, _BATCH)
         for xs, zs in [(seed_xs[:], seed_zs[:])]
     ]:
-        # every circuit's rows in one set of bit-sliced ints, circuit c's from bit firsts[c]
-        xs, zs, signs, firsts, rows = [0] * n, [0] * n, 0, [], 0
-        for _, cx, cz, sign, angles in batch:
-            xs = [v | u << rows for v, u in zip(xs, cx)]
-            zs = [v | u << rows for v, u in zip(zs, cz)]
-            signs |= sign << rows
-            firsts.append(rows)
-            rows += seeds + len(angles)
+        # each circuit's rows, unpacked once and stacked from row firsts[c]:
         # row r's x bits, then its z bits, then its sign bit
-        bits = bits_of_ints(xs + zs + [signs], rows).T
+        sizes = [seeds + len(angles) for *_, angles in batch]
+        bits = np.hstack([bits_of_ints(cx + cz + [sign], size) for (_, cx, cz, sign, _), size in zip(batch, sizes)]).T
+        firsts = [*itertools.accumulate(sizes[:-1], initial=0)]
         flip = bits[:, 2 * n] == 1
         # A generator is the int x_g | z_g << n, and support = sz | sx << n:
         # g & support is 0 exactly when x_g & sz and z_g & sx are
         gens = ints_of_bits(bits[:, : 2 * n])
         plans = []
-        for first, (_, cx, cz, _, angles) in zip(firsts, batch):
-            support = sum(1 << q for q, v in enumerate(cz + cx) if v & seed_rows)
+        for first, (*_, angles) in zip(firsts, batch):
+            support = functools.reduce(int.__or__, gens[first : first + seeds], 0)
+            support = support >> n | (support & low) << n
             plans.append(plan := {})
             for k, r in enumerate(range(first + seeds, first + seeds + len(angles))):
                 if gens[r] & support:

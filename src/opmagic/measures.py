@@ -5,8 +5,8 @@ probability vector; the operator stabilizer entropy at index alpha is its
 Renyi entropy minus that of the unevolved seed. Base-2 logarithms
 throughout. Every Renyi index goes through `renyi_purity`, the one code
 that maps an index to its evaluation: alpha = 0 counts the probabilities
-above PROB_FLOOR, alpha = inf takes the largest one, a negative alpha is
-rejected, and any other alpha sums p^alpha (non-integer alpha uses
+above PROB_FLOOR, alpha = inf takes the largest one, a negative or nan
+alpha is rejected, and any other alpha sums p^alpha (non-integer alpha uses
 |a_i|^(2 alpha), though the monotone proofs cover integer alpha only).
 The entropies are taken from that purity, with the Shannon limit at
 alpha = 1 and the min entropy at alpha = inf. `ose_scans` scores a scan of
@@ -39,8 +39,8 @@ def renyi_purity(probs: np.ndarray, alpha: float) -> float | np.ndarray:
     vector. alpha = 0 counts the probabilities above PROB_FLOOR and
     alpha = inf gives the largest one.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if not alpha >= 0:  # nan too
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
     p = np.asarray(probs, dtype=float)
     if alpha == 0:
         out = np.count_nonzero(p > PROB_FLOOR, axis=-1).astype(float)

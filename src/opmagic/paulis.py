@@ -108,13 +108,6 @@ class PauliString:
         both = self.x_mask | self.z_mask
         return frozenset(s for s in range(self.n_qubits) if (both >> s) & 1)
 
-    def __lt__(self, other: "PauliString") -> bool:
-        return (self.n_qubits, self.z_mask, self.x_mask) < (
-            other.n_qubits,
-            other.z_mask,
-            other.x_mask,
-        )
-
     def __str__(self) -> str:
         return self.label()
 

@@ -83,8 +83,8 @@ class XxzParams:
             raise ValueError("J must lie in [0, pi/4]")
         if not 0 <= self.t < math.inf or int(self.t) != self.t:
             raise ValueError("t must be a non-negative integer")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not self.alpha > 0:  # nan too
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
         seed_coefficients(self.a_x, self.a_y, self.a_z)
 
 

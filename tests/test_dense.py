@@ -284,3 +284,11 @@ class TestAvgLinearSre:
 
         u = circuit_unitary(Circuit(2, (Gate("T", (0,)), Gate("T", (1,)))))
         assert avg_linear_sre(u, 10, seed=2) > 0.05
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_sample_count_below_one_is_named(self, n_samples):
+        from opmagic.dense import avg_linear_sre
+
+        u = circuit_unitary(Circuit(1, (Gate("T", (0,)),)))
+        with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n_samples}"):
+            avg_linear_sre(u, n_samples)

@@ -363,6 +363,30 @@ class TestLightCone:
             assert item.xz.tobytes() == alone.xz.tobytes() and item.xz.shape == alone.xz.shape
             assert item.coeff.tobytes() == alone.coeff.tobytes()
 
+    @pytest.mark.parametrize("t", [5, 10])
+    def test_each_circuit_of_a_keyed_batch_gets_its_own_plan(self, monkeypatch, t):
+        # three couplings from one seed on one register: each circuit plans
+        # from its own generator rows, so the batch enters the kernel t
+        # times, keyed, as one circuit alone does (below the row limit)
+        n = 2 * t + 2
+        seed = from_local(t, 0.6, 0.0, 0.8, n)
+        circuits = [xxz_brickwork(n, t, j) for j in (0.1, 0.3, 0.5)]
+        calls = []
+        rotate = heisenberg._rotate
+
+        def keyed(xz, *args):
+            calls.append(len(xz) & 1 == 1)
+            return rotate(xz, *args)
+
+        monkeypatch.setattr(heisenberg, "_rotate", keyed)
+        expected = [evolve_heisenberg(seed, c) for c in circuits]
+        assert calls == [False] * 3 * t
+        calls.clear()
+        evolved = list(evolve_ensemble(seed, circuits))
+        assert calls == [True] * t
+        for item, want in zip(evolved, expected, strict=True):
+            assert item.xz.tobytes() == want.xz.tobytes() and item.coeff.tobytes() == want.coeff.tobytes()
+
     def test_items_past_the_row_limit_come_out_one_circuit_at_a_time(self, monkeypatch):
         # each circuit cut from its batch is evolved only when its item is
         # pulled, so past the cut one large operator is held at a time

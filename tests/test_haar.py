@@ -239,6 +239,17 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="non-negative"):
             mc_average_purity(2, -1, 50)
 
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError, match="non-negative, got nan"):
+            mc_average_purities(2, [math.nan], 10)
+        with pytest.raises(ValueError, match="non-negative, got nan"):
+            mc_average_ose(2, math.nan, 10)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_qubit_count_below_one_is_named(self, n):
+        with pytest.raises(ValueError, match=f"n_qubits must be at least 1, got {n}"):
+            mc_average_purities(n, [2], 10)
+
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("alpha", [0.5, 2, 3])
     def test_matches_per_sample_loop(self, alpha, workers):

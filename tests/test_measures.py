@@ -95,6 +95,13 @@ class TestRenyiLimits:
         with pytest.raises(ValueError, match="non-negative"):
             renyi_entropy(self.PROBS, alpha)
 
+    def test_nan_alpha_rejected(self):
+        # a nan index would pass every comparison and give a nan purity
+        with pytest.raises(ValueError, match="non-negative, got nan"):
+            renyi_purity([0.5, 0.5], math.nan)
+        with pytest.raises(ValueError, match="non-negative, got nan"):
+            renyi_entropy([0.5, 0.5], math.nan)
+
     @pytest.mark.parametrize("alpha", [0, 0.5, 1, 2, 3, math.inf])
     def test_matrix_reduces_row_by_row(self, alpha):
         rng = np.random.default_rng(29)
@@ -380,7 +387,7 @@ class TestTCountBound:
                 strings.add(random_pauli(rng, 5))
             coeffs = rng.normal(size=n_terms)
             coeffs /= np.linalg.norm(coeffs)
-            seed = SparseOperator(5, dict(zip(sorted(strings), coeffs)))
+            seed = SparseOperator(5, dict(zip(sorted(strings, key=lambda p: (p.z_mask, p.x_mask)), coeffs)))
             circuit = doped_circuit(5, tau, clifford_depth=30, seed=trial)
             evolved = evolve_heisenberg(seed, circuit)
             for alpha in (0, 1, 2, math.inf):

@@ -84,10 +84,6 @@ class TestPauliString:
         assert p.weight == 2
         assert p.support() == frozenset({1, 3})
 
-    def test_ordering_is_z_major(self):
-        ordered = sorted([PauliString.from_label(l) for l in ("Y", "Z", "I", "X")])
-        assert [p.label() for p in ordered] == ["I", "X", "Z", "Y"]
-
 
 class TestCodec:
     """The packers between bit matrices, uint64 words and labels."""
@@ -327,7 +323,7 @@ class TestCanonicalOrder:
     @settings(max_examples=60, deadline=None)
     def test_every_producer_is_canonical(self, seed, n, shuffler):
         rng = np.random.default_rng(seed)
-        paulis = sorted({random_pauli(rng, n) for _ in range(4)})
+        paulis = sorted({random_pauli(rng, n) for _ in range(4)}, key=lambda p: (p.z_mask, p.x_mask))
         coeffs = rng.normal(size=len(paulis))
         coeffs /= np.linalg.norm(coeffs)
         pairs = list(zip(paulis, coeffs.tolist()))
@@ -598,7 +594,8 @@ def evolved_operators(draw):
     shift = draw(st.sampled_from([0, 64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     circuit = random_mixed_circuit(rng, small, draw(st.integers(0, 25)))
-    paulis = sorted({random_pauli(rng, small) for _ in range(draw(st.integers(1, 4)))})
+    paulis = {random_pauli(rng, small) for _ in range(draw(st.integers(1, 4)))}
+    paulis = sorted(paulis, key=lambda p: (p.z_mask, p.x_mask))
     coeffs = rng.normal(size=len(paulis))
     coeffs /= np.linalg.norm(coeffs)
     n = small + shift

@@ -40,6 +40,11 @@ class TestParams:
         with pytest.raises(ValueError):
             XxzParams(j=0.1, t=1, alpha=2, a_x=0.9, a_y=0.0, a_z=0.0)
 
+    def test_nan_alpha_rejected(self):
+        # not a nan closed form with RuntimeWarnings
+        with pytest.raises(ValueError, match="alpha must be positive, got nan"):
+            XxzParams(j=0.3, t=2, alpha=math.nan)
+
 
 @pytest.mark.parametrize("name", ["a_x", "a_y", "a_z"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
