@@ -17,7 +17,14 @@ every worker, which shows in its `setup_s` and `peak_rss_mb`.
 The output holds, per workload: every pair's metrics and failed share of
 operations; each side's median and quartiles per end-to-end metric; the
 number of pairs in which CHANGE is better, in the direction that
-`BENCHMARK.json` gives; and the median change. It also records the
+`BENCHMARK.json` gives; and the median change. Two verdicts per metric
+follow the rules a change is judged by:
+- `claim_met`: CHANGE is better in at least 9 of 10 pairs, and its median
+  is better than BASE's by more than BASE's interquartile range, so it
+  lies outside BASE's quartiles.
+- `within_bound`: CHANGE's median is no worse than BASE's by more than the
+  metric's relative `bound` in `BENCHMARK.json`.
+It also records the
 machine (from `run.py`'s own description), each side's git commit as
 `run.py` reads it, and the numpy version of this interpreter, which runs
 both sides.
@@ -67,21 +74,29 @@ def quartiles(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric of `BENCHMARK.json` (name, better, bound): both
+    sides' quartiles, CHANGE's wins and the two verdicts."""
     out = {}
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name, direction = metric["name"], metric["better"]
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1.0 if direction == "lower" else -1.0
         base_q, change_q = quartiles(base), quartiles(change)
+        wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+        gain = sign * (base_q["median"] - change_q["median"])  # > 0 when CHANGE is better
         out[name] = {
             "better": direction,
             "base": base_q,
             "change": change_q,
-            "change_wins": sum(sign * (b - c) > 0 for b, c in zip(base, change)),
+            "change_wins": wins,
             "pairs": len(pairs),
             "median_rel_change": change_q["median"] / base_q["median"] - 1.0,
             "change_median_outside_base_iqr": not base_q["q1"] <= change_q["median"] <= base_q["q3"],
+            "claim_met": 10 * wins >= 9 * len(pairs) and gain > base_q["q3"] - base_q["q1"],
+            "bound": metric["bound"],
+            "within_bound": -gain <= metric["bound"] * abs(base_q["median"]),
         }
     return out
 
@@ -98,7 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     for checkout in sides.values():
@@ -123,12 +137,13 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append(pair)
             print(f"{workload} pair {i + 1}/{args.pairs}: "
                   + ", ".join(f"{s} wall_s {pair[s]['metrics']['wall_s']:.4f}" for s in sides), file=sys.stderr)
-        record["workloads"][workload] = {"summary": summarize(pairs, better), "pair_runs": pairs}
+        record["workloads"][workload] = {"summary": summarize(pairs, spec["end_to_end"]), "pair_runs": pairs}
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for workload, data in record["workloads"].items():
         for name, s in data["summary"].items():
             print(f"{workload} {name}: base {s['base']['median']:.4g} change {s['change']['median']:.4g} "
-                  f"({100 * s['median_rel_change']:+.1f}%), change better in {s['change_wins']}/{s['pairs']}")
+                  f"({100 * s['median_rel_change']:+.1f}%), change better in {s['change_wins']}/{s['pairs']}, "
+                  f"claim_met {s['claim_met']}, within_bound {s['within_bound']} (bound {s['bound']:g})")
     return 0
 
 

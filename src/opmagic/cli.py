@@ -3,7 +3,10 @@
 Commands: evolve, ose, xxz-scan, haar-avg, doped-scan, truncate-study,
 nullity. Output embeds the tool version, seed and full parameter set in the
 header so any file can be regenerated from its own provenance. Angles are
-radians, with pi-fraction syntax ("pi/8", "3*pi/4") accepted. Exit codes:
+radians, with pi-fraction syntax ("pi/8", "3*pi/4") accepted. The CLI only
+parses arguments and formats what the library returns: it tests no Renyi
+index, and haar-avg asks `haar` for its closed form and asymptote at every
+index, leaving a cell blank where haar has none. Exit codes:
 0 ok, 1 bad input (a size too large to allocate included), 2 internal
 error.
 """
@@ -65,6 +68,8 @@ def parse_range(text: str, option: str = "range") -> list[int]:
             values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise CliError(f"{option} {text!r} is not a list or range of integers") from None
+    except OverflowError:  # a range longer than any list
+        raise CliError(f"{option} {text!r} spans more than {sys.maxsize} values") from None
     return _nonempty(values, option, text)
 
 
@@ -174,20 +179,25 @@ def _cmd_haar_avg(args) -> None:
         raise CliError(f"--n must be at least 1, got {args.n}")
     if args.workers > args.samples:
         raise CliError(f"--workers {args.workers} exceeds --samples {args.samples}")
-    rows = []
-    dim = 1 << args.n
     alphas = parse_alphas(args.alpha)
     estimates = mc_average_purities(
         args.n, alphas, args.samples, seed=args.seed, workers=args.workers
     )
-    for alpha, est in zip(alphas, estimates):
-        closed = asym = ""
-        if math.isfinite(alpha) and alpha in (2, 3, 4, 5):
-            closed = closed_form_avg_purity(dim, int(alpha))
-        if math.isfinite(alpha) and alpha >= 1 and int(alpha) == alpha:
-            asym = asymptotic_avg_purity(dim, int(alpha))
-        rows.append([args.n, _fmt_alpha(alpha), args.samples, est.mean, est.stderr, closed, asym])
+    dim = 1 << args.n  # after haar has capped --n
+    rows = [
+        [args.n, _fmt_alpha(alpha), args.samples, est.mean, est.stderr,
+         _reference(closed_form_avg_purity, dim, alpha), _reference(asymptotic_avg_purity, dim, alpha)]
+        for alpha, est in zip(alphas, estimates)
+    ]
     _emit(args, ["n", "alpha", "samples", "mc_mean", "stderr", "closed_form", "asymptotic"], rows)
+
+
+def _reference(form, dim: int, alpha: float) -> float | str:
+    """haar's reference at one index, or a blank cell where haar has none."""
+    try:
+        return form(dim, alpha)
+    except ValueError:
+        return ""
 
 
 def _cmd_doped_scan(args) -> None:

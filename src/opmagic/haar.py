@@ -20,10 +20,24 @@ reduces that matrix row by row for every requested index at once, so
 `measures` alone decides how a Renyi index (0, 1, inf, negative) is
 evaluated. The batch is fixed by element count, so memory does not grow
 with the sample count beyond the one float per sample per index kept.
+
+This module owns the Haar references. `closed_form_avg_purity`,
+`asymptotic_avg_purity` and `asymptotic_ose` alone decide which indices
+have a reference: each answers any index with a float or with a
+ValueError that carries its own message, so a caller asks for every index
+and leaves a cell blank where one raises. The float-range rule bounds the
+large-D asymptotes: an index is served only while the purity asymptote
+(2 alpha - 1)!! / D^(2 alpha - 2) at min(D, MAX_HAAR_DIM) stays below the
+float maximum, judged first from Stirling's formula, so that (2 alpha - 1)!!
+is never formed for an index past it (alpha = 1e308 is refused at once, and
+the largest index served at any D is 6230). A purity asymptote below the
+smallest float is 0.0. `asymptotic_ose` serves the indices that
+`asymptotic_avg_purity` serves at D = 2^N.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -244,15 +258,42 @@ def closed_form_avg_purity(dim: int, alpha: int) -> float:
     return num / den
 
 
+def _asymptote_index(alpha: float, least: int, message: str, dim: int) -> int:
+    """alpha as the int k of (2k - 1)!!, under the float-range rule (module docstring).
+
+    A non-integer, nan, +-inf or an index below `least` raises `message`.
+    """
+    if not least <= alpha <= sys.float_info.max or int(alpha) != alpha:
+        raise ValueError(message)
+    k = int(alpha)
+    checked = min(dim, MAX_HAAR_DIM)
+    if _log2_asymptote(checked, k) > sys.float_info.max_exp + 1:
+        raise ValueError(f"the alpha={alpha} asymptote at D={checked} is past the float range")
+    return k
+
+
+def _log2_asymptote(dim: int, k: int) -> float:
+    """log2 of (2k - 1)!! / D^(2k - 2) from Stirling's sqrt(2) (2k / e)^k,
+    which overestimates (2k - 1)!! by less than 0.06 bit."""
+    log2_dim = math.log2(dim)
+    rate = math.log2(k) + 1 - math.log2(math.e) - 2 * log2_dim
+    return k * rate + 2 * log2_dim + 0.5
+
+
 def asymptotic_avg_purity(dim: int, alpha: int) -> float:
-    """Large-D limit (2 alpha - 1)!! / D^(2 alpha - 2)."""
-    if alpha < 1 or int(alpha) != alpha:
-        raise ValueError("alpha must be a positive integer")
-    return double_factorial(2 * int(alpha) - 1) / dim ** (2 * int(alpha) - 2)
+    """Large-D limit (2 alpha - 1)!! / D^(2 alpha - 2); 0.0 below the float range."""
+    k = _asymptote_index(alpha, 1, "alpha must be a positive integer", dim)
+    if _log2_asymptote(dim, k) < sys.float_info.min_exp - sys.float_info.mant_dig - 1:
+        return 0.0  # the exact quotient rounds to 0.0 too
+    try:
+        return double_factorial(2 * k - 1) / dim ** (2 * k - 2)
+    except OverflowError:  # within a bit of the top, where the estimate cannot tell
+        raise ValueError(f"the alpha={alpha} asymptote at D={dim} is past the float range") from None
 
 
 def asymptotic_ose(n_qubits: int, alpha: int) -> float:
-    """Scaling-limit OSE 2N + log2((2 alpha - 1)!!)/(1 - alpha) for alpha >= 2."""
-    if alpha < 2 or int(alpha) != alpha:
-        raise ValueError("alpha must be an integer >= 2")
-    return 2.0 * n_qubits + math.log2(double_factorial(2 * int(alpha) - 1)) / (1 - int(alpha))
+    """Scaling-limit OSE 2N + log2((2 alpha - 1)!!)/(1 - alpha) for alpha >= 2,
+    for the indices whose purity asymptote at D = 2^N is served."""
+    dim = 1 << min(n_qubits, MAX_HAAR_DIM.bit_length())  # 2^N, or past the D the rule checks
+    k = _asymptote_index(alpha, 2, "alpha must be an integer >= 2", dim)
+    return 2.0 * n_qubits + math.log2(double_factorial(2 * k - 1)) / (1 - k)

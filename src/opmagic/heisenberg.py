@@ -50,6 +50,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -165,7 +166,11 @@ class Gate:
         theta = data.get("theta")
         if theta is not None and (isinstance(theta, bool) or not isinstance(theta, (int, float))):
             raise ValueError(f"gate theta must be a number, got {theta!r}")
-        return cls(kind, sites, None if theta is None else float(theta))
+        try:
+            angle = None if theta is None else float(theta)
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"gate theta {theta} is past the float range") from None
+        return cls(kind, sites, angle)
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,8 @@ class Circuit:
         n = as_integer(n_qubits, "qubit count n")
         if n <= 0:
             raise ValueError("n_qubits must be positive")
+        if n > sys.maxsize:  # no sequence or shift can span it
+            raise ValueError(f"qubit count n must be at most {sys.maxsize}, got {n}")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", gates)
         return self

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -348,6 +349,74 @@ class TestHaarAvgCommand:
             ["4", "2000", "6.307909587825003e-06", "1.0600184420408472e-07"],
             ["5", "2000", "2.2208889670488967e-07", "7.066050193836152e-09"],
         ]
+
+
+    def test_cli_leaves_the_reference_choice_to_haar(self, monkeypatch, capsys):
+        # the CLI asks both references at every index; haar alone decides
+        asked = {"closed": [], "asymptotic": []}
+        for name, key in (("closed_form_avg_purity", "closed"), ("asymptotic_avg_purity", "asymptotic")):
+            def recorded(dim, alpha, form=getattr(cli, name), key=key):
+                asked[key].append(alpha)
+                return form(dim, alpha)
+            monkeypatch.setattr(cli, name, recorded)
+        labels = "0,0.5,1,2,3,4,5,200,inf"
+        assert main(["haar-avg", "--n", "2", "--samples", "10", "--alpha", labels]) == 0
+        requested = [float(tok) for tok in labels.split(",")]
+        assert asked == {"closed": requested, "asymptotic": requested}
+        rows = list(csv.reader(ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")))
+        assert [row[5] != "" for row in rows[1:]] == [False] * 3 + [True] * 4 + [False] * 2
+        assert [row[6] != "" for row in rows[1:]] == [False] * 2 + [True] * 6 + [False]
+
+    # recorded before haar owned the references: every byte is unchanged
+    GOLDEN = {
+        3: """2,0,20,15.0,0.0,,
+2,0.5,20,2.993546771408841,0.06919438948397723,,
+2,1,20,1.0000000000000002,9.253806093251112e-17,,1.0
+2,2,20,0.21851116381324562,0.01961019276823816,0.21428571428571427,0.1875
+2,3,20,0.0747307321105538,0.013905730707041314,0.07142857142857142,0.05859375
+2,4,20,0.03186465302225471,0.008715276574692735,0.030303030303030304,0.025634765625
+2,5,20,0.015308019862553094,0.0053278788760913525,0.014985014985014986,0.0144195556640625
+2,200,20,1.3097079691013321e-45,9.7645106169375e-46,,1.2124109675218646e+194
+2,inf,20,0.3509371643550914,0.02937119014607406,,
+""",
+        4: """2,0,20,15.0,0.0,,
+2,0.5,20,2.9568042771696263,0.07297194221435398,,
+2,1,20,1.0,8.693534701553318e-17,,1.0
+2,2,20,0.22257410233088226,0.020625230141381755,0.21428571428571427,0.1875
+2,3,20,0.07587789125781479,0.0141755957116372,0.07142857142857142,0.05859375
+2,4,20,0.031788821607961024,0.00868880576567039,0.030303030303030304,0.025634765625
+2,5,20,0.014944276617642579,0.005319921121979847,0.014985014985014986,0.0144195556640625
+2,200,20,9.603099935000681e-42,9.603099935000677e-42,,1.2124109675218646e+194
+2,inf,20,0.3472404141491473,0.02916354222962029,,
+""",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden_references_at_every_kind_of_index(self, seed, capsys):
+        alphas = "0,0.5,1,2,3,4,5,200,inf"
+        assert main(["haar-avg", "--n", "2", "--samples", "20", "--seed", str(seed), "--alpha", alphas]) == 0
+        out = capsys.readouterr().out
+        params = {"alpha": alphas, "n": 2, "samples": 20, "seed": seed, "workers": 1}
+        assert out == (
+            "# tool=opmagic\n# version=0.1.0\n# command=haar-avg\n"
+            f"# params={json.dumps(params)}\n"
+            "n,alpha,samples,mc_mean,stderr,closed_form,asymptotic\n" + self.GOLDEN[seed]
+        )
+
+    @pytest.mark.parametrize("alpha", ["1000", "1e308"])
+    def test_asymptote_past_the_float_range_is_a_blank_cell(self, alpha, capsys):
+        # an OverflowError at 1000, and a hang forming (2 alpha - 1)!! at 1e308
+        start = time.perf_counter()
+        assert main(["haar-avg", "--n", "2", "--samples", "10", "--alpha", alpha]) == 0
+        assert time.perf_counter() - start < 1.0
+        (row,) = list(csv.reader(capsys.readouterr().out.splitlines()))[5:]
+        assert row[5:] == ["", ""]
+
+    def test_qubit_count_past_the_index_range_is_bad_input(self, capsys):
+        # 1 << n ran before the Monte Carlo's qubit cap
+        assert main(["haar-avg", "--n", "1" + "0" * 400, "--samples", "10"]) == 1
+        captured = capsys.readouterr()
+        assert "capped at 5 qubits" in captured.err and captured.out == ""
 
 
 class TestOtherCommands:
@@ -728,6 +797,31 @@ class TestExitCodes:
         assert main(
             ["ose", "--circuit", str(path), "--seed-op", "XI", "--out", str(out)]
         ) == 0
+
+    @pytest.mark.parametrize(
+        "body, argv, needle",
+        [
+            ('{"n": 1, "gates": [{"kind": "RZ", "sites": [0], "theta": BIG}]}',
+             ["ose", "--seed-op", "X"], "gate theta BIG is past the float range"),
+            ('{"n": BIG, "gates": []}', ["ose", "--seed-op", "X0"], "qubit count n must be at most"),
+            ("qubits BIG\nH 0\n", ["ose", "--seed-op", "X0"], "qubit count n must be at most"),
+            (None, ["xxz-scan", "--J", "0.3", "--t", "1..BIG"], "--t '1..BIG' spans more than"),
+            ("qubits 1\nH 0\n", ["truncate-study", "--seed-op", "X0", "--chi", "1..BIG"],
+             "--chi '1..BIG' spans more than"),
+        ],
+        ids=["json-theta", "json-n", "text-qubits", "t-range", "chi-range"],
+    )
+    def test_huge_integer_is_bad_input(self, tmp_path, capsys, body, argv, needle):
+        # float(), a list of n letters and list(range()) raised OverflowError
+        big = "1" + "0" * 400
+        argv = [arg.replace("BIG", big) for arg in argv]
+        if body is not None:
+            path = tmp_path / "circ.txt"
+            path.write_text(body.replace("BIG", big))
+            argv += ["--circuit", str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert needle.replace("BIG", big) in captured.err and captured.out == ""
 
     def test_trailing_tokens_in_text_circuit(self, tmp_path, capsys):
         path = tmp_path / "circ.txt"

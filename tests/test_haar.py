@@ -1,4 +1,6 @@
 import math
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -185,6 +187,73 @@ class TestAsymptotics:
     def test_alpha_guard(self):
         with pytest.raises(ValueError):
             asymptotic_ose(4, 1)
+
+
+# Each reference's own message for an index it does not serve; 1000 and
+# 1e308 are past the float range at D = 4 (n = 2), and 1e308 is refused
+# before (2 alpha - 1)!! is formed.
+_NOT_SERVED = {
+    math.inf: ("alpha must be a positive integer", "alpha must be an integer >= 2"),
+    -math.inf: ("alpha must be a positive integer", "alpha must be an integer >= 2"),
+    math.nan: ("alpha must be a positive integer", "alpha must be an integer >= 2"),
+    0.5: ("alpha must be a positive integer", "alpha must be an integer >= 2"),
+    1000: ("alpha=1000 asymptote at D=4 is past the float range",) * 2,
+    1e308: ("alpha=1e+308 asymptote at D=4 is past the float range",) * 2,
+}
+
+
+class TestReferenceGuards:
+    @pytest.mark.parametrize("alpha", list(_NOT_SERVED), ids=str)
+    def test_every_reference_raises_its_own_message(self, alpha):
+        purity_message, ose_message = _NOT_SERVED[alpha]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(purity_message)):
+            asymptotic_avg_purity(4, alpha)
+        with pytest.raises(ValueError, match=re.escape(ose_message)):
+            asymptotic_ose(2, alpha)
+        with pytest.raises(ValueError, match="closed forms available for alpha in"):
+            closed_form_avg_purity(4, alpha)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+    def test_asymptote_is_the_exact_quotient_wherever_it_is_a_float(self, dim):
+        # (2k - 1)!! / D^(2k - 2) as one correctly rounded int division,
+        # whose OverflowError marks the index past the float range
+        served = refused = 0
+        for k in [*range(1, 300), *range(300, 6400, 61)]:
+            try:
+                exact = double_factorial(2 * k - 1) / dim ** (2 * k - 2)
+            except OverflowError:
+                with pytest.raises(ValueError, match="past the float range"):
+                    asymptotic_avg_purity(dim, k)
+                refused += 1
+                continue
+            value = asymptotic_avg_purity(dim, float(k))
+            assert value == exact and math.copysign(1.0, value) == 1.0, k
+            served += 1
+        assert served and refused
+
+    def test_asymptote_below_the_float_range_is_zero(self):
+        # D = 64 underflows for k in a middle band; so does any k at a huge D
+        assert double_factorial(3199) / 64**3198 == 0.0
+        assert asymptotic_avg_purity(64, 1600) == 0.0
+        assert asymptotic_avg_purity(2**100000, 6000) == 0.0
+
+    def test_index_bound_past_the_sampled_dimensions(self):
+        # the float range is judged at min(D, MAX_HAAR_DIM): 6230 is the last
+        # index served at D = 64, and so at every larger D
+        assert asymptotic_avg_purity(64, 6230) == double_factorial(12459) / 64**12458
+        assert asymptotic_ose(10, 6230) == 20 + math.log2(double_factorial(12459)) / -6229
+        for reference, size in ((asymptotic_avg_purity, 1 << 20), (asymptotic_ose, 20)):
+            with pytest.raises(ValueError, match="alpha=6231 asymptote at D=64"):
+                reference(size, 6231)
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="past the float range"):
+                reference(size, 10**12)
+            assert time.perf_counter() - start < 1.0
+
+    def test_asymptotic_ose_at_many_qubits(self):
+        assert asymptotic_ose(600, 2) == 1200 - math.log2(3)
 
 
 class TestMonteCarlo:
