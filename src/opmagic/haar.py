@@ -220,7 +220,7 @@ def relative_fluctuation(
     return McEstimate(mean=value, stderr=stderr, n_samples=n_samples, seed=seed)
 
 
-def closed_form_avg_purity(dim: int, alpha: int) -> float:
+def closed_form_avg_purity(dim: int, alpha: float) -> float:
     """Exact Haar-averaged purity as the printed rational function of D.
 
     Available for alpha in {2, 3, 4, 5}; D = 3 is a pole of every form and
@@ -280,7 +280,7 @@ def _log2_asymptote(dim: int, k: int) -> float:
     return k * rate + 2 * log2_dim + 0.5
 
 
-def asymptotic_avg_purity(dim: int, alpha: int) -> float:
+def asymptotic_avg_purity(dim: int, alpha: float) -> float:
     """Large-D limit (2 alpha - 1)!! / D^(2 alpha - 2); 0.0 below the float range."""
     k = _asymptote_index(alpha, 1, "alpha must be a positive integer", dim)
     if _log2_asymptote(dim, k) < sys.float_info.min_exp - sys.float_info.mant_dig - 1:
@@ -291,7 +291,7 @@ def asymptotic_avg_purity(dim: int, alpha: int) -> float:
         raise ValueError(f"the alpha={alpha} asymptote at D={dim} is past the float range") from None
 
 
-def asymptotic_ose(n_qubits: int, alpha: int) -> float:
+def asymptotic_ose(n_qubits: int, alpha: float) -> float:
     """Scaling-limit OSE 2N + log2((2 alpha - 1)!!)/(1 - alpha) for alpha >= 2,
     for the indices whose purity asymptote at D = 2^N is served."""
     dim = 1 << min(n_qubits, MAX_HAAR_DIM.bit_length())  # 2^N, or past the D the rule checks

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from opmagic import Circuit, Gate, SparseOperator, cli, heisenberg
+from opmagic import Circuit, Gate, SparseOperator, __version__, cli, heisenberg
 from opmagic.cli import main, parse_alpha, parse_alphas, parse_angle, parse_range
 
 
@@ -350,7 +350,6 @@ class TestHaarAvgCommand:
             ["5", "2000", "2.2208889670488967e-07", "7.066050193836152e-09"],
         ]
 
-
     def test_cli_leaves_the_reference_choice_to_haar(self, monkeypatch, capsys):
         # the CLI asks both references at every index; haar alone decides
         asked = {"closed": [], "asymptotic": []}
@@ -367,7 +366,8 @@ class TestHaarAvgCommand:
         assert [row[5] != "" for row in rows[1:]] == [False] * 3 + [True] * 4 + [False] * 2
         assert [row[6] != "" for row in rows[1:]] == [False] * 2 + [True] * 6 + [False]
 
-    # recorded before haar owned the references: every byte is unchanged
+    # pinned output at each kind of index: no reference, the asymptote only,
+    # both, and an asymptote far above 1 (alpha = 200)
     GOLDEN = {
         3: """2,0,20,15.0,0.0,,
 2,0.5,20,2.993546771408841,0.06919438948397723,,
@@ -398,8 +398,8 @@ class TestHaarAvgCommand:
         out = capsys.readouterr().out
         params = {"alpha": alphas, "n": 2, "samples": 20, "seed": seed, "workers": 1}
         assert out == (
-            "# tool=opmagic\n# version=0.1.0\n# command=haar-avg\n"
-            f"# params={json.dumps(params)}\n"
+            f"# tool=opmagic\n# version={__version__}\n# command=haar-avg\n"
+            f"# params={json.dumps(params, sort_keys=True)}\n"
             "n,alpha,samples,mc_mean,stderr,closed_form,asymptotic\n" + self.GOLDEN[seed]
         )
 
