@@ -73,6 +73,13 @@ def parse_range(text: str, option: str = "range") -> list[int]:
     return _nonempty(values, option, text)
 
 
+def non_negative_int(text: str) -> int:
+    """A --seed value: numpy's seeding takes non-negative integers only."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _nonempty(values: list, option: str, text: str) -> list:
     if not values:
         raise CliError(f"{option} {text!r} gives an empty list")
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path; stdout if omitted")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seeded:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=non_negative_int, default=0)
 
     p = sub.add_parser("evolve", help="Heisenberg-evolve a Pauli seed, emit operator JSON")
     _evolution_options(p)

@@ -3,11 +3,13 @@
 The ensemble averages of the generalized Pauli purity over Haar evolution
 have closed rational forms in D for alpha up to 5; those are transcribed
 here as reference functions and verified by seeded Monte Carlo rather than
-re-deriving the Weingarten sums. Sampling splits into per-worker RNG
-streams spawned from the master seed, so estimates are reproducible for a
-fixed (seed, worker count) and the merge is order independent. `workers`
-only partitions the RNG streams, at most one per sample: the streams run
-one after another in the calling process.
+re-deriving the Weingarten sums. `mc_average_purities`, which `haar-avg
+--workers` reaches, alone takes `workers`: sampling splits into that many
+RNG streams spawned from the master seed, so estimates are reproducible
+for a fixed (seed, worker count) and the merge is order independent.
+`workers` only partitions the RNG streams, at most one per sample: the
+streams run one after another in the calling process. `mc_average_purity`,
+`mc_average_ose` and `relative_fluctuation` draw one stream.
 
 Sampling is one batched pass. Each stream is walked in batches of at most
 _BATCH_ELEMENTS / D^2 unitaries: one Gaussian draw, one stacked QR and
@@ -96,11 +98,6 @@ def sample_haar_unitary(dim: int, seed: int | np.random.Generator = 0) -> np.nda
     return _haar_batch(dim, 1, rng)[0]
 
 
-def _split_counts(n_samples: int, workers: int) -> list[int]:
-    base, extra = divmod(n_samples, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
 def _evolved_probs(
     seed_op: np.ndarray, n_qubits: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -119,13 +116,14 @@ def _haar_samples(
     reduce: Callable[[np.ndarray], np.ndarray],
     n_samples: int,
     seed: int,
-    workers: int,
+    workers: int = 1,
 ) -> np.ndarray:
     """`reduce` of the Pauli probabilities of U^dag X_0 U over Haar U, batch by batch.
 
     `reduce` maps a (b, 4^n) probability matrix, one row per sample, to
     shape (..., b); the result has shape (..., n_samples), samples in
-    stream order.
+    stream order. Stream w of `workers` draws n_samples // workers samples,
+    one more when w < n_samples % workers.
     """
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be at least 1, got {n_qubits}")
@@ -133,6 +131,8 @@ def _haar_samples(
         raise ValueError(f"MC path capped at {MAX_MC_QUBITS} qubits")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if n_samples > sys.maxsize // 8:  # one float64 per sample must fit one numpy array
+        raise ValueError(f"n_samples must be at most {sys.maxsize // 8}")
     if workers < 1:
         raise ValueError("workers must be positive")
     if workers > n_samples:  # a stream past the sample count draws nothing
@@ -140,10 +140,11 @@ def _haar_samples(
     dim = 1 << n_qubits
     batch = max(1, _BATCH_ELEMENTS // (dim * dim))
     seed_op = pauli_matrix(single_site_pauli(0, "X", n_qubits))
-    streams = np.random.SeedSequence(seed).spawn(workers)
+    base, extra = divmod(n_samples, workers)
     samples = None
     pos = 0
-    for count, stream in zip(_split_counts(n_samples, workers), streams):
+    for w, stream in enumerate(np.random.SeedSequence(seed).spawn(workers)):
+        count = base + (w < extra)
         rng = np.random.default_rng(stream)
         for start in range(0, count, batch):
             size = min(batch, count - start)
@@ -182,33 +183,25 @@ def mc_average_purities(
     return [_estimate(row, n_samples, seed) for row in purities]
 
 
-def mc_average_purity(
-    n_qubits: int, alpha: float, n_samples: int, seed: int = 0, workers: int = 1
-) -> McEstimate:
+def mc_average_purity(n_qubits: int, alpha: float, n_samples: int, seed: int = 0) -> McEstimate:
     """mc_average_purities at the one index alpha."""
-    return mc_average_purities(n_qubits, [alpha], n_samples, seed, workers)[0]
+    return mc_average_purities(n_qubits, [alpha], n_samples, seed)[0]
 
 
-def mc_average_ose(
-    n_qubits: int, alpha: float, n_samples: int, seed: int = 0, workers: int = 1
-) -> McEstimate:
+def mc_average_ose(n_qubits: int, alpha: float, n_samples: int, seed: int = 0) -> McEstimate:
     """MC estimate of the Haar-averaged OSE (Renyi entropy of the coefficients)."""
     def reduce(probs: np.ndarray) -> np.ndarray:
         return np.array([renyi_entropy(row, alpha) for row in probs])
 
-    entropies = _haar_samples(n_qubits, reduce, n_samples, seed, workers)
+    entropies = _haar_samples(n_qubits, reduce, n_samples, seed)
     return _estimate(entropies, n_samples, seed)
 
 
 def relative_fluctuation(
-    n_qubits: int,
-    alpha: float = 2.0,
-    n_samples: int = 4000,
-    seed: int = 0,
-    workers: int = 1,
+    n_qubits: int, alpha: float = 2.0, n_samples: int = 4000, seed: int = 0
 ) -> McEstimate:
     """Sample estimate of sqrt(Var[P]) / E[P]; stderr from 10 batch means."""
-    purities = _haar_samples(n_qubits, lambda p: renyi_purity(p, alpha), n_samples, seed, workers)
+    purities = _haar_samples(n_qubits, lambda p: renyi_purity(p, alpha), n_samples, seed)
     value = float(np.std(purities, ddof=1) / np.mean(purities))
     n_batches = 10
     if n_samples >= 2 * n_batches:

@@ -15,10 +15,11 @@ rotations, in three steps. `_compile` moves every Clifford gate to the
 front: it conjugates the seed's terms and the rotation generators, held
 bit-sliced (one int per site for the X bits, one for the Z bits, bit r
 for row r, and one int of sign bits), so each gate costs a few int
-operations on all rows at once. The Clifford opcodes are H, S, CNOT,
-SWAP and one Pauli sign rule, on site indices. `_rotate` then applies
-the rotations to the operator, held as canonically sorted uint64 words
-and float64 coefficients, and splits the rows that anticommute with each
+operations on all rows at once. The Clifford opcodes are H, S, CNOT and
+SWAP, on site indices; every other Clifford kind, the Pauli gates
+included, is a word in them. `_rotate` then applies the rotations to the
+operator, held as canonically sorted uint64 words and float64
+coefficients, and splits the rows that anticommute with each
 generator; a rotation whose generator misses the rows' support commutes
 with all of them and is skipped before any numpy call, so a local seed
 pays only for the rotations in its light cone. These are the arrays a
@@ -62,21 +63,21 @@ from .paulis import (PRUNE_TOL, SparseOperator, as_integer, bits_of_ints, bits_o
 # Opcodes of compiled gates, in dispatch order: the doped ensemble draws H,
 # S and CNOT, and the XXZ brick holds an RZZ and a SWAP. An opcode is
 # (code, first site, last site); (_ROT, sites, 2 theta) is a rotation about
-# the Z string on its sites, and (_PAULI, site, letter) a Pauli gate, the
-# letter's digit 2 z + x as in `paulis`: 1 = X, 2 = Z, 3 = Y.
-_H, _S, _CNOT, _SWAP, _ROT, _PAULI = range(6)
+# the Z string on its sites.
+_H, _S, _CNOT, _SWAP, _ROT = range(5)
 
 # Every gate kind: (site count, Clifford lowering, fixed angle). A Clifford
 # kind lowers its first and last sites (q, q2) to opcodes in Heisenberg
-# order: Sdg = S Z, CZ = (I x H) CNOT (I x H), and Y ~ X Z. Any other kind
-# rotates about the Z string on its sites, by its fixed angle or by theta.
+# order, up to a global phase: Z = S S, Sdg = S S S, X = H Z H, Y ~ Z X and
+# CZ = (I x H) CNOT (I x H). Any other kind rotates about the Z string on
+# its sites, by its fixed angle or by theta.
 _KINDS = {
     "H": (1, lambda q, q2: ((_H, q, q),), None),
     "S": (1, lambda q, q2: ((_S, q, q),), None),
-    "Sdg": (1, lambda q, q2: ((_S, q, q), (_PAULI, q, 2)), None),
-    "X": (1, lambda q, q2: ((_PAULI, q, 1),), None),
-    "Y": (1, lambda q, q2: ((_PAULI, q, 3),), None),
-    "Z": (1, lambda q, q2: ((_PAULI, q, 2),), None),
+    "Sdg": (1, lambda q, q2: ((_S, q, q),) * 3, None),
+    "X": (1, lambda q, q2: ((_H, q, q), (_S, q, q), (_S, q, q), (_H, q, q)), None),
+    "Y": (1, lambda q, q2: ((_S, q, q), (_S, q, q), (_H, q, q), (_S, q, q), (_S, q, q), (_H, q, q)), None),
+    "Z": (1, lambda q, q2: ((_S, q, q),) * 2, None),
     "CNOT": (2, lambda q, q2: ((_CNOT, q, q2),), None),
     "CZ": (2, lambda q, q2: ((_H, q2, q2), (_CNOT, q, q2), (_H, q2, q2)), None),
     "SWAP": (2, lambda q, q2: ((_SWAP, q, q2),), None),
@@ -288,10 +289,9 @@ def _compile(xs: list, zs: list, rows: int, ops: list) -> tuple[int, list]:
     a few int operations on all rows at once. Its images of the letters I,
     X, Z, Y at a site: H swaps X and Z and negates Y; S maps X -> -Y,
     Y -> X; CNOT adds x_c to x_t and z_t to z_c, and negates when
-    x_c z_t (x_t + z_c + 1) is odd; a Pauli negates the letters that
-    anticommute with it. xs and zs are updated in place. Returns the sign
-    bits, bit r set when row r ends negated, and each rotation's 2 theta in
-    walk order.
+    x_c z_t (x_t + z_c + 1) is odd; SWAP exchanges two sites. xs and zs
+    are updated in place. Returns the sign bits, bit r set when row r ends
+    negated, and each rotation's 2 theta in walk order.
     """
     sign = 0
     angles = []
@@ -309,16 +309,11 @@ def _compile(xs: list, zs: list, rows: int, ops: list) -> tuple[int, list]:
         elif code == _SWAP:
             xs[q], xs[q2] = xs[q2], xs[q]
             zs[q], zs[q2] = zs[q2], zs[q]
-        elif code == _ROT:  # q holds the sites, q2 the angle
+        else:  # _ROT: q holds the sites, q2 the angle
             for site in q:
                 zs[site] |= 1 << rows
             rows += 1
             angles.append(q2)
-        else:  # _PAULI: q2 is the letter
-            if q2 & 1:
-                sign ^= zs[q]
-            if q2 & 2:
-                sign ^= xs[q]
     return sign, angles
 
 
@@ -661,8 +656,9 @@ def _block_circuit(n_qubits: int, depth: int, seeds: Sequence[int], t_sites: Seq
     block as kind 0 at site n (n + 1) + q, T's entry; the last block's
     column is dropped.
     """
-    if depth < 1:
-        raise ValueError(f"Clifford depth must be at least 1, got {depth}")
+    # the (3, blocks, depth + 1) int64 draws must fit one numpy array
+    if not 1 <= depth < (limit := sys.maxsize // (24 * len(seeds))):
+        raise ValueError(f"Clifford depth must be in 1..{limit - 1} for {len(seeds)} blocks, got {depth}")
     n = n_qubits
     draws = np.zeros((3, len(seeds), depth + 1), dtype=np.int64)
     for block, seed in enumerate(seeds):
@@ -679,6 +675,8 @@ def _block_circuit(n_qubits: int, depth: int, seeds: Sequence[int], t_sites: Seq
 def _check_qubit_count(n_qubits: int) -> None:
     if n_qubits < 1:
         raise ValueError(f"qubit count n must be positive, got {n_qubits}")
+    if n_qubits * (n_qubits + 2) > sys.maxsize // 4:  # `_gate_table`'s int32 slots must fit one array
+        raise ValueError(f"qubit count n must be at most {math.isqrt(sys.maxsize // 4 + 1) - 1}")
 
 
 def random_clifford_circuit(
@@ -713,8 +711,8 @@ def doped_circuit(
     through the table once (`_block_circuit`).
     """
     _check_qubit_count(n_qubits)
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    if not 0 <= tau < sys.maxsize // 8:  # one int64 seed per block must fit one numpy array
+        raise ValueError(f"tau must be an integer in 0..{sys.maxsize // 8 - 1}, got {tau}")
     if clifford_depth is None:
         clifford_depth = mixing_depth(n_qubits)
     rng = np.random.default_rng(seed)

@@ -9,9 +9,10 @@ above PROB_FLOOR, alpha = inf takes the largest one, a negative or nan
 alpha is rejected, and any other alpha sums p^alpha (non-integer alpha uses
 |a_i|^(2 alpha), though the monotone proofs cover integer alpha only).
 The entropies are taken from that purity, with the Shannon limit at
-alpha = 1 and the min entropy at alpha = inf. `ose_scans` scores a scan of
-operators evolved from one seed, and `ose_scan` and `ose` are its
-one-operator cases. The Haar averages and the dense state stabilizer
+alpha = 1 and the min entropy at alpha = inf; within 0.1 of alpha = 1
+they are taken from the probabilities, without the cancellation of a
+purity near 1. `ose_scans` scores a scan of operators evolved from one
+seed, and `ose_scan` and `ose` are its one-operator cases. The Haar averages and the dense state stabilizer
 Renyi entropy reduce their probability vectors here too.
 An operator's probability vector and its unit-weight check,
 `pauli_probs`, live in `paulis`, which truncation shares.
@@ -69,11 +70,17 @@ def _entropy(p: np.ndarray, alpha: float, total: float) -> float:
     """Renyi-alpha entropy in bits of probabilities p > PROB_FLOOR whose
     renyi_purity is `total`: log2(total) / (1 - alpha), with the Shannon
     limit at alpha = 1 and -log2(total) at alpha = inf, where the purity is
-    the largest p. Where total is not a positive normal float (a large
-    finite alpha), p_max^alpha is factored out of it in log2.
+    the largest p. Within 0.1 of alpha = 1, log2(total) and 1 - alpha both
+    cancel, so log(total) is taken as log1p(total - 1) with total - 1 =
+    sum p expm1((alpha - 1) ln p) for p summing to 1, a sum of terms of one
+    sign. Where total is not a
+    positive normal float (a large finite alpha), p_max^alpha is factored
+    out of it in log2.
     """
     if alpha == 1:
         return float(-np.sum(p * np.log2(p)))
+    if abs(alpha - 1) < 0.1:  # log2(total) would cancel: total - 1 = sum p (p^(alpha - 1) - 1)
+        return float(np.log1p(np.sum(p * np.expm1((alpha - 1) * np.log(p)))) / ((1.0 - alpha) * math.log(2)))
     if total >= sys.float_info.min:
         return float(np.log2(total) / (1.0 - alpha if alpha < math.inf else -1.0))
     p_max = np.max(p)

@@ -81,8 +81,9 @@ class XxzParams:
     def __post_init__(self) -> None:
         if not -1e-12 <= self.j <= math.pi / 4 + 1e-12:
             raise ValueError("J must lie in [0, pi/4]")
-        if not 0 <= self.t < math.inf or int(self.t) != self.t:
-            raise ValueError("t must be a non-negative integer")
+        # the closed forms take t as a float; float() rounds every t below 2^1024 - 2^970 to a finite value
+        if not 0 <= self.t < 2**1024 - 2**970 or int(self.t) != self.t:
+            raise ValueError("t must be a non-negative integer in the float range")
         if not self.alpha > 0:  # nan too
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         seed_coefficients(self.a_x, self.a_y, self.a_z)

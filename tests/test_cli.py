@@ -823,6 +823,42 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert needle.replace("BIG", big) in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["xxz-scan", "--J", "0.3", "--t", "BIG"], "t must be a non-negative integer in the float range"),
+            *((["doped-scan", "--n", size, "--tau", "1"], "qubit count n must be at most") for size in ("BIG", "P62")),
+            *((["doped-scan", "--n", "3", "--tau", size], "tau must be an integer in 0..") for size in ("BIG", "P62")),
+            *((["doped-scan", "--n", "3", "--tau", "1", "--clifford-depth", size], "Clifford depth must be in 1..")
+              for size in ("BIG", "P62")),
+            *((["haar-avg", "--n", "2", "--samples", size], "n_samples must be at most") for size in ("BIG", "P62")),
+            (["doped-scan", "--n", "3", "--tau", "1", "--seed", "-1"], "--seed: must be a non-negative integer"),
+            (["haar-avg", "--n", "2", "--seed", "-1"], "--seed: must be a non-negative integer"),
+            (["nullity", "--circuit", "CIRCUIT", "--seed", "-1"], "--seed: must be a non-negative integer"),
+        ],
+        ids=["xxz-t", "doped-n-big", "doped-n-2^62", "doped-tau-big", "doped-tau-2^62", "doped-depth-big",
+             "doped-depth-2^62", "haar-samples-big", "haar-samples-2^62", "doped-seed", "haar-seed", "nullity-seed"],
+    )
+    def test_size_past_the_arrays_is_named(self, tmp_path, capsys, argv, needle):
+        # numpy's own words ('high is out of bounds for int64', 'array is too
+        # big', 'expected non-negative integer') named no option, and a t past
+        # the float range raised OverflowError
+        path = tmp_path / "circ.txt"
+        path.write_text("qubits 1\nH 0\n")
+        subs = {"BIG": "1" + "0" * 400, "P62": str(2**62), "CIRCUIT": str(path)}
+        argv = [subs.get(arg, arg) for arg in argv]
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert needle in captured.err and captured.out == ""
+
+    def test_largest_float_t_still_evaluates(self, tmp_path):
+        out = tmp_path / "xxz.csv"
+        assert main(["xxz-scan", "--J", "0.3", "--t", str(2**62), "--out", str(out)]) == 0
+        header, row = read_csv_rows(out)
+        assert dict(zip(header, row))["closed"] == "3.7908724839880934e+18"
+
     def test_trailing_tokens_in_text_circuit(self, tmp_path, capsys):
         path = tmp_path / "circ.txt"
         path.write_text("qubits 1\nRZ 0 0.3 junk\n")

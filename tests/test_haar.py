@@ -71,7 +71,7 @@ class TestBatchedPass:
         total = workers * (2 * self.batch(n) + 3)
         one_pass = mc_average_purities(n, self.ALPHAS, total, seed=31, workers=workers)
         for alpha, est in zip(self.ALPHAS, one_pass):
-            assert est == mc_average_purity(n, alpha, total, seed=31, workers=workers)
+            assert est == mc_average_purities(n, [alpha], total, seed=31, workers=workers)[0]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -280,11 +280,11 @@ class TestMonteCarlo:
             assert abs(est.mean - target) < 4 * est.stderr
 
     def test_reproducible_and_worker_partitioned(self):
-        a = mc_average_purity(2, 2, 400, seed=7, workers=1)
-        b = mc_average_purity(2, 2, 400, seed=7, workers=1)
-        assert a == b
-        c = mc_average_purity(2, 2, 400, seed=7, workers=4)
-        d = mc_average_purity(2, 2, 400, seed=7, workers=4)
+        a = mc_average_purities(2, [2], 400, seed=7, workers=1)[0]
+        b = mc_average_purities(2, [2], 400, seed=7, workers=1)[0]
+        assert a == b == mc_average_purity(2, 2, 400, seed=7)
+        c = mc_average_purities(2, [2], 400, seed=7, workers=4)[0]
+        d = mc_average_purities(2, [2], 400, seed=7, workers=4)[0]
         assert c == d
         assert abs(a.mean - c.mean) < 5 * (a.stderr + c.stderr)
 
@@ -336,7 +336,7 @@ class TestMonteCarlo:
                 u = sample_haar_unitary(1 << n, rng)
                 probs = pauli_coefficients(u.conj().T @ x0 @ u, n).real ** 2
                 purities.append(np.sum(probs**alpha))
-        est = mc_average_purity(n, alpha, total, seed=17, workers=workers)
+        est = mc_average_purities(n, [alpha], total, seed=17, workers=workers)[0]
         assert est.mean == float(np.mean(purities))
         assert est.stderr == float(np.std(purities, ddof=1) / math.sqrt(total))
 

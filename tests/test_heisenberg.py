@@ -25,7 +25,8 @@ from opmagic import (
     single_site_pauli,
 )
 from opmagic.dense import circuit_unitary, gate_matrix, pauli_spectrum
-from opmagic.heisenberg import _KINDS, _ROT, CLIFFORD_KINDS, GATE_KINDS, ROTATION_KINDS, _gate_table, _walk
+from opmagic.heisenberg import (_CNOT, _H, _KINDS, _ROT, _S, _SWAP, CLIFFORD_KINDS, GATE_KINDS, ROTATION_KINDS,
+                                 _gate_table, _walk)
 from opmagic.paulis import enumerate_paulis
 from conftest import ONE_SITE_KINDS, TWO_SITE_KINDS, random_mixed_circuit
 
@@ -86,6 +87,13 @@ class TestGateTable:
         assert GATE_KINDS == frozenset(_KINDS)
         assert CLIFFORD_KINDS == {"H", "S", "Sdg", "X", "Y", "Z", "CNOT", "CZ", "SWAP"}
         assert ROTATION_KINDS == {"T", "Tdg", "RZ", "RZZ"}
+
+    @pytest.mark.parametrize("kind", sorted(CLIFFORD_KINDS))
+    def test_clifford_kinds_lower_to_chp_opcodes(self, kind):
+        # Pauli gates are H and S words, so the compile needs no sign rule of its own
+        step = _KINDS[kind][1](3, 5)
+        assert step and {code for code, _, _ in step} <= {_H, _S, _CNOT, _SWAP}
+        assert all(isinstance(q, int) and isinstance(q2, int) for _, q, q2 in step)
 
     def test_table_dense_oracle_and_draws_agree(self):
         arity = {kind: row[0] for kind, row in _KINDS.items()}

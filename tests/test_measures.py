@@ -113,6 +113,14 @@ class TestRenyiLimits:
         assert all(isinstance(w, float) for w in want)
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("size", [2, 3, 1024])
+    @pytest.mark.parametrize("offset", [1e-12, 1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_uniform_vector_near_alpha_one(self, size, offset, side):
+        # log2 of a purity near 1 over 1 - alpha cancelled: 1.3e-4 bits off at N = 2, alpha = 1 - 1e-12
+        value = renyi_entropy(np.full(size, 1 / size), 1 + side * offset)
+        assert abs(value - math.log2(size)) <= 1e-12
+
     def test_large_index_does_not_underflow(self):
         # 0.6^2000 + 0.4^2000 underflows to 0, so the direct sum gives log2(0)
         value = renyi_entropy([0.6, 0.4], 2000)

@@ -82,10 +82,16 @@ def test_from_local_shares_the_seed_rule(name, bad):
         from_local(0, 0.9, 0, 0, 1)
 
 
-@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+# an int that float() cannot round to a finite value raised OverflowError in the closed forms
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 10**400, 2**1024 - 2**970])
 def test_non_finite_depth_rejected(t):
     with pytest.raises(ValueError, match="t must be a non-negative integer"):
         XxzParams(j=0.3, t=t, alpha=2)
+
+
+def test_largest_float_depth_evaluates():
+    t = 2**1024 - 2**970 - 1  # float(t) is the largest float
+    assert closed_form_ose(XxzParams(j=0.3, t=t, alpha=2)) == closed_form_ose(XxzParams(j=0.3, t=float(t), alpha=2))
 
 
 class TestClosedForm:
