@@ -656,8 +656,8 @@ def _block_circuit(n_qubits: int, depth: int, seeds: Sequence[int], t_sites: Seq
     block as kind 0 at site n (n + 1) + q, T's entry; the last block's
     column is dropped.
     """
-    # the (3, blocks, depth + 1) int64 draws must fit one numpy array
-    if not 1 <= depth < (limit := sys.maxsize // (24 * len(seeds))):
+    limit = sys.maxsize // (24 * len(seeds))  # the (3, blocks, depth + 1) int64 draws must fit one array
+    if not 1 <= depth < limit:
         raise ValueError(f"Clifford depth must be in 1..{limit - 1} for {len(seeds)} blocks, got {depth}")
     n = n_qubits
     draws = np.zeros((3, len(seeds), depth + 1), dtype=np.int64)

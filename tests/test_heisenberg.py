@@ -303,6 +303,12 @@ class TestRandomCircuits:
             with pytest.raises(ValueError, match=f"qubit count n must be positive, got {n}"):
                 build()
 
+    @pytest.mark.parametrize("depth", [0, -2, 2**62])
+    def test_bad_clifford_depth_is_named(self, depth):
+        for build in (lambda: random_clifford_circuit(3, depth), lambda: doped_circuit(3, 1, depth)):
+            with pytest.raises(ValueError, match=rf"Clifford depth must be in 1\.\.\d+ for \d blocks, got {depth}"):
+                build()
+
     def test_cnot_entries_made_on_draw_are_the_ordered_pairs(self):
         n = 5
         c = random_clifford_circuit(n, 400, seed=3)
