@@ -12,8 +12,9 @@ The entropies are taken from that purity, with the Shannon limit at
 alpha = 1 and the min entropy at alpha = inf; within 0.1 of alpha = 1
 they are taken from the probabilities, without the cancellation of a
 purity near 1. `ose_scans` scores a scan of operators evolved from one
-seed, and `ose_scan` and `ose` are its one-operator cases. The Haar averages and the dense state stabilizer
-Renyi entropy reduce their probability vectors here too.
+seed, and `ose_scan` and `ose` are its one-operator cases. The Haar
+averages and the dense state stabilizer Renyi entropy reduce their
+probability vectors here too.
 An operator's probability vector and its unit-weight check,
 `pauli_probs`, live in `paulis`, which truncation shares.
 """
@@ -73,9 +74,8 @@ def _entropy(p: np.ndarray, alpha: float, total: float) -> float:
     the largest p. Within 0.1 of alpha = 1, log2(total) and 1 - alpha both
     cancel, so log(total) is taken as log1p(total - 1) with total - 1 =
     sum p expm1((alpha - 1) ln p) for p summing to 1, a sum of terms of one
-    sign. Where total is not a
-    positive normal float (a large finite alpha), p_max^alpha is factored
-    out of it in log2.
+    sign. Where total is not a positive normal float (a large finite
+    alpha), p_max^alpha is factored out of it in log2.
     """
     if alpha == 1:
         return float(-np.sum(p * np.log2(p)))
