@@ -3,7 +3,10 @@
     python3 scripts/bench_pairs.py BASE CHANGE --pairs 10 --seconds 40 --out BENCH_16.json
 
 BASE and CHANGE are paths to two full checkouts (say, the parent commit
-and the change). For each workload of CHANGE's `BENCHMARK.json`, the
+and the change) whose resolved paths have the same length: the script
+refuses any other pair before it runs anything, since xxz_deep's
+`peak_rss_mb` moves with that length, not with memory the program
+holds. For each workload of CHANGE's `BENCHMARK.json`, the
 script runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0` in the two checkouts one after the other, N pairs in all, and
 swaps which side goes first from one pair to the next, so a slow phase of
@@ -112,9 +115,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    if len(str(sides["base"])) != len(str(sides["change"])):
+        parser.error(f"checkout paths {sides['base']} and {sides['change']} differ in length; "
+                     "xxz_deep's peak_rss_mb moves with that length")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
-    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     for checkout in sides.values():
         byte_compile(checkout)
     record = {

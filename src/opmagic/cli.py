@@ -6,9 +6,12 @@ header so any file can be regenerated from its own provenance. Angles are
 radians, with pi-fraction syntax ("pi/8", "3*pi/4") accepted. The CLI only
 parses arguments and formats what the library returns: it tests no Renyi
 index, and haar-avg asks `haar` for its closed form and asymptote at every
-index, leaving a cell blank where haar has none. Exit codes:
-0 ok, 1 bad input (a size too large to allocate included), 2 internal
-error.
+index, leaving a cell blank where haar has none. It checks only what the
+library never sees: parse errors, `--circuits` (doped-scan's count of
+circuits) and `--sre-samples` (nullity's, where 0 switches the SRE columns
+off). Every other rule, such as `--n`, `--workers` or `--clifford-depth`,
+is the library's, and so is its message. Exit codes: 0 ok, 1 bad input (a
+size too large to allocate included), 2 internal error.
 """
 from __future__ import annotations
 
@@ -182,10 +185,6 @@ def _cmd_xxz_scan(args) -> None:
 
 
 def _cmd_haar_avg(args) -> None:
-    if args.n < 1:
-        raise CliError(f"--n must be at least 1, got {args.n}")
-    if args.workers > args.samples:
-        raise CliError(f"--workers {args.workers} exceeds --samples {args.samples}")
     alphas = parse_alphas(args.alpha)
     estimates = mc_average_purities(
         args.n, alphas, args.samples, seed=args.seed, workers=args.workers
@@ -211,14 +210,12 @@ def _cmd_doped_scan(args) -> None:
     alphas = parse_alphas(args.alpha)
     if args.circuits < 1:
         raise CliError(f"--circuits must be at least 1, got {args.circuits}")
-    if args.clifford_depth is not None and args.clifford_depth < 1:
-        raise CliError(f"--clifford-depth must be at least 1, got {args.clifford_depth}")
     rng = np.random.default_rng(args.seed)
     circuits = (
         doped_circuit(args.n, args.tau, args.clifford_depth, int(rng.integers(2**63 - 1)))
         for _ in range(args.circuits)
     )
-    first = next(circuits)  # built before the seed, so that a bad --n is the builder's to report
+    first = next(circuits)  # built before the seed, so that a bad size is the builder's to report
     seed_op = SparseOperator.from_pauli(single_site_pauli(0, "X", args.n))
     evolved = evolve_ensemble(seed_op, itertools.chain((first,), circuits))
     rows = [

@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .heisenberg import Circuit, Gate, mixing_depth, random_clifford_circuit
+from .heisenberg import Circuit, Gate, random_clifford_circuit
 from .measures import renyi_entropy, renyi_purity
 from .paulis import PauliString, SparseOperator, enumerate_paulis
 
@@ -209,7 +209,7 @@ def avg_linear_ose(unitary: np.ndarray, alpha: float = 2.0) -> float:
 
 def random_stabilizer_state(n_qubits: int, seed: int = 0) -> np.ndarray:
     """|0...0> pushed through a random Clifford mixing circuit."""
-    circuit = random_clifford_circuit(n_qubits, mixing_depth(n_qubits), seed)
+    circuit = random_clifford_circuit(n_qubits, seed=seed)
     zero = np.zeros((2,) * n_qubits, dtype=complex)
     zero[(0,) * n_qubits] = 1.0
     return _contract(zero, circuit).reshape(-1)

@@ -645,9 +645,10 @@ class _GateTable:
 _gate_table = functools.lru_cache(maxsize=16)(_GateTable)
 
 
-def _block_circuit(n_qubits: int, depth: int, seeds: Sequence[int], t_sites: Sequence[int]) -> Circuit:
-    """Mixing blocks of `depth` gates, block k drawn from `seeds[k]` and
-    followed by T on `t_sites[k]`; there is one T site fewer than seeds.
+def _block_circuit(n_qubits: int, depth: int | None, seeds: Sequence[int], t_sites: Sequence[int]) -> Circuit:
+    """Mixing blocks of `depth` gates, by default `mixing_depth(n_qubits)`,
+    block k drawn from `seeds[k]` and followed by T on `t_sites[k]`; there
+    is one T site fewer than seeds.
 
     Each block's generator makes three vectorized draws, kind, site and an
     ordered CNOT pair, into one (3, blocks, depth + 1) array, and one
@@ -656,9 +657,12 @@ def _block_circuit(n_qubits: int, depth: int, seeds: Sequence[int], t_sites: Seq
     block as kind 0 at site n (n + 1) + q, T's entry; the last block's
     column is dropped.
     """
+    default = depth is None
+    depth = mixing_depth(n_qubits) if default else as_integer(depth, "Clifford depth")
     limit = sys.maxsize // (24 * len(seeds))  # the (3, blocks, depth + 1) int64 draws must fit one array
     if not 1 <= depth < limit:
-        raise ValueError(f"Clifford depth must be in 1..{limit - 1} for {len(seeds)} blocks, got {depth}")
+        given = f"the default 3 n^2 = {depth} for n = {n_qubits}" if default else depth
+        raise ValueError(f"Clifford depth must be in 1..{limit - 1} for {len(seeds)} blocks, got {given}")
     n = n_qubits
     draws = np.zeros((3, len(seeds), depth + 1), dtype=np.int64)
     for block, seed in enumerate(seeds):
@@ -672,11 +676,13 @@ def _block_circuit(n_qubits: int, depth: int, seeds: Sequence[int], t_sites: Seq
     return _gate_table(n).circuit(np.where(kind == 2, 2 * n + pair, kind * n + site).ravel()[:-1])
 
 
-def _check_qubit_count(n_qubits: int) -> None:
-    if n_qubits < 1:
-        raise ValueError(f"qubit count n must be positive, got {n_qubits}")
-    if n_qubits * (n_qubits + 2) > sys.maxsize // 4:  # `_gate_table`'s int32 slots must fit one array
+def _qubit_count(n_qubits: int) -> int:
+    n = as_integer(n_qubits, "qubit count n")
+    if n < 1:
+        raise ValueError(f"qubit count n must be positive, got {n}")
+    if n * (n + 2) > sys.maxsize // 4:  # `_gate_table`'s int32 slots must fit one array
         raise ValueError(f"qubit count n must be at most {math.isqrt(sys.maxsize // 4 + 1) - 1}")
+    return n
 
 
 def random_clifford_circuit(
@@ -690,10 +696,7 @@ def random_clifford_circuit(
     sampling; the default depth 3 n^2 is enough for the ensemble averages
     used here.
     """
-    _check_qubit_count(n_qubits)
-    if depth is None:
-        depth = mixing_depth(n_qubits)
-    return _block_circuit(n_qubits, depth, [seed], ())
+    return _block_circuit(_qubit_count(n_qubits), depth, [seed], ())
 
 
 def doped_circuit(
@@ -710,12 +713,11 @@ def doped_circuit(
     the blocks one by one; all blocks are drawn into one array and mapped
     through the table once (`_block_circuit`).
     """
-    _check_qubit_count(n_qubits)
+    n = _qubit_count(n_qubits)
+    tau = as_integer(tau, "tau")
     if not 0 <= tau < sys.maxsize // 8:  # one int64 seed per block must fit one numpy array
         raise ValueError(f"tau must be an integer in 0..{sys.maxsize // 8 - 1}, got {tau}")
-    if clifford_depth is None:
-        clifford_depth = mixing_depth(n_qubits)
     rng = np.random.default_rng(seed)
     block_seeds = rng.integers(0, 2**63 - 1, size=tau + 1)
-    t_sites = rng.integers(0, n_qubits, size=tau)
-    return _block_circuit(n_qubits, clifford_depth, block_seeds.tolist(), t_sites)
+    t_sites = rng.integers(0, n, size=tau)
+    return _block_circuit(n, clifford_depth, block_seeds.tolist(), t_sites)

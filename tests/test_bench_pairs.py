@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
@@ -21,6 +23,20 @@ def test_byte_compile_writes_bytecode_where_writing_is_off(tmp_path, monkeypatch
     load_bench_pairs().byte_compile(tmp_path)
     for folder, stem in (("src/pkg", "mod"), ("perfbench", "work")):
         assert list((tmp_path / folder / "__pycache__").glob(f"{stem}.*.pyc"))
+
+
+def test_checkout_paths_of_different_lengths_are_refused(tmp_path, capsys, monkeypatch):
+    # xxz_deep's peak_rss_mb moves with the length of the checkout path
+    base, change = tmp_path / "base", tmp_path / "change"
+    base.mkdir(), change.mkdir()
+    bench_pairs = load_bench_pairs()
+    monkeypatch.setattr(bench_pairs, "byte_compile", lambda checkout: pytest.fail("ran before refusing"))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([str(base), str(change), "--out", str(tmp_path / "out.json")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"checkout paths {base.resolve()} and {change.resolve()} differ in length" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from opmagic import Circuit, Gate, SparseOperator, __version__, cli, heisenberg
+from opmagic import Circuit, Gate, SparseOperator, __version__, cli, haar, heisenberg
 from opmagic.cli import main, parse_alpha, parse_alphas, parse_angle, parse_range
 
 
@@ -705,11 +705,9 @@ class TestExitCodes:
             (["doped-scan", "--n", "0", "--tau", "1"], "qubit count n must be positive"),
             (["xxz-scan", "--J", "0.3", "--t", "1..x"], "--t '1..x' is not a list or range of integers"),
             (["truncate-study", "--chi", "2,x"], "--chi '2,x' is not a list or range of integers"),
-            (["haar-avg", "--n", "0"], "--n must be at least 1, got 0"),
-            (["haar-avg", "--n", "-2"], "--n must be at least 1, got -2"),
         ],
         ids=["t-range", "alpha-list", "chi-range", "circuits-0", "circuits-negative", "n-0",
-             "t-not-integer", "chi-not-integer", "haar-n-0", "haar-n-negative"],
+             "t-not-integer", "chi-not-integer"],
     )
     def test_empty_result_is_bad_input(self, tmp_path, capsys, argv, message):
         if argv[0] == "truncate-study":
@@ -733,10 +731,25 @@ class TestExitCodes:
         assert f"opmagic: error: {argv[0]}: not enough memory" in captured.err
         assert "internal error" not in captured.err and captured.out == ""
 
-    def test_zero_clifford_depth_is_named(self, capsys):
-        assert main(["doped-scan", "--n", "3", "--tau", "1", "--clifford-depth", "0"]) == 1
+    @pytest.mark.parametrize(
+        "argv, call",
+        [
+            (["haar-avg", "--n", "0"], lambda: haar.mc_average_purities(0, [2.0], 2000)),
+            (["haar-avg", "--n", "-2"], lambda: haar.mc_average_purities(-2, [2.0], 2000)),
+            (["haar-avg", "--n", "1", "--samples", "2000", "--workers", "2001"],
+             lambda: haar.mc_average_purities(1, [2.0], 2000, workers=2001)),
+            (["doped-scan", "--n", "3", "--tau", "1", "--clifford-depth", "0"],
+             lambda: heisenberg.doped_circuit(3, 1, 0)),
+        ],
+        ids=["haar-n-0", "haar-n-negative", "haar-workers-past-samples", "doped-clifford-depth-0"],
+    )
+    def test_size_rule_message_is_the_library_s(self, capsys, argv, call):
+        # the CLI does not check these sizes again: the library's own message is all of stderr
+        with pytest.raises(ValueError) as library:
+            call()
+        assert main(argv) == 1
         captured = capsys.readouterr()
-        assert "--clifford-depth must be at least 1, got 0" in captured.err and captured.out == ""
+        assert captured.out == "" and captured.err == f"opmagic: error: {library.value}\n"
 
     def test_negative_sre_samples_is_bad_input(self, tmp_path, capsys):
         circuit = write_circuit(tmp_path, t_ladder(2))
@@ -888,8 +901,6 @@ class TestExitCodes:
             (["xxz-scan", "--J", "0.3", "--t", "1", "--alpha", "0"], ["alpha must be positive"]),
             (["haar-avg", "--n", "1", "--samples", "1"], ["at least 2 samples"]),
             (["haar-avg", "--n", "1", "--samples", "20", "--workers", "0"], ["workers must be positive"]),
-            # a stream past the sample count draws nothing but still costs a spawn
-            (["haar-avg", "--n", "1", "--samples", "2000", "--workers", "2001"], ["--workers", "--samples"]),
         ],
     )
     def test_out_of_range_counts_and_indices(self, argv, needles, capsys):

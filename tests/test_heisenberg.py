@@ -309,6 +309,27 @@ class TestRandomCircuits:
             with pytest.raises(ValueError, match=rf"Clifford depth must be in 1\.\.\d+ for \d blocks, got {depth}"):
                 build()
 
+    def test_default_depth_past_the_limit_names_the_default(self):
+        # 3 n^2 at n = 10^9 is past the draw array's limit; the depth was never given
+        message = r"got the default 3 n\^2 = 3000000000000000000 for n = 1000000000$"
+        for build in (lambda: random_clifford_circuit(10**9), lambda: doped_circuit(10**9, 1)):
+            with pytest.raises(ValueError, match=r"Clifford depth must be in 1\.\.\d+ for \d blocks, " + message):
+                build()
+
+    def test_non_integer_qubit_count_is_named(self):
+        for build, n in ((lambda: random_clifford_circuit(2.5), 2.5), (lambda: doped_circuit(3.0, 1), 3.0)):
+            with pytest.raises(ValueError, match=rf"qubit count n must be an integer, got {n}"):
+                build()
+
+    def test_non_integer_tau_is_named(self):
+        with pytest.raises(ValueError, match=r"tau must be an integer, got 1\.5"):
+            doped_circuit(3, 1.5)
+
+    def test_non_integer_clifford_depth_is_named(self):
+        for build in (lambda: random_clifford_circuit(3, 2.5), lambda: doped_circuit(3, 1, 2.5)):
+            with pytest.raises(ValueError, match=r"Clifford depth must be an integer, got 2\.5"):
+                build()
+
     def test_cnot_entries_made_on_draw_are_the_ordered_pairs(self):
         n = 5
         c = random_clifford_circuit(n, 400, seed=3)
