@@ -7,12 +7,10 @@ from .paulis import (
     PauliString,
     SparseOperator,
     TruncationResult,
-    commutes,
     enumerate_paulis,
     expectation_error_bound,
     from_local,
     parse_pauli_text,
-    pauli_mul,
     single_site_pauli,
     truncate_top,
 )
@@ -26,21 +24,18 @@ from .heisenberg import (
     evolve_heisenberg,
     random_clifford_circuit,
 )
-from .measures import (OseReport, ose, ose_scan, ose_scans, pauli_probs, purity, renyi_entropy,
-                       t_count_lower_bound)
-from .xxz import XxzParams, alpha1_ose, closed_form_ose, commuted_operator, simulate_vs_closed
+from .measures import OseReport, ose, ose_scan, ose_scans, pauli_probs, renyi_entropy, t_count_lower_bound
+from .xxz import XxzParams, alpha1_ose, closed_form_ose, commuted_operator
 
 __all__ = [
     "PRUNE_TOL",
     "PauliString",
     "SparseOperator",
     "TruncationResult",
-    "commutes",
     "enumerate_paulis",
     "expectation_error_bound",
     "from_local",
     "parse_pauli_text",
-    "pauli_mul",
     "single_site_pauli",
     "truncate_top",
     "Circuit",
@@ -56,13 +51,11 @@ __all__ = [
     "ose_scan",
     "ose_scans",
     "pauli_probs",
-    "purity",
     "renyi_entropy",
     "t_count_lower_bound",
     "XxzParams",
     "alpha1_ose",
     "closed_form_ose",
     "commuted_operator",
-    "simulate_vs_closed",
     "__version__",
 ]

@@ -8,8 +8,8 @@ re-deriving the Weingarten sums. `mc_average_purities`, which `haar-avg
 RNG streams spawned from the master seed, so estimates are reproducible
 for a fixed (seed, worker count) and the merge is order independent.
 `workers` only partitions the RNG streams, at most one per sample: the
-streams run one after another in the calling process. `mc_average_purity`,
-`mc_average_ose` and `relative_fluctuation` draw one stream.
+streams run one after another in the calling process. `mc_average_ose`
+and `relative_fluctuation` draw one stream.
 
 Sampling is one batched pass. Each stream is walked in batches of at most
 _BATCH_ELEMENTS / D^2 unitaries: one Gaussian draw, one stacked QR and
@@ -181,11 +181,6 @@ def mc_average_purities(
 
     purities = _haar_samples(n_qubits, reduce, n_samples, seed, workers)
     return [_estimate(row, n_samples, seed) for row in purities]
-
-
-def mc_average_purity(n_qubits: int, alpha: float, n_samples: int, seed: int = 0) -> McEstimate:
-    """mc_average_purities at the one index alpha."""
-    return mc_average_purities(n_qubits, [alpha], n_samples, seed)[0]
 
 
 def mc_average_ose(n_qubits: int, alpha: float, n_samples: int, seed: int = 0) -> McEstimate:

@@ -229,18 +229,12 @@ class Circuit:
             raise ValueError(f"circuit gates must be a list, got {gates!r}")
         return cls(n, tuple(Gate.from_json_dict(g) for g in gates))
 
-    def to_text(self) -> str:
-        lines = [f"qubits {self.n_qubits}"]
-        for g in self.gates:
-            parts = [g.kind] + [str(s) for s in g.sites]
-            if g.theta is not None:
-                parts.append(repr(g.theta))
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
-        """Parse the line format: 'qubits N' then one gate per line, e.g. 'RZZ 0 1 pi/8'."""
+        """Parse the line format: 'qubits N' then one gate per line, e.g. 'RZZ 0 1 pi/8'.
+
+        The qubits line is optional and may appear once; without it, n is one
+        past the highest site used."""
         n_qubits = None
         gates = []
         for raw in text.splitlines():
@@ -251,6 +245,8 @@ class Circuit:
             if parts[0].lower() == "qubits":
                 if len(parts) != 2:
                     raise ValueError(f"expected 'qubits N', got {raw!r}")
+                if n_qubits is not None:
+                    raise ValueError(f"second 'qubits' line {raw!r}")
                 n_qubits = _int_field(parts[1], "qubit count", raw)
                 continue
             kind = parts[0]
@@ -323,7 +319,8 @@ def _rotate(xz, coeff, g, cos, sin, tol):
 
     A row P that commutes with G is kept; an anticommuting P maps to
     cos(2 theta) P + sign sin(2 theta) R with G P = i^k R, where sign is -1
-    exactly when the `pauli_mul` exponent k is 1 mod 4. R anticommutes with
+    exactly when k is 1 mod 4, with k = x_G.z_G + x_P.z_P + 2 z_G.x_P -
+    x_R.z_R (mod 4), each dot the popcount of an AND. R anticommutes with
     G too, so only split rows merge, each string with at most two
     contributions. The merge sorts the rows into canonical order again,
     where a string's two rows are adjacent, adds the second coefficient of
@@ -418,8 +415,7 @@ def _propagate(
     stays in, sx |= x_k and sz |= z_k: a split row is P XOR G_k, and pruning
     only removes rows. An exact zero is never kept, even at `prune_tol` = 0:
     the sign of a zero would depend on whether the Clifford gates came
-    before or after it. A circuit without gates returns the operator as it
-    is.
+    before or after it.
 
     The operator is the `SparseOperator`'s own float64 coeff array and
     (2w, rows) uint64 array xz, w = ceil(n / 64): the words of each row's
@@ -439,14 +435,14 @@ def _propagate(
     low = (1 << n) - 1
     circuits = iter(circuits)
     while batch := [
-        (bool(ops), xs, zs, *_compile(xs, zs, seeds, ops))
+        (xs, zs, *_compile(xs, zs, seeds, ops))
         for ops in itertools.islice(circuits, _BATCH)
         for xs, zs in [(seed_xs[:], seed_zs[:])]
     ]:
         # each circuit's rows, unpacked once and stacked from row firsts[c]:
         # row r's x bits, then its z bits, then its sign bit
         sizes = [seeds + len(angles) for *_, angles in batch]
-        bits = np.hstack([bits_of_ints(cx + cz + [sign], size) for (_, cx, cz, sign, _), size in zip(batch, sizes)]).T
+        bits = np.hstack([bits_of_ints(cx + cz + [sign], size) for (cx, cz, sign, _), size in zip(batch, sizes)]).T
         firsts = [*itertools.accumulate(sizes[:-1], initial=0)]
         flip = bits[:, 2 * n] == 1
         # A generator is the int x_g | z_g << n, and support = sz | sx << n:
@@ -470,8 +466,8 @@ def _propagate(
             xz = np.vstack((xz, np.arange(len(batch), dtype=np.uint64).repeat(seeds)))
         order = np.lexsort(xz)
         evolved = _rotations(xz.take(order, axis=1), coeff.take(order), words, plans, tol)
-        for (gated, *_), (xz, coeff) in zip(batch, evolved):
-            yield SparseOperator._of(n, xz, coeff) if gated else operator
+        for xz, coeff in evolved:
+            yield SparseOperator._of(n, xz, coeff)
 
 
 def _rotations(xz, coeff, words, plans, tol):

@@ -87,11 +87,6 @@ def _entropy(p: np.ndarray, alpha: float, total: float) -> float:
     return float((alpha * np.log2(p_max) + np.log2(np.sum((p / p_max) ** alpha))) / (1.0 - alpha))
 
 
-def purity(operator: SparseOperator, alpha: float) -> float:
-    """Generalized Pauli purity sum_i a_i^(2 alpha), by renyi_purity."""
-    return renyi_purity(pauli_probs(operator), alpha)
-
-
 @dataclass(frozen=True)
 class OseReport:
     """Operator stabilizer entropy of an evolved operator at one Renyi index."""

@@ -52,7 +52,6 @@ _WEIGHT_TOL = 1e-8
 _LETTERS = "IXZY"  # indexed by the digit 2*z_bit + x_bit
 # the digit of each ASCII code, 4 where no letter has it (find gives -1)
 _DIGITS = bytes(_LETTERS.find(chr(code)) % 5 for code in range(256))
-_I_POWERS = (1, 1j, -1, -1j)
 
 # Labels and bit matrices, several times the size of an operator's words,
 # are made this many rows at a time: small blocks reuse freed heap memory,
@@ -76,10 +75,6 @@ class PauliString:
             raise ValueError("bitmask out of range for n_qubits")
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0)
-
-    @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Parse 'IXZY...' with site 0 as the leftmost character."""
         label = label.strip()
@@ -95,14 +90,6 @@ class PauliString:
 
     def label(self) -> str:
         return "".join(map(self.letter, range(self.n_qubits)))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
-    @property
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
 
     def support(self) -> frozenset[int]:
         both = self.x_mask | self.z_mask
@@ -123,33 +110,6 @@ def single_site_pauli(site: int, axis: str, n_qubits: int) -> PauliString:
         raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
     digit = _LETTERS.index(axis)
     return PauliString(n_qubits, (digit & 1) << site, (digit >> 1) << site)
-
-
-def pauli_mul(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
-    """Matrix product p*q as (phase, string) with phase in {1, -1, i, -i}.
-
-    Writing each Hermitian string as i^(x.z) X^x Z^z gives the phase
-    exponent x_p.z_p + x_q.z_q + 2 z_p.x_q - x_r.z_r (mod 4) where the dot
-    is a popcount of the AND.
-    """
-    if p.n_qubits != q.n_qubits:
-        raise ValueError("size mismatch")
-    x = p.x_mask ^ q.x_mask
-    z = p.z_mask ^ q.z_mask
-    k = (
-        (p.x_mask & p.z_mask).bit_count()
-        + (q.x_mask & q.z_mask).bit_count()
-        + 2 * (p.z_mask & q.x_mask).bit_count()
-        - (x & z).bit_count()
-    ) % 4
-    return _I_POWERS[k], PauliString(p.n_qubits, x, z)
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """Symplectic form: true iff pq = qp."""
-    if p.n_qubits != q.n_qubits:
-        raise ValueError("size mismatch")
-    return ((p.x_mask & q.z_mask) ^ (p.z_mask & q.x_mask)).bit_count() % 2 == 0
 
 
 def enumerate_paulis(n_qubits: int) -> list[PauliString]:

@@ -250,8 +250,10 @@ class XxzComparison(NamedTuple):
     abs_diff: float
 
 
-def simulate_vs_closed(params: XxzParams) -> XxzComparison:
-    """Brickwork-evolved OSE on 2t+2 qubits against the closed form.
+def simulate_scan(grid: Sequence[XxzParams]) -> list[XxzComparison]:
+    """Brickwork-evolved OSE on 2t+2 qubits against the closed form, for
+    every entry of `grid`, which may differ only in alpha: the brickwork is
+    built and evolved once for all of them.
 
     The seed sits at site t, and the register is sized so that its light
     cone never touches a boundary.
@@ -259,14 +261,8 @@ def simulate_vs_closed(params: XxzParams) -> XxzComparison:
     of a three-component seed holds 2^23 + 1 terms; the closed form itself
     has no depth limit. That worst seed takes 0.4-0.55 s and 264 MB peak
     RSS at t = 20, and 2.3 s and 906 MB at t = 22 (one process, evolve and
-    score, 2-core Intel Xeon, Python 3.11.7, numpy 2.4.6).
+    score at one index, 2-core Intel Xeon, Python 3.11.7, numpy 2.4.6).
     """
-    return simulate_scan([params])[0]
-
-
-def simulate_scan(grid: Sequence[XxzParams]) -> list[XxzComparison]:
-    """`simulate_vs_closed` for every entry of `grid`, which may differ only
-    in alpha: the brickwork is built and evolved once for all of them."""
     params = grid[0]
     if any(replace(p, alpha=params.alpha) != params for p in grid):
         raise ValueError("a scan varies alpha only")

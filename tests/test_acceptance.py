@@ -35,11 +35,11 @@ from opmagic.haar import (
     asymptotic_ose,
     closed_form_avg_purity,
     mc_average_ose,
-    mc_average_purity,
+    mc_average_purities,
     relative_fluctuation,
 )
 from opmagic.paulis import enumerate_paulis
-from opmagic.xxz import XxzParams, closed_form_ose, simulate_vs_closed
+from opmagic.xxz import XxzParams, closed_form_ose, simulate_scan
 from conftest import random_mixed_circuit
 
 MONOTONE_ALPHAS = (0, 1, 2, 3, math.inf)
@@ -130,13 +130,13 @@ def test_criterion_04_xxz_exactness():
             for alpha in (2, 3):
                 for a in seeds:
                     p = XxzParams(j=j, t=t, alpha=alpha, a_x=a[0], a_y=a[1], a_z=a[2])
-                    worst = max(worst, simulate_vs_closed(p).abs_diff)
+                    worst = max(worst, simulate_scan([p])[0].abs_diff)
     assert worst < 1e-9
     # exact special points
     for t in range(1, 6):
-        exact = simulate_vs_closed(XxzParams(j=math.pi / 8, t=t, alpha=2))
+        exact = simulate_scan([XxzParams(j=math.pi / 8, t=t, alpha=2)])[0]
         assert abs(exact.simulated - t) < 1e-12
-        clifford = simulate_vs_closed(XxzParams(j=math.pi / 4, t=t, alpha=2))
+        clifford = simulate_scan([XxzParams(j=math.pi / 4, t=t, alpha=2)])[0]
         assert clifford.simulated == 0.0 and clifford.closed == 0.0
     # saturation for the mixed seed at alpha=2 is log(38/9) = 1.4404 nats
     p40 = XxzParams(j=math.pi / 8, t=40, alpha=2,
@@ -154,12 +154,12 @@ def test_criterion_05_haar_averages():
     checks = [(1, 2, 3 / 5), (2, 2, 3 / 14), (2, 3, 1 / 14)]
     sigmas = []
     for n, alpha, target in checks:
-        est = mc_average_purity(n, alpha, 2000, seed=500 + n * 10 + alpha)
+        est = mc_average_purities(n, [alpha], 2000, seed=500 + n * 10 + alpha)[0]
         assert abs(est.mean - target) < 3 * est.stderr
         sigmas.append(abs(est.mean - target) / est.stderr)
     # Jensen: MC mean of M2 dominates -log2 of the MC purity mean, and is
     # consistent with the log2(14/3) threshold
-    pur = mc_average_purity(2, 2, 2000, seed=551)
+    pur = mc_average_purities(2, [2], 2000, seed=551)[0]
     ent = mc_average_ose(2, 2, 2000, seed=551)
     log_stderr = pur.stderr / (pur.mean * math.log(2))
     assert ent.mean >= -math.log2(pur.mean) - 3 * (log_stderr + ent.stderr)

@@ -645,6 +645,14 @@ class TestExitCodes:
         assert main(["ose", "--circuit", str(path), "--seed-op", "X0"]) == 1
         assert "qubits N" in capsys.readouterr().err
 
+    def test_second_qubits_line(self, tmp_path, capsys):
+        # the file must not run on whichever count comes last
+        path = tmp_path / "circ.txt"
+        path.write_text("qubits 4\nT 0\nqubits 2\nH 1\n")
+        assert main(["ose", "--circuit", str(path), "--seed-op", "X0"]) == 1
+        captured = capsys.readouterr()
+        assert "second 'qubits' line 'qubits 2'" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
     def test_non_finite_angle_in_text(self, tmp_path, capsys, angle):
         path = tmp_path / "circ.txt"

@@ -140,7 +140,19 @@ def test_input_terms_below_prune_tol_are_dropped_by_a_clifford_run():
 
 def test_empty_circuit_returns_the_operator():
     seed, _ = golden_inputs()
-    assert evolve_heisenberg(seed, Circuit(5, ())) is seed
+    evolved = evolve_heisenberg(seed, Circuit(5, ()))
+    assert evolved.xz.tobytes() == seed.xz.tobytes() and evolved.coeff.tobytes() == seed.coeff.tobytes()
+
+
+def test_empty_circuit_prunes_like_the_identity_circuit():
+    # S S S S is the identity, so both circuits must drop the Z term below prune_tol
+    seed = SparseOperator(1, {PauliString.from_label("X"): 0.9999995, PauliString.from_label("Z"): 0.001})
+    empty = evolve_heisenberg(seed, Circuit(1, ()), prune_tol=0.01)
+    identity = evolve_heisenberg(seed, Circuit(1, (Gate("S", (0,)),) * 4), prune_tol=0.01)
+    assert empty.xz.tobytes() == identity.xz.tobytes() and empty.coeff.tobytes() == identity.coeff.tobytes()
+    assert dict(empty.terms) == {PauliString.from_label("X"): 0.9999995}
+    zero = evolve_heisenberg(SparseOperator(1, {}), Circuit(1, ()))
+    assert len(zero) == 0 and zero.xz.shape == (2, 0)
 
 
 class TestZeroOperator:

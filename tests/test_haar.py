@@ -14,7 +14,6 @@ from opmagic.haar import (
     double_factorial,
     mc_average_ose,
     mc_average_purities,
-    mc_average_purity,
     relative_fluctuation,
     sample_haar_unitary,
 )
@@ -262,51 +261,51 @@ class TestMonteCarlo:
         [(1, 2, 3 / 5), (2, 2, 3 / 14), (2, 3, 1 / 14)],
     )
     def test_matches_closed_form(self, n, alpha, target):
-        est = mc_average_purity(n, alpha, 2000, seed=101)
+        est = mc_average_purities(n, [alpha], 2000, seed=101)[0]
         assert abs(est.mean - target) < 3 * est.stderr
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [2, 3])
     def test_matches_closed_form_grid(self, n, alpha):
-        est = mc_average_purity(n, alpha, 2000, seed=103 + 7 * n + alpha)
+        est = mc_average_purities(n, [alpha], 2000, seed=103 + 7 * n + alpha)[0]
         target = closed_form_avg_purity(1 << n, alpha)
         assert abs(est.mean - target) < 3 * est.stderr
 
     @pytest.mark.parametrize("alpha", [4, 5])
     def test_high_alpha_smoke(self, alpha):
         for n in (1, 2):
-            est = mc_average_purity(n, alpha, 1500, seed=105 + alpha)
+            est = mc_average_purities(n, [alpha], 1500, seed=105 + alpha)[0]
             target = closed_form_avg_purity(1 << n, alpha)
             assert abs(est.mean - target) < 4 * est.stderr
 
     def test_reproducible_and_worker_partitioned(self):
         a = mc_average_purities(2, [2], 400, seed=7, workers=1)[0]
         b = mc_average_purities(2, [2], 400, seed=7, workers=1)[0]
-        assert a == b == mc_average_purity(2, 2, 400, seed=7)
+        assert a == b == mc_average_purities(2, [2], 400, seed=7)[0]
         c = mc_average_purities(2, [2], 400, seed=7, workers=4)[0]
         d = mc_average_purities(2, [2], 400, seed=7, workers=4)[0]
         assert c == d
         assert abs(a.mean - c.mean) < 5 * (a.stderr + c.stderr)
 
     def test_jensen_direction(self):
-        pur = mc_average_purity(2, 2, 2000, seed=109)
+        pur = mc_average_purities(2, [2], 2000, seed=109)[0]
         ent = mc_average_ose(2, 2, 2000, seed=109)
         log_stderr = pur.stderr / (pur.mean * math.log(2))
         assert ent.mean >= -math.log2(pur.mean) - 3 * (log_stderr + ent.stderr)
 
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
-            mc_average_purity(6, 2, 100)
+            mc_average_purities(6, [2], 100)
 
     def test_alpha_inf_purity_is_max_probability(self):
-        est = mc_average_purity(2, math.inf, 200, seed=3)
+        est = mc_average_purities(2, [math.inf], 200, seed=3)[0]
         # the largest of 15 probabilities summing to 1 lies in [1/15, 1]
         assert 1 / 15 <= est.mean <= 1.0
-        assert est.mean > mc_average_purity(2, 2, 200, seed=3).mean
+        assert est.mean > mc_average_purities(2, [2], 200, seed=3)[0].mean
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            mc_average_purity(2, -1, 50)
+            mc_average_purities(2, [-1], 50)
 
     def test_nan_alpha_rejected(self):
         with pytest.raises(ValueError, match="non-negative, got nan"):
@@ -344,7 +343,7 @@ class TestMonteCarlo:
         # U^dag X U is traceless, so the identity coefficient is 0 and the
         # other 4^n - 1 are nonzero almost surely
         for n in (1, 2):
-            est = mc_average_purity(n, 0, 50, seed=4)
+            est = mc_average_purities(n, [0], 50, seed=4)[0]
             assert est.mean == 4**n - 1 and est.stderr == 0.0
 
 

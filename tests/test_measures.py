@@ -13,7 +13,6 @@ from opmagic import (
     ose_scan,
     ose_scans,
     pauli_probs,
-    purity,
     random_clifford_circuit,
     single_site_pauli,
     t_count_lower_bound,
@@ -55,22 +54,22 @@ class TestPauliProbs:
 
 class TestPurity:
     def test_pauli_is_pure(self):
-        assert purity(SparseOperator.from_pauli(PauliString.from_label("X")), 2) == 1.0
+        assert renyi_purity(pauli_probs(SparseOperator.from_pauli(PauliString.from_label("X"))), 2) == 1.0
 
     def test_uniform_two_terms(self):
-        assert purity(uniform_op(2), 2) == pytest.approx(0.5)
+        assert renyi_purity(pauli_probs(uniform_op(2)), 2) == pytest.approx(0.5)
 
     def test_uniform_scaling_law(self):
         for tau in (1, 2, 3):
             for alpha in (2, 3, 0.7):
-                assert purity(uniform_op(2**tau), alpha) == pytest.approx(
+                assert renyi_purity(pauli_probs(uniform_op(2**tau)), alpha) == pytest.approx(
                     2.0 ** (tau * (1 - alpha))
                 )
 
     def test_alpha_zero_routes_to_rank(self):
-        assert purity(uniform_op(8), 0) == 8.0
+        assert renyi_purity(pauli_probs(uniform_op(8)), 0) == 8.0
         with pytest.raises(ValueError, match="non-negative"):
-            purity(uniform_op(8), -1)
+            renyi_purity(pauli_probs(uniform_op(8)), -1)
 
 
 class TestRenyiLimits:

@@ -15,14 +15,12 @@ from opmagic import (
     PauliString,
     SparseOperator,
     commuted_operator,
-    commutes,
     conjugate_gate,
     enumerate_paulis,
     evolve_heisenberg,
     expectation_error_bound,
     from_local,
     parse_pauli_text,
-    pauli_mul,
     pauli_probs,
     single_site_pauli,
     truncate_top,
@@ -30,15 +28,7 @@ from opmagic import (
 from opmagic import paulis
 from opmagic.paulis import truncation_sweep
 from opmagic.xxz import xxz_brickwork
-from conftest import dense_from_label, random_mixed_circuit, random_pauli
-
-
-def mask_pair(n):
-    return st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
-
-
-def strings(n):
-    return mask_pair(n).map(lambda xz: PauliString(n, xz[0], xz[1]))
+from conftest import random_mixed_circuit, random_pauli
 
 
 class TestPauliString:
@@ -81,7 +71,7 @@ class TestPauliString:
 
     def test_weight_and_support(self):
         p = PauliString.from_label("IXIY")
-        assert p.weight == 2
+        assert len(p.support()) == 2
         assert p.support() == frozenset({1, 3})
 
 
@@ -134,75 +124,6 @@ class TestCodec:
         back = SparseOperator.from_json_dict(data)
         assert back.xz.tobytes() == evolved.xz.tobytes()
         assert back.coeff.tobytes() == evolved.coeff.tobytes()
-
-
-class TestPauliMul:
-    def test_xz_is_minus_i_y(self):
-        phase, r = pauli_mul(PauliString.from_label("X"), PauliString.from_label("Z"))
-        assert phase == -1j and r.label() == "Y"
-
-    def test_involution(self):
-        z = PauliString.from_label("Z")
-        phase, r = pauli_mul(z, z)
-        assert phase == 1 and r.is_identity
-
-    def test_disjoint_support(self):
-        phase, r = pauli_mul(PauliString.from_label("XI"), PauliString.from_label("IZ"))
-        assert phase == 1 and r.label() == "XZ"
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            pauli_mul(PauliString.from_label("X"), PauliString.from_label("XX"))
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_exhaustive_against_dense(self, n):
-        strings_n = enumerate_paulis(n)
-        for p in strings_n:
-            for q in strings_n:
-                phase, r = pauli_mul(p, q)
-                want = dense_from_label(p.label()) @ dense_from_label(q.label())
-                np.testing.assert_allclose(
-                    phase * dense_from_label(r.label()), want, atol=1e-12
-                )
-
-    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(strings(n), strings(n))))
-    @settings(max_examples=150, deadline=None)
-    def test_random_pairs_against_dense(self, pq):
-        p, q = pq
-        phase, r = pauli_mul(p, q)
-        want = dense_from_label(p.label()) @ dense_from_label(q.label())
-        assert np.max(np.abs(phase * dense_from_label(r.label()) - want)) < 1e-12
-
-    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(strings(n), strings(n), strings(n))))
-    @settings(max_examples=100, deadline=None)
-    def test_associative(self, pqr):
-        p, q, r = pqr
-        ph1, pq = pauli_mul(p, q)
-        ph2, left = pauli_mul(pq, r)
-        ph3, qr = pauli_mul(q, r)
-        ph4, right = pauli_mul(p, qr)
-        assert left == right and ph1 * ph2 == ph3 * ph4
-
-
-class TestCommutes:
-    def test_single_qubit_anticommutation(self):
-        assert not commutes(PauliString.from_label("X"), PauliString.from_label("Z"))
-
-    def test_two_anticommuting_sites_cancel(self):
-        assert commutes(PauliString.from_label("XZ"), PauliString.from_label("ZX"))
-
-    def test_identity_commutes(self):
-        p = PauliString.from_label("XYZ")
-        assert commutes(p, PauliString.identity(3))
-
-    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(strings(n), strings(n))))
-    @settings(max_examples=150, deadline=None)
-    def test_against_dense_commutator(self, pq):
-        p, q = pq
-        a = dense_from_label(p.label())
-        b = dense_from_label(q.label())
-        dense_commutes = np.max(np.abs(a @ b - b @ a)) < 1e-12
-        assert commutes(p, q) == dense_commutes
 
 
 class TestEnumerate:

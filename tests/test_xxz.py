@@ -17,7 +17,6 @@ from opmagic.xxz import (
     commuted_operator,
     saturation_value,
     simulate_scan,
-    simulate_vs_closed,
     xxz_brickwork,
 )
 from opmagic import xxz
@@ -280,19 +279,19 @@ class TestSimulateVsClosed:
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("j", [math.pi / 16, math.pi / 8, 0.3, math.pi / 4])
     def test_pauli_seed(self, t, j):
-        result = simulate_vs_closed(params(j, t, 2))
+        result = simulate_scan([params(j, t, 2)])[0]
         assert result.abs_diff < 1e-9
 
     def test_mixed_seed(self):
-        result = simulate_vs_closed(params(math.pi / 8, 4, 2, MIXED_SEED))
+        result = simulate_scan([params(math.pi / 8, 4, 2, MIXED_SEED)])[0]
         assert result.abs_diff < 1e-9
 
     def test_clifford_point_both_zero(self):
-        result = simulate_vs_closed(params(math.pi / 4, 3, 2))
+        result = simulate_scan([params(math.pi / 4, 3, 2)])[0]
         assert result.simulated == 0.0 and result.closed == 0.0
 
     def test_alpha_one_route(self):
-        result = simulate_vs_closed(params(math.pi / 8, 3, 1, MIXED_SEED))
+        result = simulate_scan([params(math.pi / 8, 3, 1, MIXED_SEED)])[0]
         assert result.abs_diff < 1e-9
 
     def test_generic_rank(self):
@@ -306,12 +305,12 @@ class TestSimulateVsClosed:
     @pytest.mark.parametrize("j", [math.pi / 16, 0.3, math.pi / 8])
     def test_alpha_inf(self, j, a):
         for t in range(1, 7):
-            result = simulate_vs_closed(params(j, t, math.inf, a))
+            result = simulate_scan([params(j, t, math.inf, a)])[0]
             assert result.abs_diff < 1e-9
 
     def test_depth_cap(self):
         with pytest.raises(ValueError, match="capped at t = 22"):
-            simulate_vs_closed(params(0.3, 23, 2))
+            simulate_scan([params(0.3, 23, 2)])
 
     def test_depth_22_is_evolved(self, monkeypatch):
         # the cap admits t = 22; the stub stops the run before it evolves
@@ -320,11 +319,11 @@ class TestSimulateVsClosed:
 
         monkeypatch.setattr(xxz, "evolve_heisenberg", stop)
         with pytest.raises(RuntimeError, match="evolving 46 qubits"):
-            simulate_vs_closed(params(0.3, 22, 2))
+            simulate_scan([params(0.3, 22, 2)])
 
     def test_deep_brickwork(self):
         # rank 2^17 + 1 from a two-component seed
-        result = simulate_vs_closed(params(0.3, 16, 2, (0.6, 0.0, 0.8)))
+        result = simulate_scan([params(0.3, 16, 2, (0.6, 0.0, 0.8))])[0]
         assert result.abs_diff < 1e-9
 
 
@@ -333,7 +332,7 @@ class TestSimulateScan:
 
     def test_equals_one_comparison_per_index(self):
         grid = [params(0.3, 5, alpha, MIXED_SEED) for alpha in self.ALPHAS]
-        assert simulate_scan(grid) == [simulate_vs_closed(p) for p in grid]
+        assert simulate_scan(grid) == [simulate_scan([p])[0] for p in grid]
 
     def test_evolves_once(self, monkeypatch):
         calls = []
@@ -355,7 +354,7 @@ class TestLargeIndex:
     @pytest.mark.parametrize("alpha", [1000, 2000])
     def test_simulation_agrees(self, alpha, a):
         for t in range(1, 5):
-            result = simulate_vs_closed(params(0.3, t, alpha, a))
+            result = simulate_scan([params(0.3, t, alpha, a)])[0]
             assert result.abs_diff < 1e-9
 
     def test_approaches_the_alpha_inf_limit(self):
