@@ -30,9 +30,18 @@ Canonical order is lexicographic on ``(z_mask, x_mask)``. A SparseOperator
 holds its strings in that order from construction, so its probability
 vector, l2 weight and JSON follow it, and truncation, a stable sort on
 |a|, breaks ties by it: reruns are bit-identical.
+
+An operator's JSON holds two columns: ``{"n": n, "labels": [label, ...],
+"coeff": text}``, the labels in canonical order and ``coeff`` the base64 of
+the little-endian float64 coefficients, 8 bytes a label, so a coefficient
+is never printed or parsed as decimal text. Without opmagic,
+``numpy.frombuffer(base64.b64decode(data["coeff"]), "<f8")`` reads them.
+A file in the older format, a ``terms`` list of [label, number] pairs, is
+refused as missing the field ``labels``.
 """
 from __future__ import annotations
 
+import base64
 import itertools
 import math
 import operator
@@ -228,7 +237,7 @@ def _labels(n_qubits: int, xz: np.ndarray) -> list[str]:
     return labels
 
 
-def _checked(n_qubits: int, labels: list[str], coeffs: list):
+def _checked(n_qubits: int, labels: list[str], coeffs):
     """`xz` and `coeff` of stripped labels and their coefficients, checked,
     in canonical order, with |a| < PRUNE_TOL dropped."""
     if n_qubits <= 0:
@@ -279,23 +288,6 @@ def _moved(xz: np.ndarray, n_qubits: int, moves: Mapping[int, int], width: int) 
     for out, given in zip(bits, bits_of_xz(xz, n_qubits)):
         out[:, list(moves.values())] = given[:, list(moves)]
     return xz_of_bits(*bits)
-
-
-def _label_number_pairs(terms: list) -> tuple[list, list]:
-    """The labels and the numbers of a JSON list of [label, number] pairs.
-
-    Passes over the types and lengths, run in C, accept a well-formed list;
-    only one they reject is walked pair by pair, to name its first bad pair.
-    """
-    if set(map(type, terms)) <= {list} and set(map(len, terms)) <= {2}:
-        labels, coeffs = [pair[0] for pair in terms], [pair[1] for pair in terms]
-        if set(map(type, labels)) <= {str} and set(map(type, coeffs)) <= {int, float}:
-            return labels, coeffs
-    for pair in terms:  # subclasses pass, a bool does not
-        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
-                and isinstance(pair[1], (int, float)) and not isinstance(pair[1], bool)):
-            raise ValueError(f"operator terms must be [label, number] pairs, got {pair!r}")
-    return [pair[0] for pair in terms], [pair[1] for pair in terms]
 
 
 class SparseOperator:
@@ -395,17 +387,37 @@ class SparseOperator:
         return SparseOperator._of(n, *_canonical(n, _moved(self.xz, n, moves, n), self.coeff))
 
     def to_json_dict(self) -> dict:
-        labels = _labels(self.n_qubits, self.xz)
-        return {"n": self.n_qubits, "terms": [[p, a] for p, a in zip(labels, self.coeff.tolist())]}
+        """{"n": n, "labels": [label, ...], "coeff": base64 text}: the labels in
+        canonical order, and the coefficients as one base64 string of their
+        little-endian float64 bytes, 8 a label."""
+        coeff = base64.b64encode(self.coeff.astype("<f8").tobytes()).decode("ascii")
+        return {"n": self.n_qubits, "labels": _labels(self.n_qubits, self.xz), "coeff": coeff}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparseOperator":
-        n, terms = json_fields(data, "an operator", "n", "terms")
-        if not isinstance(terms, list):
-            raise ValueError(f"operator terms must be a list of [label, number] pairs, got {terms!r}")
-        labels, coeffs = _label_number_pairs(terms)
+        """The operator of a `to_json_dict` payload, checked as the constructor
+        checks its terms; the rows may come in any order. A payload of the
+        older [label, number] `terms` list has no `labels` field and is
+        refused as missing it."""
+        n, labels, coeff = json_fields(data, "an operator", "n", "labels", "coeff")
         n = as_integer(n, "operator qubit count n")
-        return cls._of(n, *_checked(n, list(map(str.strip, labels)), coeffs))
+        if not isinstance(labels, list):
+            raise ValueError(f"operator labels must be a list of strings, got {type(labels).__name__}")
+        if not set(map(type, labels)) <= {str}:  # walked only to name the first bad one
+            for i, label in enumerate(labels):
+                if not isinstance(label, str):
+                    raise ValueError(f"operator label {i} must be a string, got {label!r}")
+        if not isinstance(coeff, str):
+            raise ValueError(f"operator coeff must be a base64 string, got {type(coeff).__name__}")
+        try:
+            raw = base64.b64decode(coeff, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise ValueError(f"operator coeff is not valid base64: {exc}") from None
+        if len(raw) != 8 * len(labels):
+            raise ValueError(
+                f"operator coeff holds {len(raw)} bytes, not 8 for each of {len(labels)} labels ({8 * len(labels)})"
+            )
+        return cls._of(n, *_checked(n, list(map(str.strip, labels)), np.frombuffer(raw, "<f8")))
 
     def __repr__(self) -> str:
         shown = zip(_labels(self.n_qubits, self.xz[:, :4]), self.coeff[:4].tolist())

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import math
@@ -29,6 +30,35 @@ from opmagic import paulis
 from opmagic.paulis import truncation_sweep
 from opmagic.xxz import xxz_brickwork
 from conftest import random_mixed_circuit, random_pauli
+
+
+def operator_payload(n, labels, coeffs):
+    """The JSON payload of an operator: `labels` as given, and `coeffs` as the
+    base64 of their little-endian float64 bytes."""
+    packed = base64.b64encode(np.asarray(coeffs, "<f8").tobytes()).decode("ascii")
+    return {"n": n, "labels": list(labels), "coeff": packed}
+
+
+X_PAYLOAD = operator_payload(1, ["X"], [1.0])
+
+
+def payload_coeffs(data):
+    return np.frombuffer(base64.b64decode(data["coeff"], validate=True), "<f8")
+
+
+def assert_json_round_trip(op, shuffled):
+    """`op` through JSON text, its rows shuffled or not, gives back the same
+    words and coefficient bytes."""
+    data = json.loads(json.dumps(op.to_json_dict()))
+    assert data["labels"] == [p.label() for p in op.terms]
+    if shuffled:
+        order = list(range(len(op)))
+        random.Random(7).shuffle(order)
+        data = operator_payload(op.n_qubits, [data["labels"][i] for i in order], payload_coeffs(data)[order])
+    back = SparseOperator.from_json_dict(data)
+    assert back.n_qubits == op.n_qubits and back.xz.shape == op.xz.shape
+    assert back.xz.tobytes() == op.xz.tobytes()
+    assert back.coeff.tobytes() == op.coeff.tobytes()
 
 
 class TestPauliString:
@@ -105,10 +135,9 @@ class TestCodec:
         rng = np.random.default_rng(n)
         labels = sorted({"".join(row) for row in rng.choice(list("IXZY"), (300, n))} | {"I" * n, "Y" * n})
         coeffs = rng.normal(size=len(labels))
-        op = SparseOperator.from_json_dict(
-            {"n": n, "terms": [[label, a] for label, a in zip(labels, coeffs.tolist())]}
-        )
-        items = [(PauliString.from_label(label), a) for label, a in op.to_json_dict()["terms"]]
+        op = SparseOperator.from_json_dict(operator_payload(n, labels, coeffs))
+        data = op.to_json_dict()
+        items = [(PauliString.from_label(label), a) for label, a in zip(data["labels"], payload_coeffs(data).tolist())]
         assert list(op.terms.items()) == items
 
 
@@ -117,13 +146,16 @@ class TestCodec:
         t, n = 12, 26
         evolved = evolve_heisenberg(from_local(t, 0.6, 0.0, 0.8, n), xxz_brickwork(n, t, 0.3))
         assert len(evolved) > 2 * paulis._BLOCK_ROWS
-        data = json.loads(json.dumps(evolved.to_json_dict()))
-        assert [label for label, _ in data["terms"]] == [p.label() for p in evolved.terms]
-        if shuffled:
-            random.Random(7).shuffle(data["terms"])
-        back = SparseOperator.from_json_dict(data)
-        assert back.xz.tobytes() == evolved.xz.tobytes()
-        assert back.coeff.tobytes() == evolved.coeff.tobytes()
+        assert_json_round_trip(evolved, shuffled)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_json_round_trip_at_every_word_width(self, n, shuffled):
+        rng = np.random.default_rng(n)
+        labels = sorted({"".join(row) for row in rng.choice(list("IXZY"), (300, n))} | {"I" * n, "Y" * n})
+        coeffs = rng.normal(size=len(labels))
+        coeffs[:4] = [1e300, -1e300, 1e-13, -5e-14][: len(labels)]  # extremes that survive pruning
+        assert_json_round_trip(SparseOperator.from_json_dict(operator_payload(n, labels, coeffs)), shuffled)
 
 
 class TestEnumerate:
@@ -185,46 +217,69 @@ class TestSparseOperator:
     def test_non_finite_coefficient_rejected(self, bad):
         with pytest.raises(ValueError, match="not finite"):
             SparseOperator(1, {PauliString.from_label("X"): bad})
-        with pytest.raises(ValueError, match="not finite"):
-            SparseOperator.from_json_dict({"n": 1, "terms": [["Z", 1.0], ["X", bad]]})
+        for labels, coeffs in ((["Z", "X"], [1.0, bad]), (["X", "Z"], [bad, 1.0])):
+            data = json.loads(json.dumps(operator_payload(1, labels, coeffs)))
+            with pytest.raises(ValueError, match="coefficient of X is not finite"):
+                SparseOperator.from_json_dict(data)
 
     @pytest.mark.parametrize(
         "data, message",
         [
-            ({"n": 1}, "missing the field 'terms'"),
+            # each index holds the counterpart of its case in the [label, number] format
+            ({"n": 1, "terms": [["X", 1.0]]}, "missing the field 'labels'"),  # the older format
             ([1], "JSON object"),
-            ({"n": 2.7, "terms": [["XX", 1.0]]}, "qubit count n must be an integer"),
-            ({"n": True, "terms": [["X", 1.0]]}, "qubit count n must be an integer"),
-            ({"n": 1, "terms": "X"}, "operator terms must be a list"),
-            ({"n": 1, "terms": {"X": 1.0}}, "operator terms must be a list"),
-            ({"n": 1, "terms": [["X"]]}, "operator terms must be"),
-            ({"n": 1, "terms": [["X", "1.0"]]}, "operator terms must be"),
-            ({"n": 1, "terms": [["X", True]]}, "operator terms must be"),
-            ({"n": 1, "terms": [[1, 1.0]]}, "operator terms must be"),
-            ({"n": 2, "terms": [["XQ", 1.0]]}, "invalid Pauli label 'XQ'"),
-            ({"n": 2, "terms": [["XÝ", 1.0]]}, "invalid Pauli label 'XÝ'"),
-            ({"n": 2, "terms": [["XYZ", 1.0]]}, "term size mismatch"),
-            ({"n": 0, "terms": []}, "n_qubits must be positive"),
+            ({**X_PAYLOAD, "n": 2.7}, "qubit count n must be an integer"),
+            ({**X_PAYLOAD, "n": True}, "qubit count n must be an integer"),
+            ({**X_PAYLOAD, "labels": "X"}, "operator labels must be a list of strings, got str"),
+            ({**X_PAYLOAD, "labels": {"X": 1.0}}, "operator labels must be a list of strings, got dict"),
+            (operator_payload(1, ["X", "Z"], [1.0]), r"coeff holds 8 bytes, not 8 for each of 2 labels \(16\)"),
+            ({**X_PAYLOAD, "coeff": [1.0]}, "operator coeff must be a base64 string, got list"),
+            ({**X_PAYLOAD, "coeff": "not base64!"}, "operator coeff is not valid base64"),
+            ({**X_PAYLOAD, "labels": [1]}, "operator label 0 must be a string, got 1"),
+            (operator_payload(2, ["XQ"], [1.0]), "invalid Pauli label 'XQ'"),
+            (operator_payload(2, ["XÝ"], [1.0]), "invalid Pauli label 'XÝ'"),
+            (operator_payload(2, ["XYZ"], [1.0]), "term size mismatch"),
+            (operator_payload(0, [], []), "n_qubits must be positive"),
+            ({"n": 1, "labels": ["X"]}, "missing the field 'coeff'"),
+            ({**X_PAYLOAD, "n": "1"}, "qubit count n must be an integer"),
+            ({**X_PAYLOAD, "n": None}, "qubit count n must be an integer"),
+            (operator_payload(-1, ["X"], [1.0]), "n_qubits must be positive"),
+            ({**X_PAYLOAD, "labels": None}, "operator labels must be a list of strings, got NoneType"),
+            ({**X_PAYLOAD, "labels": ["X", None]}, "operator label 1 must be a string, got None"),
+            ({**X_PAYLOAD, "coeff": 1.0}, "operator coeff must be a base64 string, got float"),
+            ({**X_PAYLOAD, "coeff": b"AAAAAAAA8D8="}, "operator coeff must be a base64 string, got bytes"),
+            ({**X_PAYLOAD, "coeff": "AAAAAAAA8D8"}, "operator coeff is not valid base64: Incorrect padding"),
+            ({**X_PAYLOAD, "coeff": "AAAAAAAA 8D8="}, "operator coeff is not valid base64"),
+            ({**X_PAYLOAD, "coeff": "AAAAAAAA8D8=\n"}, "operator coeff is not valid base64"),
+            ({**X_PAYLOAD, "coeff": "ÀÀÀÀ"}, "operator coeff is not valid base64"),
+            ({**X_PAYLOAD, "coeff": ""}, r"coeff holds 0 bytes, not 8 for each of 1 labels \(8\)"),
+            ({**X_PAYLOAD, "coeff": "AAAAAAAAAAAA"}, r"coeff holds 9 bytes, not 8 for each of 1 labels \(8\)"),
+            (operator_payload(1, [], [1.0]), r"coeff holds 8 bytes, not 8 for each of 0 labels \(0\)"),
+            (operator_payload(2, ["XZ", "XZ"], [0.6, 0.8]), "XZ is given twice"),
         ],
     )
     def test_malformed_json_operator(self, data, message):
         with pytest.raises(ValueError, match=message):
             SparseOperator.from_json_dict(data)
 
-    def test_numpy_float_coefficient_is_accepted(self):
-        op = SparseOperator.from_json_dict({"n": 1, "terms": [["X", np.float64(0.6)], ["Z", 0.8]]})
-        assert op.coeff.tolist() == [0.6, 0.8]
+    def test_numpy_str_label_is_accepted(self):
+        # a str subclass fails the one-pass type check and passes the walk
+        op = SparseOperator.from_json_dict(operator_payload(1, [np.str_("X"), " Z "], [0.6, 0.8]))
+        assert [p.label() for p in op.terms] == ["X", "Z"] and op.coeff.tolist() == [0.6, 0.8]
 
-    def test_tuple_pair_is_rejected(self):
-        with pytest.raises(ValueError, match=r"\[label, number\] pairs, got \('X', 1.0\)"):
-            SparseOperator.from_json_dict({"n": 1, "terms": [("X", 1.0)]})
+    def test_tuple_of_labels_is_rejected(self):
+        with pytest.raises(ValueError, match="operator labels must be a list of strings, got tuple"):
+            SparseOperator.from_json_dict({**operator_payload(1, ["X"], [1.0]), "labels": ("X",)})
 
-    def test_bad_pair_deep_in_a_long_list_is_named(self):
+    def test_bad_label_deep_in_a_long_list_is_named(self):
         labels = [PauliString(16, i, 0).label() for i in range(12000)]
-        terms = [[label, 0.01] for label in labels]
-        terms[10000] = [labels[10000], True]
-        with pytest.raises(ValueError, match=rf"got \['{labels[10000]}', True\]"):
-            SparseOperator.from_json_dict(json.loads(json.dumps({"n": 16, "terms": terms})))
+        data = operator_payload(16, labels, np.full(12000, 0.01))
+        data["labels"][10000] = True
+        with pytest.raises(ValueError, match="operator label 10000 must be a string, got True"):
+            SparseOperator.from_json_dict(json.loads(json.dumps(data)))
+        data["labels"][10000] = labels[10000][:-1] + "Q"
+        with pytest.raises(ValueError, match=f"invalid Pauli label '{labels[10000][:-1]}Q'"):
+            SparseOperator.from_json_dict(json.loads(json.dumps(data)))
 
     def test_json_round_trip_bit_identical(self):
         r = math.sqrt(0.5)
@@ -253,7 +308,7 @@ class TestCanonicalOrder:
         circuit = random_mixed_circuit(rng, n, 30)
         evolved = evolve_heisenberg(seed_op, circuit)
         gate = circuit.gates[int(rng.integers(len(circuit)))]
-        json_terms = [[p.label(), a] for p, a in pairs]
+        json_payload = operator_payload(n, [p.label() for p, _ in pairs], [a for _, a in pairs])
         sites = rng.permutation(n).tolist()
         local = rng.normal(size=3)
         unit = [
@@ -262,7 +317,7 @@ class TestCanonicalOrder:
             evolved,
             conjugate_gate(seed_op, gate),
             conjugate_gate(evolved, gate),
-            SparseOperator.from_json_dict({"n": n, "terms": json_terms}),
+            SparseOperator.from_json_dict(json_payload),
             seed_op.tensor(evolved),
             evolved.relabel_sites(dict(enumerate(sites))),
             from_local(sites[0], *(local / np.linalg.norm(local)).tolist(), n),
@@ -536,8 +591,7 @@ class TestArrayOperator:
         squares = np.array([a * a for a in terms.values()], dtype=float)
         assert pauli_probs(op).tobytes() == squares.tobytes()
         assert op.support() == {s for p in terms for s in p.support()}
-        labelled = [[p.label(), a] for p, a in terms.items()]
-        assert op.to_json_dict() == {"n": op.n_qubits, "terms": labelled}
+        assert op.to_json_dict() == operator_payload(op.n_qubits, [p.label() for p in terms], list(terms.values()))
         chi = 1 + chi_seed % len(op)
         res = truncate_top(op, chi)
         kept, epsilon, kept_weight = reference_truncation(op, chi)
@@ -546,13 +600,18 @@ class TestArrayOperator:
         assert res.kept_weight.hex() == kept_weight.hex()
 
     def test_xxz_json_is_pinned(self):
-        # recorded at the dict-held operator that these arrays must reproduce
+        # recorded at the dict-held operator that these arrays must reproduce, as
+        # the [label, number] text that operators were saved in then
         t, n = 10, 22
         evolved = evolve_heisenberg(from_local(t, 0.6, 0.0, 0.8, n), xxz_brickwork(n, t, 0.3))
-        text = json.dumps(evolved.to_json_dict())
         assert len(evolved) == 1025
-        assert hashlib.sha256(text.encode()).hexdigest() == (
+        terms_text = json.dumps({"n": n, "terms": [[p.label(), a] for p, a in evolved.terms.items()]})
+        assert hashlib.sha256(terms_text.encode()).hexdigest() == (
             "d7ad498a4e64da0e84606a157dde5ca63d31b1e446894621e8346b2e0936b023"
+        )
+        text = json.dumps(evolved.to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "04e938fabcd91d87496c5b374a9fdbb57fda5986d6463aa3fc9b18e6ef6b0fa0"
         )
         back = SparseOperator.from_json_dict(json.loads(text))
         for mine, theirs in ((back.xz, evolved.xz), (back.coeff, evolved.coeff)):
@@ -575,7 +634,7 @@ class TestArrayOperator:
 
     def test_repeated_json_label_is_bad_input(self):
         with pytest.raises(ValueError, match="XZ is given twice"):
-            SparseOperator.from_json_dict({"n": 2, "terms": [["XZ", 0.6], ["XZ", 0.8]]})
+            SparseOperator.from_json_dict(operator_payload(2, ["XZ", "XZ"], [0.6, 0.8]))
 
     def test_repeated_pair_is_bad_input(self):
         xz = PauliString.from_label("XZ")

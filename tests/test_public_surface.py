@@ -2,14 +2,19 @@
 
 A public function, class, method or property passes when the code of
 `src/opmagic` (outside its own definition), `perfbench/` or `scripts/`
-holds a NAME token for it; strings and comments do not count, and neither
-does the package's `__init__.py`, whose imports only re-export. A name with
-no such caller must be on ALLOWLIST with the reason it stays. The list may
+uses it, as `ast` reads that code. A function or class is used by a loaded
+name, unless the function that loads it binds that name itself (an
+argument or an assignment), by an import, and by an attribute load on an
+imported name (`cli.main`); a method or property by any attribute load.
+So an attribute of an object that shares a function's name (`rep.purity`
+for a function `purity`) calls only a method. Keyword argument names,
+assignment targets, strings and comments do not count, and neither does
+the package's `__init__.py`, whose imports only re-export. A name with no
+such caller must be on ALLOWLIST with the reason it stays. The list may
 only shrink: an allowlisted name that gains a caller, or that no longer
 exists, fails the test too.
 """
 import ast
-import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,27 +66,64 @@ def public_definitions(package=PACKAGE):
     return found
 
 
-def name_tokens(directories):
-    """{path: [(name, line)]} of every NAME token of the directories'
-    modules, but for those named `__init__.py`."""
-    tokens = {}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope):
+    """The nodes of a module or a function, but for those inside the
+    functions nested in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def uses(directories):
+    """{path: [(kind, name, line)]} of the directories' modules, but for
+    those named `__init__.py`. The kind is "name" for a loaded name that its
+    function does not bind and for an imported one, "module attribute" for
+    an attribute load whose chain starts at an imported name, and
+    "attribute" for any other attribute load."""
+    found = {}
     for directory in directories:
         for path in sorted(directory.rglob("*.py")):
             if path.name == "__init__.py":
                 continue
-            with open(path, encoding="utf-8") as f:
-                tokens[path] = [(tok.string, tok.start[0]) for tok in tokenize.generate_tokens(f.readline)
-                                if tok.type == tokenize.NAME]
-    return tokens
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+            found[path] = []
+            for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, _FUNCTIONS))]:
+                nodes = list(_own_nodes(scope))
+                bound = set()
+                if isinstance(scope, _FUNCTIONS):
+                    bound = {arg.arg for arg in ast.walk(scope.args) if isinstance(arg, ast.arg)}
+                    bound |= {node.id for node in nodes if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+                for node in nodes:
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+                        found[path].append(("name", node.id, node.lineno))
+                    elif isinstance(node, ast.alias):
+                        found[path].append(("name", node.name, node.lineno))
+                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                        root = node.value
+                        while isinstance(root, ast.Attribute):
+                            root = root.value
+                        of_module = isinstance(root, ast.Name) and root.id in imported
+                        found[path].append(("module attribute" if of_module else "attribute", node.attr, node.lineno))
+    return found
 
 
 def uncalled(package=PACKAGE, directories=CALLER_DIRS):
     """The qualified names of the package's public definitions without a caller."""
-    tokens = name_tokens(directories)
+    found = uses(directories)
     missing = []
     for qualified, name, path, first, last in public_definitions(package):
-        if not any(token == name and not (where == path and first <= line <= last)
-                   for where, found in tokens.items() for token, line in found):
+        method = qualified.count(".") == 2
+        kinds = ("module attribute", "attribute") if method else ("module attribute", "name")
+        if not any(kind in kinds and used == name and not (where == path and first <= line <= last)
+                   for where, used_here in found.items() for kind, used, line in used_here):
             missing.append(qualified)
     return missing
 
@@ -111,3 +153,26 @@ def test_only_a_name_outside_the_definition_is_a_caller(tmp_path):
     assert uncalled(package, [package, scripts]) == ["m.recursive", "m.named"]
     # a caller inside the package counts as one from scripts does; a re-export does not
     assert uncalled(package, [package]) == ["m.Box", "m.Box.size", "m.recursive", "m.named", "m.called"]
+
+
+def test_a_keyword_or_a_variable_of_the_same_name_is_no_caller(tmp_path):
+    package, scripts = tmp_path / "package", tmp_path / "scripts"
+    package.mkdir()
+    scripts.mkdir()
+    (package / "m.py").write_text(
+        "class Report:\n    def purity(self):\n        return 1.0\n\n    def size(self):\n        return 0\n\n\n"
+        "def weight():\n    return 2\n\n\n"
+        "def scale():\n    return 3\n\n\n"
+        "def level():\n    return 4\n\n\n"
+        "def mean():\n    return 5\n"
+    )
+    (scripts / "s.py").write_text(
+        "import package.m\nfrom package.m import Report\n\n"
+        "purity = level = 0.5\nprint(purity, level)\n\n\n"
+        "def score(report, weight):\n    size = report.size()\n    return Report(purity=purity), weight, size, report.mean\n\n\n"
+        "def total():\n    weight = 1\n    return weight + package.m.scale()\n"
+    )
+    # a keyword, an argument and a local variable call nothing; a loaded
+    # name calls a function but not a method, which only an attribute calls;
+    # an attribute calls a function only on an imported name
+    assert uncalled(package, [scripts]) == ["m.Report.purity", "m.weight", "m.mean"]
