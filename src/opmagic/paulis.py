@@ -414,9 +414,7 @@ class SparseOperator:
         except ValueError as exc:  # binascii.Error, or a non-ASCII character
             raise ValueError(f"operator coeff is not valid base64: {exc}") from None
         if len(raw) != 8 * len(labels):
-            raise ValueError(
-                f"operator coeff holds {len(raw)} bytes, not 8 for each of {len(labels)} labels ({8 * len(labels)})"
-            )
+            raise ValueError(f"operator coeff holds {len(raw)} bytes, not 8 for each of {len(labels)} labels")
         return cls._of(n, *_checked(n, list(map(str.strip, labels)), np.frombuffer(raw, "<f8")))
 
     def __repr__(self) -> str:

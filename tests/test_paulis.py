@@ -232,7 +232,7 @@ class TestSparseOperator:
             ({**X_PAYLOAD, "n": True}, "qubit count n must be an integer"),
             ({**X_PAYLOAD, "labels": "X"}, "operator labels must be a list of strings, got str"),
             ({**X_PAYLOAD, "labels": {"X": 1.0}}, "operator labels must be a list of strings, got dict"),
-            (operator_payload(1, ["X", "Z"], [1.0]), r"coeff holds 8 bytes, not 8 for each of 2 labels \(16\)"),
+            (operator_payload(1, ["X", "Z"], [1.0]), "coeff holds 8 bytes, not 8 for each of 2 labels"),
             ({**X_PAYLOAD, "coeff": [1.0]}, "operator coeff must be a base64 string, got list"),
             ({**X_PAYLOAD, "coeff": "not base64!"}, "operator coeff is not valid base64"),
             ({**X_PAYLOAD, "labels": [1]}, "operator label 0 must be a string, got 1"),
@@ -252,9 +252,9 @@ class TestSparseOperator:
             ({**X_PAYLOAD, "coeff": "AAAAAAAA 8D8="}, "operator coeff is not valid base64"),
             ({**X_PAYLOAD, "coeff": "AAAAAAAA8D8=\n"}, "operator coeff is not valid base64"),
             ({**X_PAYLOAD, "coeff": "ÀÀÀÀ"}, "operator coeff is not valid base64"),
-            ({**X_PAYLOAD, "coeff": ""}, r"coeff holds 0 bytes, not 8 for each of 1 labels \(8\)"),
-            ({**X_PAYLOAD, "coeff": "AAAAAAAAAAAA"}, r"coeff holds 9 bytes, not 8 for each of 1 labels \(8\)"),
-            (operator_payload(1, [], [1.0]), r"coeff holds 8 bytes, not 8 for each of 0 labels \(0\)"),
+            ({**X_PAYLOAD, "coeff": ""}, "coeff holds 0 bytes, not 8 for each of 1 labels"),
+            ({**X_PAYLOAD, "coeff": "AAAAAAAAAAAA"}, "coeff holds 9 bytes, not 8 for each of 1 labels"),
+            (operator_payload(1, [], [1.0]), "coeff holds 8 bytes, not 8 for each of 0 labels"),
             (operator_payload(2, ["XZ", "XZ"], [0.6, 0.8]), "XZ is given twice"),
         ],
     )
