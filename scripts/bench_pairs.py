@@ -27,6 +27,9 @@ follow the rules a change is judged by:
   lies outside BASE's quartiles.
 - `within_bound`: CHANGE's median is no worse than BASE's by more than the
   metric's relative `bound` in `BENCHMARK.json`.
+Per workload, each side's failed share of operations (failed over
+attempted, summed over all pairs) gets a third verdict:
+- `no_more_failures`: CHANGE's failed share is no larger than BASE's.
 It also records the
 machine (from `run.py`'s own description), each side's git commit as
 `run.py` reads it, and the numpy version of this interpreter, which runs
@@ -104,6 +107,18 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def failures(pairs: list[dict]) -> dict:
+    """Each side's failed and attempted operations over all pairs, its failed
+    share, and whether CHANGE's share is no larger than BASE's."""
+    out = {}
+    for side in ("base", "change"):
+        failed = sum(p[side]["failed"] for p in pairs)
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        out[side] = {"failed": failed, "attempted": attempted, "share": failed / attempted if attempted else 0.0}
+    out["no_more_failures"] = out["change"]["share"] <= out["base"]["share"]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("base", type=Path)
@@ -143,13 +158,18 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append(pair)
             print(f"{workload} pair {i + 1}/{args.pairs}: "
                   + ", ".join(f"{s} wall_s {pair[s]['metrics']['wall_s']:.4f}" for s in sides), file=sys.stderr)
-        record["workloads"][workload] = {"summary": summarize(pairs, spec["end_to_end"]), "pair_runs": pairs}
+        record["workloads"][workload] = {
+            "summary": summarize(pairs, spec["end_to_end"]), "failures": failures(pairs), "pair_runs": pairs,
+        }
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for workload, data in record["workloads"].items():
         for name, s in data["summary"].items():
             print(f"{workload} {name}: base {s['base']['median']:.4g} change {s['change']['median']:.4g} "
                   f"({100 * s['median_rel_change']:+.1f}%), change better in {s['change_wins']}/{s['pairs']}, "
                   f"claim_met {s['claim_met']}, within_bound {s['within_bound']} (bound {s['bound']:g})")
+        f = data["failures"]
+        print(f"{workload} failed share: base {f['base']['failed']}/{f['base']['attempted']} "
+              f"change {f['change']['failed']}/{f['change']['attempted']}, no_more_failures {f['no_more_failures']}")
     return 0
 
 

@@ -58,7 +58,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .paulis import (PRUNE_TOL, SparseOperator, as_integer, bits_of_ints, bits_of_xz,
-                     ints_of_bits, json_fields, xz_of_bits)
+                     ints_of_bits, json_fields, qubit_count, xz_of_bits)
 
 # Opcodes of compiled gates, in dispatch order: the doped ensemble draws H,
 # S and CNOT, and the XXZ brick holds an RZZ and a SWAP. An opcode is
@@ -192,12 +192,7 @@ class Circuit:
             raise ValueError(f"gate {bad} out of range for {n} qubits")
 
     def _hold(self, n_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
-        n = as_integer(n_qubits, "qubit count n")
-        if n <= 0:
-            raise ValueError("n_qubits must be positive")
-        if n > sys.maxsize:  # no sequence or shift can span it
-            raise ValueError(f"qubit count n must be at most {sys.maxsize}, got {n}")
-        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "n_qubits", qubit_count(n_qubits))
         object.__setattr__(self, "gates", gates)
         return self
 

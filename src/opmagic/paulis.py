@@ -14,14 +14,20 @@ probability vector.
 
 One codec maps letters and bits: `_LETTERS` is the letter of the digit
 2 z + x, and `_DIGITS` a `bytes.translate` table from a letter's ASCII code
-to its digit. The row packers live here too: `xz_of_bits`/`bits_of_xz`
-between bit matrices and uint64 words, `bits_of_ints`/`ints_of_bits`
-between bit matrices and Python ints. Each pads its rows to whole bytes
-(not words) and makes one flat `packbits` or `unpackbits` call. A label is
-read back from the bits by arithmetic: the ASCII codes of I, X, Z and Y are
-73 + 16 (x | z) + z - x, so a uint32 matrix of codes, viewed as n-letter
-unicode strings, gives the labels of a block of rows in one `tolist()`.
-Labels and bit matrices are made `_BLOCK_ROWS` rows at a time.
+to its digit, from the space's to 4 and from every other code to 8. The
+row packers live here too: `xz_of_bits`/`bits_of_xz` between bit matrices
+and uint64 words, `bits_of_ints`/`ints_of_bits` between bit matrices and
+Python ints. Each pads its rows to whole bytes (not words) and makes one
+flat `packbits` or `unpackbits` call. Labels are written and read as one
+string, the labels joined by single spaces, never as one Python string a
+row. `_label_text`, the one writer, works by arithmetic: the ASCII codes
+of I, X, Z and Y are 73 + 16 (x | z) + z - x, so a (rows, n + 1) uint8
+matrix of codes whose last column holds spaces is the string's bytes.
+`_xz_of_labels`, the one reader, makes one `translate` to digits and one
+test that each row is n letters and a space, and packs the digits into
+words; the constructor passes the labels of its terms through it, and
+`from_json_dict` its JSON. Labels and bit matrices are made `_BLOCK_ROWS`
+rows at a time.
 
 A SparseOperator holds the propagation engine's arrays, uint64 words and
 float64 coefficients, and builds a dict of PauliStrings only when `terms`
@@ -31,13 +37,16 @@ holds its strings in that order from construction, so its probability
 vector, l2 weight and JSON follow it, and truncation, a stable sort on
 |a|, breaks ties by it: reruns are bit-identical.
 
-An operator's JSON holds two columns: ``{"n": n, "labels": [label, ...],
-"coeff": text}``, the labels in canonical order and ``coeff`` the base64 of
-the little-endian float64 coefficients, 8 bytes a label, so a coefficient
-is never printed or parsed as decimal text. Without opmagic,
-``numpy.frombuffer(base64.b64decode(data["coeff"]), "<f8")`` reads them.
-A file in the older format, a ``terms`` list of [label, number] pairs, is
-refused as missing the field ``labels``.
+An operator's JSON holds two columns: ``{"n": n, "labels": "XIZY IXXZ",
+"coeff": text}``, the labels in canonical order joined by single spaces
+(``""`` for the zero operator) and ``coeff`` the base64 of the
+little-endian float64 coefficients, 8 bytes a label, so a coefficient is
+never printed or parsed as decimal text. Without opmagic,
+``data["labels"].split()`` reads the labels and
+``numpy.frombuffer(base64.b64decode(data["coeff"]), "<f8")`` the
+coefficients. Older files are refused: one whose ``labels`` is a list of
+strings by the field's type, and one with a ``terms`` list of
+[label, number] pairs as missing the field ``labels``.
 """
 from __future__ import annotations
 
@@ -45,6 +54,7 @@ import base64
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -59,8 +69,9 @@ PRUNE_TOL = 1e-14
 _WEIGHT_TOL = 1e-8
 
 _LETTERS = "IXZY"  # indexed by the digit 2*z_bit + x_bit
-# the digit of each ASCII code, 4 where no letter has it (find gives -1)
-_DIGITS = bytes(_LETTERS.find(chr(code)) % 5 for code in range(256))
+# the digit of each ASCII code, 4 for the space and 8 where no letter has it
+# (find gives -1), so that only a letter's code is below 4
+_DIGITS = bytes(4 if code == ord(" ") else _LETTERS.find(chr(code)) % 9 for code in range(256))
 
 # Labels and bit matrices, several times the size of an operator's words,
 # are made this many rows at a time: small blocks reuse freed heap memory,
@@ -156,6 +167,17 @@ def as_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def qubit_count(value) -> int:
+    """`value` as a qubit count: an integer from 1 to sys.maxsize, past which
+    no sequence or shift can span the sites."""
+    n = as_integer(value, "qubit count n")
+    if n <= 0:
+        raise ValueError("n_qubits must be positive")
+    if n > sys.maxsize:
+        raise ValueError(f"qubit count n must be at most {sys.maxsize}, got {n}")
+    return n
+
+
 def _byte_rows(bits: np.ndarray) -> np.ndarray:
     """A bit matrix with its rows padded by zero bits to whole bytes, so that a
     flat `packbits` packs each row into bytes of its own."""
@@ -222,40 +244,48 @@ def _ints_of_words(words: np.ndarray) -> list:
     return ints
 
 
-def _labels(n_qubits: int, xz: np.ndarray) -> list[str]:
-    """The label of every row, from a (rows, n) matrix of letter codes per
-    block of rows."""
-    labels = []
-    for start in range(0, xz.shape[1], _BLOCK_ROWS):
-        x_bits, z_bits = bits_of_xz(xz[:, start : start + _BLOCK_ROWS], n_qubits)
-        codes = x_bits | z_bits
-        codes <<= 4
-        codes += z_bits
-        codes -= x_bits  # 16 (x | z) + z - x, never below 0
-        codes = np.add(codes, ord("I"), dtype="<u4")
-        labels += codes.view(f"<U{n_qubits}")[:, 0].tolist()
-    return labels
+def _label_text(n_qubits: int, xz: np.ndarray) -> str:
+    """The labels of the rows of `xz` joined by single spaces, from the bytes
+    of a (rows, n + 1) matrix of letter codes whose last column holds the
+    spaces, made and filled a block of rows at a time."""
+    rows, width = xz.shape[1], n_qubits + 1
+    text = np.full(rows * width, ord(" "), np.uint8)
+    for start in range(0, rows, _BLOCK_ROWS):
+        # the bits of whole bytes a row, so that the arithmetic runs on whole rows
+        x_bits, z_bits = bits_of_xz(xz[:, start : start + _BLOCK_ROWS], (n_qubits + 7) & ~7)
+        codes = ((x_bits | z_bits) << 4) + z_bits - x_bits + ord("I")  # never below 0 on the way
+        text[start * width : (start + _BLOCK_ROWS) * width].reshape(-1, width)[:, :n_qubits] = codes[:, :n_qubits]
+    return str(text[:-1], "ascii")
 
 
-def _checked(n_qubits: int, labels: list[str], coeffs):
-    """`xz` and `coeff` of stripped labels and their coefficients, checked,
-    in canonical order, with |a| < PRUNE_TOL dropped."""
-    if n_qubits <= 0:
-        raise ValueError("n_qubits must be positive")
-    pad = "I" * (-n_qubits % 8)  # each row padded to whole bytes with the digit 0
-    text = pad.join([*labels, ""]).encode("ascii", "replace")
-    if not all(labels) or text.translate(None, _LETTERS.encode()):  # something is no letter
-        for label in labels:
-            PauliString.from_label(label)  # raises on the first bad label
-    if not set(map(len, labels)) <= {n_qubits}:
-        raise ValueError("term size mismatch")
-    width = n_qubits + len(pad)
-    xz = np.empty((2 * ((width + 63) >> 6), len(labels)), np.uint64)
-    for start in range(0, len(labels), _BLOCK_ROWS):
-        block = text[start * width : (start + _BLOCK_ROWS) * width].translate(_DIGITS)
-        digits = np.frombuffer(block, np.uint8).reshape(-1, width)
+def _xz_of_labels(n_qubits: int, text: str, rows: int) -> np.ndarray:
+    """The words of `rows` labels of n_qubits letters each, joined by single
+    spaces in `text`: the inverse of `_label_text`. `rows` is the number of
+    coefficients. The first label that is not n letters is named by its
+    index and text."""
+    width = n_qubits + 1
+    # with one more space, each row is n letters and a space; a character
+    # past ASCII becomes "?", whose code is past a letter's like a space's
+    codes = np.frombuffer((text and text + " ").encode("ascii", "replace").translate(_DIGITS), np.uint8)
+    if len(codes) != rows * width or np.count_nonzero(codes > 3) != rows or (codes[n_qubits::width] != 4).any():
+        raise _bad_labels(n_qubits, text, rows)
+    xz = np.empty((2 * ((n_qubits + 63) >> 6), rows), np.uint64)
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = codes[start * width : (start + _BLOCK_ROWS) * width].reshape(-1, width)
+        digits = _byte_rows(block[:, :n_qubits])  # whole bytes a row, padded with the digit of I
         xz[:, start : start + _BLOCK_ROWS] = xz_of_bits(digits & 1, digits >> 1)
-    return _canonical(n_qubits, xz, np.array(coeffs, float))
+    return xz
+
+
+def _bad_labels(n_qubits: int, text: str, rows: int) -> ValueError:
+    """The error for space-joined labels that `_xz_of_labels` refuses."""
+    labels = text.split(" ") if text else []
+    for i, label in enumerate(labels):
+        if not label or not set(label) <= set(_LETTERS):
+            return ValueError(f"invalid Pauli label {label!r} at index {i}")
+        if len(label) != n_qubits:
+            return ValueError(f"term size mismatch: label {label!r} at index {i} has {len(label)} letters, not {n_qubits}")
+    return ValueError(f"operator coeff holds {8 * rows} bytes, not 8 for each of {len(labels)} labels")
 
 
 def _canonical(n_qubits: int, xz: np.ndarray, coeff: np.ndarray):
@@ -265,7 +295,7 @@ def _canonical(n_qubits: int, xz: np.ndarray, coeff: np.ndarray):
     finite = np.isfinite(coeff)
     if not finite.all():
         i = finite.argmin()
-        raise ValueError(f"coefficient of {_labels(n_qubits, xz[:, [i]])[0]} is not finite: {float(coeff[i])!r}")
+        raise ValueError(f"coefficient of {_label_text(n_qubits, xz[:, [i]])} is not finite: {float(coeff[i])!r}")
     if coeff.size > 1:  # one row is in order and given once
         # lexsort keys the last row first: z's highest word, down to x's lowest
         order = np.lexsort(xz)
@@ -273,7 +303,7 @@ def _canonical(n_qubits: int, xz: np.ndarray, coeff: np.ndarray):
             xz, coeff = xz.take(order, axis=1), coeff.take(order)
         repeated = (xz[:, 1:] == xz[:, :-1]).all(axis=0)
         if repeated.any():
-            raise ValueError(f"Pauli string {_labels(n_qubits, xz[:, [repeated.argmax()]])[0]} is given twice")
+            raise ValueError(f"Pauli string {_label_text(n_qubits, xz[:, [repeated.argmax()]])} is given twice")
     small = np.abs(coeff) < PRUNE_TOL
     if small.any():
         keep = (~small).nonzero()[0]
@@ -312,9 +342,10 @@ class SparseOperator:
         n_qubits: int,
         terms: Mapping[PauliString, float] | Iterable[tuple[PauliString, float]] | None = None,
     ) -> None:
+        n = qubit_count(n_qubits)
         items = list(terms.items() if isinstance(terms, Mapping) else (terms or ()))
-        labels = [pauli.label() for pauli, _ in items]
-        self._hold(n_qubits, *_checked(n_qubits, labels, [a for _, a in items]))
+        xz = _xz_of_labels(n, " ".join(pauli.label() for pauli, _ in items), len(items))
+        self._hold(n, *_canonical(n, xz, np.array([a for _, a in items], float)))
 
     def _hold(self, n_qubits: int, xz: np.ndarray, coeff: np.ndarray) -> "SparseOperator":
         xz.flags.writeable = coeff.flags.writeable = False
@@ -387,38 +418,34 @@ class SparseOperator:
         return SparseOperator._of(n, *_canonical(n, _moved(self.xz, n, moves, n), self.coeff))
 
     def to_json_dict(self) -> dict:
-        """{"n": n, "labels": [label, ...], "coeff": base64 text}: the labels in
-        canonical order, and the coefficients as one base64 string of their
-        little-endian float64 bytes, 8 a label."""
+        """{"n": n, "labels": text, "coeff": base64 text}: the labels in
+        canonical order joined by single spaces, and the coefficients as one
+        base64 string of their little-endian float64 bytes, 8 a label."""
         coeff = base64.b64encode(self.coeff.astype("<f8").tobytes()).decode("ascii")
-        return {"n": self.n_qubits, "labels": _labels(self.n_qubits, self.xz), "coeff": coeff}
+        return {"n": self.n_qubits, "labels": _label_text(self.n_qubits, self.xz), "coeff": coeff}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparseOperator":
         """The operator of a `to_json_dict` payload, checked as the constructor
-        checks its terms; the rows may come in any order. A payload of the
-        older [label, number] `terms` list has no `labels` field and is
-        refused as missing it."""
+        checks its terms; the rows may come in any order. An older payload is
+        refused: a list of labels by its type, and the [label, number]
+        `terms` list as missing the field `labels`."""
         n, labels, coeff = json_fields(data, "an operator", "n", "labels", "coeff")
-        n = as_integer(n, "operator qubit count n")
-        if not isinstance(labels, list):
-            raise ValueError(f"operator labels must be a list of strings, got {type(labels).__name__}")
-        if not set(map(type, labels)) <= {str}:  # walked only to name the first bad one
-            for i, label in enumerate(labels):
-                if not isinstance(label, str):
-                    raise ValueError(f"operator label {i} must be a string, got {label!r}")
+        n = qubit_count(n)
+        if not isinstance(labels, str):
+            raise ValueError(f"operator labels must be one string, the labels joined by spaces, got {type(labels).__name__}")
         if not isinstance(coeff, str):
             raise ValueError(f"operator coeff must be a base64 string, got {type(coeff).__name__}")
         try:
             raw = base64.b64decode(coeff, validate=True)
         except ValueError as exc:  # binascii.Error, or a non-ASCII character
             raise ValueError(f"operator coeff is not valid base64: {exc}") from None
-        if len(raw) != 8 * len(labels):
-            raise ValueError(f"operator coeff holds {len(raw)} bytes, not 8 for each of {len(labels)} labels")
-        return cls._of(n, *_checked(n, list(map(str.strip, labels)), np.frombuffer(raw, "<f8")))
+        if len(raw) % 8:
+            raise ValueError(f"operator coeff holds {len(raw)} bytes, not 8 for each of {len(labels.split())} labels")
+        return cls._of(n, *_canonical(n, _xz_of_labels(n, labels, len(raw) >> 3), np.frombuffer(raw, "<f8")))
 
     def __repr__(self) -> str:
-        shown = zip(_labels(self.n_qubits, self.xz[:, :4]), self.coeff[:4].tolist())
+        shown = zip(_label_text(self.n_qubits, self.xz[:, :4]).split(), self.coeff[:4].tolist())
         body = " + ".join(f"{a:+.6g}*{label}" for label, a in shown)
         more = "" if len(self) <= 4 else f" ... ({len(self)} terms)"
         return f"SparseOperator({body}{more})"

@@ -80,3 +80,28 @@ def test_summarize_nine_wins_inside_the_spread_claim_nothing():
     summary = load_bench_pairs().summarize(synthetic_pairs(BASE, change), END_TO_END)
     assert summary["wall_s"]["change_wins"] == 9
     assert not summary["wall_s"]["claim_met"] and summary["wall_s"]["within_bound"]
+
+
+def failure_pairs(base, change):
+    """Pairs whose sides failed `failed` of `attempted` operations, per pair."""
+    return [{"base": {"failed": bf, "attempted": ba}, "change": {"failed": cf, "attempted": ca}}
+            for (bf, ba), (cf, ca) in zip(base, change)]
+
+
+def test_failed_share_is_pooled_over_all_pairs():
+    # 1 of 10 and 0 of 90 pool to 1 of 100, where a mean of the per-pair
+    # shares would give 5 of 100
+    result = load_bench_pairs().failures(failure_pairs([(1, 10), (0, 90)], [(0, 50), (2, 50)]))
+    assert result["base"] == {"failed": 1, "attempted": 100, "share": 0.01}
+    assert result["change"] == {"failed": 2, "attempted": 100, "share": 0.02}
+    assert not result["no_more_failures"]
+
+
+def test_no_more_failures_holds_for_an_equal_or_smaller_share():
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.failures(failure_pairs([(0, 40)] * 10, [(0, 55)] * 10))["no_more_failures"]
+    assert bench_pairs.failures(failure_pairs([(2, 40)] * 10, [(1, 40)] * 10))["no_more_failures"]
+    assert bench_pairs.failures(failure_pairs([(1, 40)] * 10, [(1, 40)] * 10))["no_more_failures"]
+    # one failure in ten pairs, where the parent had none, is a larger share
+    change = [(0, 40)] * 9 + [(1, 40)]
+    assert not bench_pairs.failures(failure_pairs([(0, 40)] * 10, change))["no_more_failures"]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -33,10 +34,10 @@ from conftest import random_mixed_circuit, random_pauli
 
 
 def operator_payload(n, labels, coeffs):
-    """The JSON payload of an operator: `labels` as given, and `coeffs` as the
-    base64 of their little-endian float64 bytes."""
+    """The JSON payload of an operator: `labels` joined by single spaces, and
+    `coeffs` as the base64 of their little-endian float64 bytes."""
     packed = base64.b64encode(np.asarray(coeffs, "<f8").tobytes()).decode("ascii")
-    return {"n": n, "labels": list(labels), "coeff": packed}
+    return {"n": n, "labels": " ".join(labels), "coeff": packed}
 
 
 X_PAYLOAD = operator_payload(1, ["X"], [1.0])
@@ -50,11 +51,12 @@ def assert_json_round_trip(op, shuffled):
     """`op` through JSON text, its rows shuffled or not, gives back the same
     words and coefficient bytes."""
     data = json.loads(json.dumps(op.to_json_dict()))
-    assert data["labels"] == [p.label() for p in op.terms]
+    labels = data["labels"].split(" ") if len(op) else []
+    assert labels == [p.label() for p in op.terms]
     if shuffled:
         order = list(range(len(op)))
         random.Random(7).shuffle(order)
-        data = operator_payload(op.n_qubits, [data["labels"][i] for i in order], payload_coeffs(data)[order])
+        data = operator_payload(op.n_qubits, [labels[i] for i in order], payload_coeffs(data)[order])
     back = SparseOperator.from_json_dict(data)
     assert back.n_qubits == op.n_qubits and back.xz.shape == op.xz.shape
     assert back.xz.tobytes() == op.xz.tobytes()
@@ -123,7 +125,7 @@ class TestCodec:
             for words, bits in ((xz[:w, r], x[r]), (xz[w:, r], z[r])):
                 value = sum(int(v) << (64 * k) for k, v in enumerate(words))
                 assert value == sum(int(b) << i for i, b in enumerate(bits))
-        labels = paulis._labels(n, xz)
+        labels = paulis._label_text(n, xz).split()
         assert labels == ["".join("IXZY"[2 * b + a] for a, b in zip(xr, zr)) for xr, zr in zip(x, z)]
         ints = paulis.ints_of_bits(x)
         assert ints == [sum(int(b) << i for i, b in enumerate(bits)) for bits in x]
@@ -137,9 +139,9 @@ class TestCodec:
         coeffs = rng.normal(size=len(labels))
         op = SparseOperator.from_json_dict(operator_payload(n, labels, coeffs))
         data = op.to_json_dict()
-        items = [(PauliString.from_label(label), a) for label, a in zip(data["labels"], payload_coeffs(data).tolist())]
+        labels = data["labels"].split(" ")
+        items = [(PauliString.from_label(label), a) for label, a in zip(labels, payload_coeffs(data).tolist())]
         assert list(op.terms.items()) == items
-
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_json_round_trip_across_blocks(self, shuffled):
@@ -156,6 +158,28 @@ class TestCodec:
         coeffs = rng.normal(size=len(labels))
         coeffs[:4] = [1e300, -1e300, 1e-13, -5e-14][: len(labels)]  # extremes that survive pruning
         assert_json_round_trip(SparseOperator.from_json_dict(operator_payload(n, labels, coeffs)), shuffled)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("rows", [paulis._BLOCK_ROWS - 1, paulis._BLOCK_ROWS, 2 * paulis._BLOCK_ROWS + 1])
+    def test_label_text_round_trip_across_blocks(self, n, rows):
+        # the writer and the reader of the one-string labels, on raw words:
+        # rows may repeat, so every width fills whole blocks and a part block
+        rng = np.random.default_rng(1000 * n + rows)
+        x, z = rng.integers(0, 2, (2, rows, n), dtype=np.uint8)
+        xz = paulis.xz_of_bits(x, z)
+        labels = paulis._label_text(n, xz)
+        assert labels.split(" ") == ["".join("IXZY"[2 * b + a] for a, b in zip(xr, zr)) for xr, zr in zip(x, z)]
+        assert paulis._xz_of_labels(n, labels, rows).tobytes() == xz.tobytes()
+        distinct = np.unique(xz, axis=1)
+        coeffs = rng.normal(size=distinct.shape[1])
+        assert_json_round_trip(SparseOperator._of(n, *paulis._canonical(n, distinct, coeffs)), shuffled=True)
+
+    def test_zero_operator_round_trip(self):
+        for n in (1, 64, sys.maxsize):
+            data = json.loads(json.dumps(SparseOperator(n).to_json_dict()))
+            assert data == {"n": n, "labels": "", "coeff": ""}
+            back = SparseOperator.from_json_dict(data)
+            assert back.n_qubits == n and len(back) == 0 and repr(back) == "SparseOperator()"
 
 
 class TestEnumerate:
@@ -225,27 +249,27 @@ class TestSparseOperator:
     @pytest.mark.parametrize(
         "data, message",
         [
-            # each index holds the counterpart of its case in the [label, number] format
-            ({"n": 1, "terms": [["X", 1.0]]}, "missing the field 'labels'"),  # the older format
+            # cases 0-29 keep their indices from the format of a list of labels
+            ({"n": 1, "terms": [["X", 1.0]]}, "missing the field 'labels'"),  # the [label, number] format
             ([1], "JSON object"),
             ({**X_PAYLOAD, "n": 2.7}, "qubit count n must be an integer"),
             ({**X_PAYLOAD, "n": True}, "qubit count n must be an integer"),
-            ({**X_PAYLOAD, "labels": "X"}, "operator labels must be a list of strings, got str"),
-            ({**X_PAYLOAD, "labels": {"X": 1.0}}, "operator labels must be a list of strings, got dict"),
+            ({**X_PAYLOAD, "labels": ["X"]}, "operator labels must be one string, the labels joined by spaces, got list"),
+            ({**X_PAYLOAD, "labels": {"X": 1.0}}, "operator labels must be one string, the labels joined by spaces, got dict"),
             (operator_payload(1, ["X", "Z"], [1.0]), "coeff holds 8 bytes, not 8 for each of 2 labels"),
             ({**X_PAYLOAD, "coeff": [1.0]}, "operator coeff must be a base64 string, got list"),
             ({**X_PAYLOAD, "coeff": "not base64!"}, "operator coeff is not valid base64"),
-            ({**X_PAYLOAD, "labels": [1]}, "operator label 0 must be a string, got 1"),
+            ({**X_PAYLOAD, "labels": 1}, "operator labels must be one string, the labels joined by spaces, got int"),
             (operator_payload(2, ["XQ"], [1.0]), "invalid Pauli label 'XQ'"),
             (operator_payload(2, ["XÝ"], [1.0]), "invalid Pauli label 'XÝ'"),
             (operator_payload(2, ["XYZ"], [1.0]), "term size mismatch"),
             (operator_payload(0, [], []), "n_qubits must be positive"),
-            ({"n": 1, "labels": ["X"]}, "missing the field 'coeff'"),
+            ({"n": 1, "labels": "X"}, "missing the field 'coeff'"),
             ({**X_PAYLOAD, "n": "1"}, "qubit count n must be an integer"),
             ({**X_PAYLOAD, "n": None}, "qubit count n must be an integer"),
             (operator_payload(-1, ["X"], [1.0]), "n_qubits must be positive"),
-            ({**X_PAYLOAD, "labels": None}, "operator labels must be a list of strings, got NoneType"),
-            ({**X_PAYLOAD, "labels": ["X", None]}, "operator label 1 must be a string, got None"),
+            ({**X_PAYLOAD, "labels": None}, "operator labels must be one string, the labels joined by spaces, got NoneType"),
+            ({**X_PAYLOAD, "labels": b"X"}, "operator labels must be one string, the labels joined by spaces, got bytes"),
             ({**X_PAYLOAD, "coeff": 1.0}, "operator coeff must be a base64 string, got float"),
             ({**X_PAYLOAD, "coeff": b"AAAAAAAA8D8="}, "operator coeff must be a base64 string, got bytes"),
             ({**X_PAYLOAD, "coeff": "AAAAAAAA8D8"}, "operator coeff is not valid base64: Incorrect padding"),
@@ -256,6 +280,20 @@ class TestSparseOperator:
             ({**X_PAYLOAD, "coeff": "AAAAAAAAAAAA"}, "coeff holds 9 bytes, not 8 for each of 1 labels"),
             (operator_payload(1, [], [1.0]), "coeff holds 8 bytes, not 8 for each of 0 labels"),
             (operator_payload(2, ["XZ", "XZ"], [0.6, 0.8]), "XZ is given twice"),
+            # the first bad label is named by its index and text
+            (operator_payload(2, ["XZ", "xZ"], [0.6, 0.8]), "invalid Pauli label 'xZ' at index 1"),
+            (operator_payload(2, ["XZ", "IQ", "ZZ"], [0.6, 0.8, 0.0]), "invalid Pauli label 'IQ' at index 1"),
+            (operator_payload(2, ["XZ", "XYZ"], [0.6, 0.8]), "label 'XYZ' at index 1 has 3 letters, not 2"),
+            (operator_payload(2, ["X", "ZZZ"], [0.6, 0.8]), "label 'X' at index 0 has 1 letters, not 2"),  # the right length
+            # the labels are joined by single spaces, and nothing is stripped
+            ({**operator_payload(2, [], [0.6, 0.8]), "labels": "XZ  ZZ"}, "invalid Pauli label '' at index 1"),
+            ({**operator_payload(2, [], [1.0]), "labels": " XI"}, "invalid Pauli label '' at index 0"),
+            ({**operator_payload(2, [], [1.0]), "labels": "XI "}, "invalid Pauli label '' at index 1"),
+            ({**operator_payload(2, [], [0.6, 0.8]), "labels": "XZ\tZZ"}, r"invalid Pauli label 'XZ\\tZZ' at index 0"),
+            ({**operator_payload(2, [], [0.6, 0.8]), "labels": "XZ\nZZ"}, r"invalid Pauli label 'XZ\\nZZ' at index 0"),
+            # one limit on the qubit count, that of a circuit
+            ({**X_PAYLOAD, "n": 10**30}, f"qubit count n must be at most {sys.maxsize}, got {10**30}"),
+            ({"n": sys.maxsize + 1, "labels": "", "coeff": ""}, f"qubit count n must be at most {sys.maxsize}, got"),
         ],
     )
     def test_malformed_json_operator(self, data, message):
@@ -263,23 +301,36 @@ class TestSparseOperator:
             SparseOperator.from_json_dict(data)
 
     def test_numpy_str_label_is_accepted(self):
-        # a str subclass fails the one-pass type check and passes the walk
-        op = SparseOperator.from_json_dict(operator_payload(1, [np.str_("X"), " Z "], [0.6, 0.8]))
-        assert [p.label() for p in op.terms] == ["X", "Z"] and op.coeff.tolist() == [0.6, 0.8]
+        # a str subclass is a string
+        op = SparseOperator.from_json_dict({**operator_payload(1, [], [0.6, 0.8]), "labels": np.str_("Z X")})
+        assert [p.label() for p in op.terms] == ["X", "Z"] and op.coeff.tolist() == [0.8, 0.6]
 
     def test_tuple_of_labels_is_rejected(self):
-        with pytest.raises(ValueError, match="operator labels must be a list of strings, got tuple"):
+        with pytest.raises(ValueError, match="operator labels must be one string, the labels joined by spaces, got tuple"):
             SparseOperator.from_json_dict({**operator_payload(1, ["X"], [1.0]), "labels": ("X",)})
 
     def test_bad_label_deep_in_a_long_list_is_named(self):
+        # a fault past the first block of rows is found, and named by the
+        # index and text of the label it is in
         labels = [PauliString(16, i, 0).label() for i in range(12000)]
-        data = operator_payload(16, labels, np.full(12000, 0.01))
-        data["labels"][10000] = True
-        with pytest.raises(ValueError, match="operator label 10000 must be a string, got True"):
-            SparseOperator.from_json_dict(json.loads(json.dumps(data)))
-        data["labels"][10000] = labels[10000][:-1] + "Q"
-        with pytest.raises(ValueError, match=f"invalid Pauli label '{labels[10000][:-1]}Q'"):
-            SparseOperator.from_json_dict(json.loads(json.dumps(data)))
+        coeffs = np.full(12000, 0.01)
+        for bad, message in (
+            (labels[10000][:-1] + "Q", f"invalid Pauli label '{labels[10000][:-1]}Q' at index 10000"),
+            (labels[10000][:-1], f"label '{labels[10000][:-1]}' at index 10000 has 15 letters, not 16"),
+            (" " + labels[10000], "invalid Pauli label '' at index 10000"),
+        ):
+            data = operator_payload(16, labels[:10000] + [bad] + labels[10001:], coeffs)
+            with pytest.raises(ValueError, match=message):
+                SparseOperator.from_json_dict(json.loads(json.dumps(data)))
+
+    def test_qubit_count_past_sys_maxsize_is_refused(self):
+        # the constructor's limit is that of a circuit, and names n
+        with pytest.raises(ValueError, match=f"qubit count n must be at most {sys.maxsize}, got {10**30}"):
+            SparseOperator(10**30, {})
+        with pytest.raises(ValueError, match=f"qubit count n must be at most {sys.maxsize}, got"):
+            SparseOperator(sys.maxsize + 1)
+        with pytest.raises(ValueError, match="term size mismatch: label 'XYZ' at index 0 has 3 letters, not 2"):
+            SparseOperator(2, {PauliString.from_label("XYZ"): 1.0})
 
     def test_json_round_trip_bit_identical(self):
         r = math.sqrt(0.5)
@@ -609,9 +660,11 @@ class TestArrayOperator:
         assert hashlib.sha256(terms_text.encode()).hexdigest() == (
             "d7ad498a4e64da0e84606a157dde5ca63d31b1e446894621e8346b2e0936b023"
         )
+        # recorded when the labels became one string: the same `n`, `coeff`
+        # and labels, in the same order, as the list of labels before it
         text = json.dumps(evolved.to_json_dict())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "04e938fabcd91d87496c5b374a9fdbb57fda5986d6463aa3fc9b18e6ef6b0fa0"
+            "393b96a8247511cb08abf5967dd477701344c385fc94f13c202df4dc8d551757"
         )
         back = SparseOperator.from_json_dict(json.loads(text))
         for mine, theirs in ((back.xz, evolved.xz), (back.coeff, evolved.coeff)):
@@ -670,10 +723,11 @@ def dict_scaled(op, factor):
 def label_tensor(a, b):
     """`tensor` as it was before the array maps: label strings pair by pair."""
     n = a.n_qubits + b.n_qubits
-    mine = zip(paulis._labels(a.n_qubits, a.xz), a.coeff.tolist())
-    theirs = list(zip(paulis._labels(b.n_qubits, b.xz), b.coeff.tolist()))
+    mine = zip(paulis._label_text(a.n_qubits, a.xz).split(), a.coeff.tolist())
+    theirs = list(zip(paulis._label_text(b.n_qubits, b.xz).split(), b.coeff.tolist()))
     pairs = [(p + q, x * y) for p, x in mine for q, y in theirs]
-    return SparseOperator._of(n, *paulis._checked(n, [p for p, _ in pairs], [c for _, c in pairs]))
+    xz = paulis._xz_of_labels(n, " ".join(p for p, _ in pairs), len(pairs))
+    return SparseOperator._of(n, *paulis._canonical(n, xz, np.array([c for _, c in pairs])))
 
 
 def dict_relabel_sites(op, mapping):
